@@ -27,10 +27,11 @@ from .errors import (
     ParseError,
     UnsupportedModeError,
 )
-from .nonlinear import ModeEstimate, NonlinearAE, backprop_grads, estimate_identity_map, train_nonlinear
+from .nonlinear import ModeEstimate, estimate_identity_map, train_nonlinear
 from .simulate import (
-    LinearAE,
+    Autoencoder,
     TrainingConfig,
+    backprop_grads,
     init_orthogonal,
     init_small_random,
     marginalized_loss_and_grads,
@@ -43,14 +44,13 @@ from .spectrum import Dataset, Spectrum, covariance, eigendecompose, projected_d
 __version__ = "0.1.0"
 
 __all__ = [
+    "Autoencoder",
     "ConfigError",
     "Dataset",
     "DegenerateTrajectoryError",
     "DivergenceError",
-    "LinearAE",
     "ModeEstimate",
     "NoiseModel",
-    "NonlinearAE",
     "NotSymmetricError",
     "ParseError",
     "RawImageBatch",

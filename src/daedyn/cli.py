@@ -15,6 +15,7 @@ import logging
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -42,8 +43,8 @@ class ExperimentConfig:
     experiment: str
     out: Path = Path("out")
     seed: int = 0
-    lambdas: list = field(default_factory=lambda: list(DEFAULT_LAMBDAS))
-    epsilons: list | None = None
+    lambdas: list[float] = field(default_factory=lambda: list(DEFAULT_LAMBDAS))
+    epsilons: list[float] | None = None
     sigma2: float | None = None
     laplace_b: float | None = None
     gamma: float = 0.0
@@ -54,7 +55,7 @@ class ExperimentConfig:
     init: str = "small_random"
     init_scale: float = 1e-3
     record_every: int = 10
-    modes: list | None = None
+    modes: list[int] | None = None
     dataset: Path | None = None
     fmt: str | None = None
     center: bool = False
@@ -101,7 +102,7 @@ class ExperimentConfig:
             raise ConfigError(f"epsilon grid must be >= 0, got {self.epsilons}")
         if self.init not in ("small_random", "orthogonal"):
             raise ConfigError(f"unknown init scheme {self.init!r}")
-        if self.activation not in nonlinear.ACTIVATIONS:
+        if self.activation not in simulate.ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
         if self.experiment in ("real_data", "nonlinear") or self.dataset is not None:
             if self.dataset is None:
@@ -112,6 +113,10 @@ class ExperimentConfig:
             raise ConfigError(f"modes are 1-based ranks, got {self.modes}")
         if self.grid_points < 2:
             raise ConfigError(f"grid-points must be >= 2, got {self.grid_points}")
+        if self.paths < 0:
+            raise ConfigError(f"paths must be >= 0, got {self.paths}")
+        if self.eps_points < 1:
+            raise ConfigError(f"eps-points must be >= 1, got {self.eps_points}")
         spec_count = sum(x is not None for x in (self.sigma2, self.laplace_b)) \
             + (self.epsilons is not None)
         if spec_count > 1:
@@ -139,27 +144,20 @@ def _parse_config_file(path):
 # config files may use the flag spellings; normalise them to field names
 _KEY_ALIASES = {"lambda": "lambdas", "epsilon": "epsilons", "format": "fmt"}
 
-_LIST_FLOAT_KEYS = {"lambdas", "epsilons"}
-_LIST_INT_KEYS = {"modes"}
-_FLOAT_KEYS = {"sigma2", "laplace_b", "gamma", "alpha", "init_scale", "w0",
-               "weight_ratio", "w1_0", "w2_0", "grid_min", "grid_max", "eps_max"}
-_INT_KEYS = {"seed", "n", "epochs", "hidden", "record_every", "grid_points",
-             "paths", "eps_points", "noise_draws"}
-_BOOL_KEYS = {"center", "scale", "eigenvectors"}
-_PATH_KEYS = {"out", "dataset"}
+_FIELD_TYPES = get_type_hints(ExperimentConfig)
 
 
 def _coerce(key, value):
+    """Convert a flag or config-file value to the type annotated on its field."""
+    kind = _FIELD_TYPES[key]
+    args = get_args(kind)
+    if type(None) in args:      # "X | None": coerce to X
+        (kind,) = (a for a in args if a is not type(None))
     try:
-        if key in _LIST_FLOAT_KEYS:
-            return [float(x) for x in str(value).split(",") if x.strip()]
-        if key in _LIST_INT_KEYS:
-            return [int(x) for x in str(value).split(",") if x.strip()]
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _BOOL_KEYS:
+        if get_origin(kind) is list:
+            (item,) = get_args(kind)
+            return [item(x) for x in str(value).split(",") if x.strip()]
+        if kind is bool:
             if isinstance(value, bool):
                 return value
             if str(value).lower() in ("1", "true", "yes", "on"):
@@ -167,9 +165,7 @@ def _coerce(key, value):
             if str(value).lower() in ("0", "false", "no", "off"):
                 return False
             raise ValueError(f"not a boolean: {value!r}")
-        if key in _PATH_KEYS:
-            return Path(value)
-        return value
+        return kind(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from exc
 
@@ -247,21 +243,14 @@ def _load_dataset(cfg: ExperimentConfig) -> spectrum.Dataset:
         else:
             fmt = "idx"
     if fmt == "idx":
-        batch = data.load_idx(path, count_limit=cfg.n)
-        return data.preprocess(batch, center=cfg.center, scale=cfg.scale)
-    if fmt == "cifar10":
-        batch = data.load_cifar10(path, count_limit=cfg.n)
-        return data.preprocess(batch, center=cfg.center, scale=cfg.scale)
-    if fmt == "cache":
-        x = data.load_matrix(path)[: cfg.n]
-        if cfg.center:
-            x = x - x.mean(axis=0)
-        if cfg.scale:
-            peak = np.max(np.abs(x))
-            if peak > 0.0:
-                x = x / peak
-        return spectrum.Dataset(samples=x, source="synthetic")
-    raise ConfigError(f"unknown dataset format {fmt!r}")
+        raw = data.load_idx(path, count_limit=cfg.n)
+    elif fmt == "cifar10":
+        raw = data.load_cifar10(path, count_limit=cfg.n)
+    elif fmt == "cache":
+        raw = data.load_matrix(path)[: cfg.n]
+    else:
+        raise ConfigError(f"unknown dataset format {fmt!r}")
+    return data.preprocess(raw, center=cfg.center, scale=cfg.scale)
 
 
 def cmd_predict(cfg: ExperimentConfig):
@@ -407,10 +396,13 @@ def predictions_for_run(run: simulate.LinearRun, spec: spectrum.Spectrum, eps_ef
 
 def cmd_real_data(cfg: ExperimentConfig):
     """Predicted vs simulated per-mode trajectories on an ingested dataset."""
-    if cfg.sigma2 is not None and cfg.sigma2 > 0.0 and cfg.gamma > 0.0:
-        raise ConfigError("comparison runs use either noise or weight decay, not both")
     dataset = _load_dataset(cfg)
     n = dataset.n
+    noise = _noise_model(cfg, n)
+    eps_eff = analytic.epsilon_from_noise(noise, n)
+    if eps_eff > 0.0 and cfg.gamma > 0.0:
+        # the predicted curves have a closed form for noise or for decay, not both
+        raise ConfigError("comparison runs use either noise or weight decay, not both")
     spec = spectrum.eigendecompose(spectrum.covariance(dataset))
     modes = cfg.modes if cfg.modes is not None else list(DEFAULT_MODES["real-data"])
     if any(m > dataset.d for m in modes):
@@ -419,8 +411,6 @@ def cmd_real_data(cfg: ExperimentConfig):
         if rank > cfg.hidden:
             log.warning("mode %d exceeds hidden width %d and cannot be learned",
                         rank, cfg.hidden)
-    noise = _noise_model(cfg, n)
-    eps_eff = analytic.epsilon_from_noise(noise, n)
     train = simulate.TrainingConfig(
         learning_rate=cfg.alpha, epochs=cfg.epochs, noise=noise,
         weight_decay=cfg.gamma, init=cfg.init, init_scale=cfg.init_scale,
@@ -564,7 +554,7 @@ def _add_shared_flags(parser):
                         help="w2/w1 ratio fixing the conserved quantity")
     parser.add_argument("--w1-0", dest="w1_0", type=float)
     parser.add_argument("--w2-0", dest="w2_0", type=float)
-    parser.add_argument("--activation", choices=sorted(nonlinear.ACTIVATIONS))
+    parser.add_argument("--activation", choices=sorted(simulate.ACTIVATIONS))
     parser.add_argument("--grid-min", dest="grid_min", type=float)
     parser.add_argument("--grid-max", dest="grid_max", type=float)
     parser.add_argument("--grid-points", dest="grid_points", type=int)
@@ -591,15 +581,15 @@ def main(argv=None) -> int:
         file_values = _parse_config_file(args.config) if args.config else {}
         cfg = build_config(experiment, file_values, flag_values)
         outputs = func(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except DivergenceError as exc:
         print(f"numeric divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
     except (ParseError, OSError) as exc:
         print(f"I/O or parse error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except ValueError as exc:   # ConfigError and every invalid input the library rejects
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     for path in outputs:
         print(f"wrote {path}")
     return EXIT_OK

@@ -193,16 +193,23 @@ def synthetic_dataset(eigenvalues, n, seed) -> Dataset:
     return Dataset(samples=x, source="synthetic")
 
 
-def preprocess(batch: RawImageBatch, center=False, scale=False) -> Dataset:
-    """Optional per-feature mean removal and global max-abs rescale (default pass-through)."""
-    x = batch.pixels
+def preprocess(batch, center=False, scale=False) -> Dataset:
+    """Optional per-feature mean removal and global max-abs rescale (default pass-through).
+
+    batch is a parsed RawImageBatch or a plain N x D matrix such as a loaded
+    matrix cache; a plain matrix is tagged as synthetic.
+    """
+    if isinstance(batch, RawImageBatch):
+        x, source = batch.pixels, batch.source
+    else:
+        x, source = np.asarray(batch, dtype=np.float64), "synthetic"
     if center:
         x = x - x.mean(axis=0)
     if scale:
         peak = np.max(np.abs(x))
         if peak > 0.0:
             x = x / peak
-    return Dataset(samples=np.ascontiguousarray(x), source=batch.source)
+    return Dataset(samples=np.ascontiguousarray(x), source=source)
 
 
 def save_matrix(path, matrix):

@@ -1,9 +1,9 @@
-"""Single-hidden-layer nonlinear autoencoders and the eigenmode-mapping estimator.
+"""Nonlinear autoencoder training and the eigenmode-mapping estimator.
 
 Nonlinear training has no closed-form noise marginalisation, so corruption is
-sampled fresh every epoch (one draw per step). The estimator projects the
-clean-input reconstruction cross-covariance onto the input eigenbasis to read
-off how much of each eigen-direction the network currently reconstructs.
+sampled fresh every epoch. The estimator projects the clean-input
+reconstruction cross-covariance onto the input eigenbasis to read off how
+much of each eigen-direction the network currently reconstructs.
 """
 
 from __future__ import annotations
@@ -12,61 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError
-from .simulate import DIVERGENCE_LIMIT, TrainingConfig, _draw_noise, init_orthogonal, init_small_random
+# _draw_noise and backprop_grads are not called here; they stay bound in this
+# module because the benchmark tracer (bench/spans.py) wraps them by name
+from .simulate import (  # noqa: F401
+    ACTIVATIONS, Autoencoder, TrainingConfig, _draw_noise, backprop_grads, descend)
 from .spectrum import Dataset, Spectrum
 
 LAMBDA_FLOOR_FACTOR = 1e-8  # modes below this fraction of the top eigenvalue are absent
-
-
-def _identity(z):
-    return z
-
-
-def _identity_grad(z):
-    return np.ones_like(z)
-
-
-def _relu(z):
-    return np.maximum(z, 0.0)
-
-
-def _relu_grad(z):
-    # subgradient at exactly 0 is defined as 0
-    return (z > 0.0).astype(np.float64)
-
-
-def _tanh_grad(z):
-    t = np.tanh(z)
-    return 1.0 - t * t
-
-
-ACTIVATIONS = {
-    "identity": (_identity, _identity_grad),
-    "relu": (_relu, _relu_grad),
-    "tanh": (np.tanh, _tanh_grad),
-}
-
-
-@dataclass(frozen=True)
-class NonlinearAE:
-    """Weights plus the hidden activation name (relu, tanh or identity)."""
-
-    w1: np.ndarray
-    w2: np.ndarray
-    activation: str
-
-    def __post_init__(self):
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        w1 = np.asarray(self.w1, dtype=np.float64)
-        w2 = np.asarray(self.w2, dtype=np.float64)
-        if w1.ndim != 2 or w2.shape != (w1.shape[1], w1.shape[0]):
-            raise ValueError(f"incompatible weight shapes {w1.shape} and {w2.shape}")
-        if not (np.isfinite(w1).all() and np.isfinite(w2).all()):
-            raise ValueError("weights must be finite")
-        object.__setattr__(self, "w1", w1)
-        object.__setattr__(self, "w2", w2)
 
 
 @dataclass(frozen=True)
@@ -92,29 +44,13 @@ class ModeEstimate:
         object.__setattr__(self, "retained", retained)
 
 
-def reconstruct(model: NonlinearAE, x):
+def reconstruct(model: Autoencoder, x):
     """Clean-input reconstruction W2 phi(W1 x), rows are samples."""
     phi, _ = ACTIVATIONS[model.activation]
     return phi(x @ model.w1.T) @ model.w2.T
 
 
-def backprop_grads(model: NonlinearAE, batch, corrupted_batch):
-    """Full-batch gradients of (1/2N) sum ||x_i - W2 phi(W1 x_tilde_i)||^2."""
-    x = np.asarray(batch, dtype=np.float64)
-    x_tilde = np.asarray(corrupted_batch, dtype=np.float64)
-    if x.shape != x_tilde.shape:
-        raise ValueError("clean and corrupted batches must have the same shape")
-    phi, dphi = ACTIVATIONS[model.activation]
-    n = x.shape[0]
-    z = x_tilde @ model.w1.T
-    a = phi(z)
-    res = a @ model.w2.T - x
-    grad2 = res.T @ a / n
-    grad1 = ((res @ model.w2) * dphi(z)).T @ x_tilde / n
-    return grad1, grad2
-
-
-def estimate_identity_map(dataset: Dataset, model: NonlinearAE, spectrum: Spectrum,
+def estimate_identity_map(dataset: Dataset, model: Autoencoder, spectrum: Spectrum,
                           epoch=0.0) -> ModeEstimate:
     """Project the clean-reconstruction cross-covariance onto the input eigenbasis.
 
@@ -141,40 +77,16 @@ def train_nonlinear(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig
                     activation: str):
     """Full-batch backprop with fresh per-epoch corruption; returns ModeEstimate series.
 
-    Weight decay adds config.weight_decay * W to the gradients when nonzero.
-    Estimates are recorded at epoch 0, every record_every epochs, and at the
-    final epoch; the run is deterministic per seed. epochs=0 is allowed and
-    returns the initial-model estimate only.
+    Corruption is always sampled, whatever config.loss_mode says. Estimates
+    are recorded at epoch 0, every record_every epochs, and at the final
+    epoch; the run is deterministic per seed. epochs=0 is allowed and returns
+    the initial-model estimate only.
     """
-    if activation not in ACTIVATIONS:
-        raise ValueError(f"unknown activation {activation!r}")
-    d = dataset.d
-    if config.init == "orthogonal":
-        lin = init_orthogonal(d, config.hidden_dim, spectrum, config.init_scale, config.seed)
-    else:
-        lin = init_small_random(d, config.hidden_dim, config.init_scale, config.seed)
-    w1 = lin.w1.copy()
-    w2 = lin.w2.copy()
-    rng = np.random.default_rng(config.seed if config.noise_seed is None else config.noise_seed)
-    x = dataset.samples
-    alpha = config.learning_rate
-    gamma = config.weight_decay
+    estimates = []
 
-    estimates = [estimate_identity_map(dataset, NonlinearAE(w1, w2, activation), spectrum, 0.0)]
-    epochs = config.epochs
-    for epoch in range(1, epochs + 1):
-        e = _draw_noise(rng, config.noise, x.shape)
-        x_tilde = x if e is None else x + e
-        g1, g2 = backprop_grads(NonlinearAE(w1, w2, activation), x, x_tilde)
-        if gamma > 0.0:
-            g1 = g1 + gamma * w1
-            g2 = g2 + gamma * w2
-        w1 -= alpha * g1
-        w2 -= alpha * g2
-        peak = max(np.max(np.abs(w1)), np.max(np.abs(w2)))
-        if not np.isfinite(peak) or peak > DIVERGENCE_LIMIT:
-            raise DivergenceError(f"nonlinear run diverged at epoch {epoch}", step=epoch)
-        if epoch % config.record_every == 0 or epoch == epochs:
-            estimates.append(estimate_identity_map(
-                dataset, NonlinearAE(w1, w2, activation), spectrum, float(epoch)))
+    def record(epoch, _loss, w1, w2):
+        estimates.append(estimate_identity_map(
+            dataset, Autoencoder(w1, w2, activation), spectrum, float(epoch)))
+
+    descend(dataset, spectrum, config, record, activation=activation)
     return estimates

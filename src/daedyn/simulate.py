@@ -1,15 +1,17 @@
-"""Discrete-time gradient descent on the marginalised and decayed objectives.
+"""Full-batch gradient descent for linear and single-hidden-layer autoencoders.
 
 One gradient step on the full-batch objective advances time by one epoch,
 matching tau = N / alpha; there is no minibatching because the theory is
-full-batch. Runs are deterministic given their seeds.
+full-batch. The linear, weight-decayed and nonlinear networks all train
+through `descend`, which differs between them only in the gradient and in
+what its recorder keeps. Runs are deterministic given their seeds.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,14 +24,50 @@ log = logging.getLogger(__name__)
 DIVERGENCE_LIMIT = 1e12
 
 
+def _identity(z):
+    return z
+
+
+def _identity_grad(z):
+    return np.ones_like(z)
+
+
+def _relu(z):
+    return np.maximum(z, 0.0)
+
+
+def _relu_grad(z):
+    # subgradient at exactly 0 is defined as 0
+    return (z > 0.0).astype(np.float64)
+
+
+def _tanh_grad(z):
+    t = np.tanh(z)
+    return 1.0 - t * t
+
+
+ACTIVATIONS = {
+    "identity": (_identity, _identity_grad),
+    "relu": (_relu, _relu_grad),
+    "tanh": (np.tanh, _tanh_grad),
+}
+
+
 @dataclass(frozen=True)
-class LinearAE:
-    """Two-layer linear autoencoder weights: w1 is H x D, w2 is D x H."""
+class Autoencoder:
+    """Single-hidden-layer autoencoder weights: w1 is H x D, w2 is D x H.
+
+    activation names the hidden nonlinearity (identity, relu or tanh); the
+    identity activation is the linear autoencoder of the theory.
+    """
 
     w1: np.ndarray
     w2: np.ndarray
+    activation: str = "identity"
 
     def __post_init__(self):
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {self.activation!r}")
         w1 = np.asarray(self.w1, dtype=np.float64)
         w2 = np.asarray(self.w2, dtype=np.float64)
         if w1.ndim != 2 or w2.shape != (w1.shape[1], w1.shape[0]):
@@ -39,14 +77,6 @@ class LinearAE:
         object.__setattr__(self, "w1", w1)
         object.__setattr__(self, "w2", w2)
 
-    @property
-    def hidden_dim(self) -> int:
-        return self.w1.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.w1.shape[1]
-
 
 @dataclass(frozen=True)
 class TrainingConfig:
@@ -54,7 +84,8 @@ class TrainingConfig:
 
     weight_decay is in user units; the effective decay seen by the scalar
     theory is N * weight_decay. loss_mode "sampled" draws noise_draws fresh
-    corruptions per step instead of using the closed-form expectation.
+    corruptions per step instead of using the closed-form expectation; it
+    only applies to the linear network, since nonlinear runs always sample.
     """
 
     learning_rate: float
@@ -106,8 +137,8 @@ class LinearRun:
     norms: Trajectory          # ||W1||^2 + ||W2||^2 per recorded epoch, mode -1
     losses: np.ndarray         # objective value per recorded epoch
     max_offdiag: float         # worst rotated off-diagonal seen (nan if untracked)
-    model: LinearAE            # final weights
-    init_model: LinearAE       # weights before the first step
+    model: Autoencoder         # final weights
+    init_model: Autoencoder    # weights before the first step
 
 
 def run_scalar_gd(mode: ScalarMode, alpha, steps, record_every=1, gamma_eff=0.0,
@@ -154,7 +185,7 @@ def run_scalar_gd(mode: ScalarMode, alpha, steps, record_every=1, gamma_eff=0.0,
     return ScalarRun(trajectory=traj, w1=np.array(w1s), w2=np.array(w2s))
 
 
-def init_orthogonal(d, h, spectrum: Spectrum, scale, seed) -> LinearAE:
+def init_orthogonal(d, h, spectrum: Spectrum, scale, seed) -> Autoencoder:
     """Rotation-aligned initialisation: W2 = V D2 R^T, W1 = R D1 V^T.
 
     R is a seeded random orthogonal h x h matrix; D1 and D2 are rectangular
@@ -171,19 +202,19 @@ def init_orthogonal(d, h, spectrum: Spectrum, scale, seed) -> LinearAE:
     rng = np.random.default_rng(seed)
     r = random_orthogonal(h, rng)
     v_h = spectrum.eigenvectors[:, :h]
-    return LinearAE(w1=scale * (r @ v_h.T), w2=scale * (v_h @ r.T))
+    return Autoencoder(w1=scale * (r @ v_h.T), w2=scale * (v_h @ r.T))
 
 
-def init_small_random(d, h, scale, seed) -> LinearAE:
+def init_small_random(d, h, scale, seed) -> Autoencoder:
     """I.i.d. uniform weights in [-scale, scale] from the seeded generator."""
     if scale <= 0.0:
         raise ValueError(f"scale must be > 0, got {scale}")
     rng = np.random.default_rng(seed)
-    return LinearAE(w1=rng.uniform(-scale, scale, size=(h, d)),
-                    w2=rng.uniform(-scale, scale, size=(d, h)))
+    return Autoencoder(w1=rng.uniform(-scale, scale, size=(h, d)),
+                       w2=rng.uniform(-scale, scale, size=(d, h)))
 
 
-def marginalized_loss_and_grads(model: LinearAE, dataset, epsilon_eff, cov=None):
+def marginalized_loss_and_grads(model: Autoencoder, dataset, epsilon_eff, cov=None):
     """Noise-marginalised loss and its exact full-batch gradients.
 
     loss = (1/2N) sum ||x_i - W2 W1 x_i||^2 + (s^2 / 2) tr(W2 W1 W1^T W2^T)
@@ -217,7 +248,7 @@ def _draw_noise(rng, noise: NoiseModel, shape):
     return rng.laplace(0.0, noise.scale, size=shape)
 
 
-def sampled_loss(model: LinearAE, dataset, noise: NoiseModel, draws, seed, with_std=False):
+def sampled_loss(model: Autoencoder, dataset, noise: NoiseModel, draws, seed, with_std=False):
     """Monte Carlo reconstruction loss over sampled corruptions.
 
     Averages (1/2N) sum ||x_i - W2 W1 (x_i + e)||^2 over `draws` independent
@@ -247,15 +278,36 @@ def sampled_loss(model: LinearAE, dataset, noise: NoiseModel, draws, seed, with_
     return (value, float(per_draw.std(ddof=1)) if draws > 1 else 0.0) if with_std else value
 
 
-def _sampled_grads(model, x, x_tilde):
-    # full-batch gradients of (1/2N) sum ||x_i - W2 W1 x_tilde_i||^2
+def backprop_grads(model: Autoencoder, batch, corrupted_batch):
+    """Loss and full-batch gradients of (1/2N) sum ||x_i - W2 phi(W1 x_tilde_i)||^2.
+
+    Returns (loss, grad1, grad2), the same shape as marginalized_loss_and_grads.
+    """
+    x = np.asarray(batch, dtype=np.float64)
+    x_tilde = np.asarray(corrupted_batch, dtype=np.float64)
+    if x.shape != x_tilde.shape:
+        raise ValueError("clean and corrupted batches must have the same shape")
+    phi, dphi = ACTIVATIONS[model.activation]
     n = x.shape[0]
-    h = x_tilde @ model.w1.T
-    res = h @ model.w2.T - x
-    grad2 = res.T @ h / n
-    grad1 = (res @ model.w2).T @ x_tilde / n
-    loss = 0.5 / n * float(np.sum(res * res))
+    z = x_tilde @ model.w1.T
+    a = phi(z)
+    res = a @ model.w2.T - x
+    grad2 = res.T @ a / n
+    grad1 = ((res @ model.w2) * dphi(z)).T @ x_tilde / n
+    loss = 0.5 / n * float(np.vdot(res, res))
     return loss, grad1, grad2
+
+
+def _sampled_grads(model: Autoencoder, x, noise: NoiseModel, draws, rng):
+    # backprop loss and gradients averaged over `draws` fresh corruptions of x
+    loss, g1, g2 = 0.0, 0.0, 0.0
+    for _ in range(draws):
+        e = _draw_noise(rng, noise, x.shape)
+        dl, d1, d2 = backprop_grads(model, x, x if e is None else x + e)
+        loss += dl / draws
+        g1 = g1 + d1 / draws
+        g2 = g2 + d2 / draws
+    return loss, g1, g2
 
 
 def _rotated_diag(w1, w2, v):
@@ -264,84 +316,97 @@ def _rotated_diag(w1, w2, v):
     return np.einsum("jh,hj->j", w2r, w1r), w1r, w2r
 
 
-def run_linear_ae(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig,
-                  track_offdiag=None) -> LinearRun:
-    """Full-batch gradient descent emitting per-mode mapped values and weight norms.
+def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, record,
+            activation="identity", marginalized=False):
+    """Full-batch gradient descent shared by every trained autoencoder.
 
-    Weight decay adds config.weight_decay * W to each gradient (the penalty is
-    inside the objective, no decoupled variant). Off-diagonal tracking of the
-    rotated product defaults to on for d <= 64 where it is cheap.
+    Initialises the weights per config.init, then repeats: gradient (plus
+    config.weight_decay * W, the penalty being part of the objective), update,
+    divergence check. marginalized=True takes the closed-form noise
+    expectation of the linear objective; otherwise every step backpropagates
+    through config.noise_draws fresh corruptions drawn from the seeded stream.
+    record(epoch, loss, w1, w2) is called at epoch 0, every record_every
+    epochs and at the final epoch, with the objective at the current weights;
+    it must not keep or modify the arrays. Returns (initial, final) weights.
     """
-    d, n = dataset.d, dataset.n
-    if spectrum.d != d:
-        raise ValueError(f"spectrum dimension {spectrum.d} does not match dataset dim {d}")
-    eps_eff = epsilon_from_noise(config.noise, n)
-    gamma = config.weight_decay
-    if track_offdiag is None:
-        track_offdiag = d <= 64
+    if spectrum.d != dataset.d:
+        raise ValueError(f"spectrum dimension {spectrum.d} does not match dataset dim {dataset.d}")
+    if marginalized and activation != "identity":
+        raise ValueError("only the linear objective has a marginalised form")
+    d, n, x = dataset.d, dataset.n, dataset.samples
     if config.init == "orthogonal":
-        model = init_orthogonal(d, config.hidden_dim, spectrum, config.init_scale, config.seed)
+        init = init_orthogonal(d, config.hidden_dim, spectrum, config.init_scale, config.seed)
     else:
-        model = init_small_random(d, config.hidden_dim, config.init_scale, config.seed)
-    w1 = model.w1.copy()
-    w2 = model.w2.copy()
-    cov = dataset.samples.T @ dataset.samples
-    cov = 0.5 * (cov + cov.T)
-    v = spectrum.eigenvectors
+        init = init_small_random(d, config.hidden_dim, config.init_scale, config.seed)
+    init = replace(init, activation=activation)
+    w1 = init.w1.copy()
+    w2 = init.w2.copy()
+    if marginalized:
+        eps_eff = epsilon_from_noise(config.noise, n)
+        cov = x.T @ x
+        cov = 0.5 * (cov + cov.T)
     rng = np.random.default_rng(config.seed if config.noise_seed is None else config.noise_seed)
     alpha = config.learning_rate
+    gamma = config.weight_decay
 
-    times = []
-    diags = []
-    norms = []
-    losses = []
-    worst_off = 0.0 if track_offdiag else np.nan
-
-    def record(epoch, loss_value):
-        nonlocal worst_off
-        diag, w1r, w2r = _rotated_diag(w1, w2, v)
-        times.append(float(epoch))
-        diags.append(diag)
-        norms.append(float(np.sum(w1 * w1) + np.sum(w2 * w2)))
-        losses.append(loss_value)
-        if track_offdiag:
-            m = w2r @ w1r
-            np.fill_diagonal(m, 0.0)
-            worst_off = max(worst_off, float(np.max(np.abs(m))))
-
-    def _current_loss_and_grads():
-        if config.loss_mode == "marginalized":
-            loss, g1, g2 = marginalized_loss_and_grads(
-                LinearAE(w1=w1, w2=w2), dataset, eps_eff, cov=cov)
+    def loss_and_grads():
+        model = Autoencoder(w1, w2, activation)
+        if marginalized:
+            loss, g1, g2 = marginalized_loss_and_grads(model, x, eps_eff, cov=cov)
         else:
-            g1 = np.zeros_like(w1)
-            g2 = np.zeros_like(w2)
-            loss = 0.0
-            for _ in range(config.noise_draws):
-                e = _draw_noise(rng, config.noise, dataset.samples.shape)
-                x_tilde = dataset.samples if e is None else dataset.samples + e
-                dl, d1, d2 = _sampled_grads(LinearAE(w1=w1, w2=w2), dataset.samples, x_tilde)
-                loss += dl / config.noise_draws
-                g1 += d1 / config.noise_draws
-                g2 += d2 / config.noise_draws
+            loss, g1, g2 = _sampled_grads(model, x, config.noise, config.noise_draws, rng)
         if gamma > 0.0:
             loss = loss + 0.5 * gamma * (np.sum(w1 * w1) + np.sum(w2 * w2))
             g1 = g1 + gamma * w1
             g2 = g2 + gamma * w2
         return loss, g1, g2
 
-    loss0, g1, g2 = _current_loss_and_grads()
-    record(0, loss0)
+    loss, g1, g2 = loss_and_grads()
+    record(0, loss, w1, w2)
     for epoch in range(1, config.epochs + 1):
         w1 -= alpha * g1
         w2 -= alpha * g2
         peak = max(np.max(np.abs(w1)), np.max(np.abs(w2)))
         if not np.isfinite(peak) or peak > DIVERGENCE_LIMIT:
-            raise DivergenceError(f"linear run diverged at epoch {epoch}", step=epoch)
-        loss, g1, g2 = _current_loss_and_grads()
+            raise DivergenceError(f"run diverged at epoch {epoch}", step=epoch)
+        loss, g1, g2 = loss_and_grads()
         if epoch % config.record_every == 0 or epoch == config.epochs:
-            record(epoch, loss)
+            record(epoch, loss, w1, w2)
+    return init, Autoencoder(w1, w2, activation)
 
+
+def run_linear_ae(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig,
+                  track_offdiag=None) -> LinearRun:
+    """Linear-network descent emitting per-mode mapped values and weight norms.
+
+    config.loss_mode picks the marginalised or the sampled objective.
+    Off-diagonal tracking of the rotated product defaults to on for d <= 64
+    where it is cheap.
+    """
+    d = dataset.d
+    if track_offdiag is None:
+        track_offdiag = d <= 64
+    v = spectrum.eigenvectors
+    times = []
+    diags = []
+    norms = []
+    losses = []
+    worst_off = 0.0 if track_offdiag else np.nan
+
+    def record(epoch, loss, w1, w2):
+        nonlocal worst_off
+        diag, w1r, w2r = _rotated_diag(w1, w2, v)
+        times.append(float(epoch))
+        diags.append(diag)
+        norms.append(float(np.sum(w1 * w1) + np.sum(w2 * w2)))
+        losses.append(loss)
+        if track_offdiag:
+            m = w2r @ w1r
+            np.fill_diagonal(m, 0.0)
+            worst_off = max(worst_off, float(np.max(np.abs(m))))
+
+    init, model = descend(dataset, spectrum, config, record,
+                          marginalized=config.loss_mode == "marginalized")
     times_arr = np.array(times)
     diag_mat = np.stack(diags, axis=0)
     trajectories = [
@@ -351,10 +416,10 @@ def run_linear_ae(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig,
     norm_traj = Trajectory(times=times_arr, values=np.array(norms),
                            kind="simulated", mode_index=-1)
     return LinearRun(trajectories=trajectories, norms=norm_traj, losses=np.array(losses),
-                     max_offdiag=worst_off, model=LinearAE(w1=w1, w2=w2), init_model=model)
+                     max_offdiag=worst_off, model=model, init_model=init)
 
 
-def modes_from_linear_ae(model: LinearAE, spectrum: Spectrum, epsilon, tau):
+def modes_from_linear_ae(model: Autoencoder, spectrum: Spectrum, epsilon, tau):
     """Scalar-mode embeddings measured from (possibly non-diagonal) weights.
 
     During the small-weight escape phase, mode j's rotated column u (of W1 V)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,11 @@ log = logging.getLogger(__name__)
 ORTHOGONALITY_TOL = 1e-10
 SYMMETRY_TOL = 1e-8
 CLAMP_TOL = 1e-10      # eigenvalues in (-CLAMP_TOL, 0) are round-off and clamp to 0
-JACOBI_MAX_DIM = 128   # above this "auto" switches to the LAPACK backend
+
+# The benchmark tracer (bench/spans.py) counts calls to a Jacobi solver under
+# this name. No product code path has one, so the name is bound to nothing and
+# its count reads 0; the reference solver lives in tests/oracles.py.
+_jacobi = None
 
 
 @dataclass(frozen=True)
@@ -101,59 +104,8 @@ def covariance(dataset, *, normalized=False, center=False):
     return 0.5 * (s + s.T)
 
 
-def _jacobi(a, max_sweeps=60):
-    """Cyclic Jacobi rotations; returns (eigenvalues, eigenvectors as columns).
-
-    Sweeps run in a fixed (p, q) order for determinism. Convergence when the
-    largest off-diagonal magnitude drops below 1e-12 * ||S||_F.
-    """
-    a = a.copy()
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return np.diag(a).copy(), v
-    tol = 1e-12 * np.linalg.norm(a, "fro")
-    skip = 0.01 * tol
-    for _ in range(max_sweeps):
-        off = np.abs(a - np.diag(np.diag(a))).max()
-        if off <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                if theta >= 0.0:
-                    t = 1.0 / (theta + math.sqrt(theta * theta + 1.0))
-                else:
-                    t = -1.0 / (-theta + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                colp = a[:, p].copy()
-                colq = a[:, q].copy()
-                a[:, p] = c * colp - s * colq
-                a[:, q] = s * colp + c * colq
-                rowp = a[p, :].copy()
-                rowq = a[q, :].copy()
-                a[p, :] = c * rowp - s * rowq
-                a[q, :] = s * rowp + c * rowq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    else:
-        raise RuntimeError(f"jacobi did not converge within {max_sweeps} sweeps")
-    return np.diag(a).copy(), v
-
-
-def eigendecompose(s, method="auto") -> Spectrum:
-    """Symmetric eigendecomposition with deterministic ordering and signs.
-
-    method: "jacobi" (cyclic rotations, reference path), "lapack"
-    (numpy.linalg.eigh, used for large inputs), or "auto".
+def eigendecompose(s) -> Spectrum:
+    """Symmetric eigendecomposition by LAPACK (numpy.linalg.eigh), fixed ordering and signs.
 
     Output conventions: eigenvalues sorted non-increasing with a stable sort,
     each eigenvector's largest-magnitude component made positive, round-off
@@ -167,15 +119,7 @@ def eigendecompose(s, method="auto") -> Spectrum:
     asym = float(np.max(np.abs(s - s.T))) if s.size else 0.0
     if asym > SYMMETRY_TOL:
         raise NotSymmetricError(f"input not symmetric: max |S - S^T| = {asym:.3e}")
-    s = 0.5 * (s + s.T)
-    if method == "auto":
-        method = "jacobi" if s.shape[0] <= JACOBI_MAX_DIM else "lapack"
-    if method == "jacobi":
-        lams, v = _jacobi(s)
-    elif method == "lapack":
-        lams, v = np.linalg.eigh(s)
-    else:
-        raise ValueError(f"unknown eigendecomposition method {method!r}")
+    lams, v = np.linalg.eigh(0.5 * (s + s.T))
     order = np.argsort(-lams, kind="stable")
     lams = lams[order]
     v = v[:, order]

@@ -2,8 +2,11 @@
 
 These deliberately avoid the package's closed-form code paths: trajectories
 are checked against adaptive Runge-Kutta integration of the underlying flow,
-and gradients against central finite differences.
+gradients against central finite differences, and the LAPACK-backed
+eigendecomposition against cyclic Jacobi rotations.
 """
+
+import math
 
 import numpy as np
 
@@ -101,3 +104,51 @@ def central_difference_grad(f, x, h=1e-6):
         flat[i] = orig
         gflat[i] = (up - down) / (2.0 * h)
     return grad
+
+
+def jacobi_eigh(a, max_sweeps=60):
+    """Cyclic Jacobi rotations; returns (eigenvalues, eigenvectors as columns), unsorted.
+
+    Sweeps run in a fixed (p, q) order for determinism. Convergence when the
+    largest off-diagonal magnitude drops below 1e-12 * ||S||_F.
+    """
+    a = np.array(a, dtype=np.float64)
+    n = a.shape[0]
+    v = np.eye(n)
+    if n == 1:
+        return np.diag(a).copy(), v
+    tol = 1e-12 * np.linalg.norm(a, "fro")
+    skip = 0.01 * tol
+    for _ in range(max_sweeps):
+        off = np.abs(a - np.diag(np.diag(a))).max()
+        if off <= tol:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) <= skip:
+                    continue
+                theta = 0.5 * (a[q, q] - a[p, p]) / apq
+                if theta >= 0.0:
+                    t = 1.0 / (theta + math.sqrt(theta * theta + 1.0))
+                else:
+                    t = -1.0 / (-theta + math.sqrt(theta * theta + 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                colp = a[:, p].copy()
+                colq = a[:, q].copy()
+                a[:, p] = c * colp - s * colq
+                a[:, q] = s * colp + c * colq
+                rowp = a[p, :].copy()
+                rowq = a[q, :].copy()
+                a[p, :] = c * rowp - s * rowq
+                a[q, :] = s * rowp + c * rowq
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+                vp = v[:, p].copy()
+                vq = v[:, q].copy()
+                v[:, p] = c * vp - s * vq
+                v[:, q] = s * vp + c * vq
+    else:
+        raise RuntimeError(f"jacobi did not converge within {max_sweeps} sweeps")
+    return np.diag(a).copy(), v

@@ -29,7 +29,7 @@ from daedyn.analytic import (
 from daedyn.data import load_cifar10, load_idx, synthetic_dataset, write_cifar10, write_idx
 from daedyn.errors import ParseError
 from daedyn.simulate import (
-    LinearAE,
+    Autoencoder,
     TrainingConfig,
     init_small_random,
     marginalized_loss_and_grads,
@@ -128,7 +128,7 @@ def test_criterion_05_marginalization():
         n, d, h = 16, 6, 3
         x = rng.standard_normal((n, d))
         sigma2 = rng.uniform(0.05, 0.6)
-        model = LinearAE(w1=rng.standard_normal((h, d)) * 0.5,
+        model = Autoencoder(w1=rng.standard_normal((h, d)) * 0.5,
                          w2=rng.standard_normal((d, h)) * 0.5)
         eps_eff = n * sigma2
         exact, g1, g2 = marginalized_loss_and_grads(model, x, eps_eff)
@@ -136,10 +136,10 @@ def test_criterion_05_marginalization():
                                      100_000, seed=case, with_std=True)
         assert abs(estimate - exact) <= 3.0 * std / np.sqrt(100_000)
         num1 = central_difference_grad(
-            lambda v: marginalized_loss_and_grads(LinearAE(w1=v, w2=model.w2), x, eps_eff)[0],
+            lambda v: marginalized_loss_and_grads(Autoencoder(w1=v, w2=model.w2), x, eps_eff)[0],
             model.w1.copy())
         num2 = central_difference_grad(
-            lambda v: marginalized_loss_and_grads(LinearAE(w1=model.w1, w2=v), x, eps_eff)[0],
+            lambda v: marginalized_loss_and_grads(Autoencoder(w1=model.w1, w2=v), x, eps_eff)[0],
             model.w2.copy())
         scale = max(np.max(np.abs(num1)), np.max(np.abs(num2)))
         assert np.max(np.abs(g1 - num1)) <= 1e-5 * scale
@@ -197,7 +197,7 @@ def test_criterion_07_cifar_optional(cifar_like_path):
     # centering removes the dominant mean direction, whose curvature would
     # otherwise force an impractically small stable step at this dimension
     ds = data.preprocess(batch, center=True)
-    spec = eigendecompose(covariance(ds), method="lapack")
+    spec = eigendecompose(covariance(ds))
     sigma2, alpha = 0.5, 0.05
     eps_eff = ds.n * sigma2
     tau = ds.n / alpha

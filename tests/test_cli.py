@@ -83,6 +83,89 @@ def test_cli_returns_io_error_exit_code(tmp_path, capsys):
     assert code == cli.EXIT_IO
 
 
+@pytest.fixture
+def d16_cache(tmp_path):
+    from daedyn.data import save_matrix, synthetic_dataset
+
+    path = tmp_path / "d16.cache"
+    save_matrix(path, synthetic_dataset(np.linspace(2.0, 0.1, 16), 64, seed=1).samples)
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "--w1-0", "0.1", "--w2-0", "0.1"],
+    ["real-data", "--dataset", "{cache}", "--init", "orthogonal", "--hidden", "40",
+     "--modes", "1,2", "--epochs", "5"],
+    ["surface", "--paths", "-3"],
+    ["rates", "--eps-points", "0"],
+], ids=["degenerate-predict", "overcomplete-orthogonal", "negative-paths", "zero-eps-points"])
+def test_cli_invalid_inputs_exit_2_without_traceback(argv, tmp_path, d16_cache, capsys):
+    argv = [a.format(cache=d16_cache) for a in argv] + ["--out", str(tmp_path / "out")]
+    assert main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("noise", [["--sigma2", "0.5"], ["--epsilon", "1"],
+                                   ["--laplace-b", "0.1"]], ids=["sigma2", "epsilon", "laplace-b"])
+def test_real_data_rejects_every_noise_spec_with_decay(noise, tmp_path, d16_cache):
+    base = ["real-data", "--dataset", str(d16_cache), "--hidden", "4", "--modes", "1,2",
+            "--epochs", "5", "--out", str(tmp_path / "out")]
+    assert main(base + noise + ["--gamma", "0.01"]) == cli.EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+    # either one alone still runs; a zero noise level is no noise
+    assert main(base + noise) == cli.EXIT_OK
+    assert main(base + ["--gamma", "0.01"]) == cli.EXIT_OK
+    assert main(base + ["--sigma2", "0", "--gamma", "0.01"]) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("noise", [("epsilon=0.5", "epsilons", [float]),
+                                   ("sigma2=0.5", "sigma2", float),
+                                   ("laplace-b=0.5", "laplace_b", float)],
+                         ids=["epsilon", "sigma2", "laplace-b"])
+def test_config_file_sets_every_field_with_its_type(noise, tmp_path):
+    from pathlib import Path
+
+    dataset = tmp_path / "d.cache"
+    dataset.write_bytes(b"")
+    noise_line, noise_field, noise_kind = noise
+    lines = {
+        "out": ("out=results", Path), "seed": ("seed=4", int),
+        "lambdas": ("lambda=2.5,1", [float]), "gamma": ("gamma=0.25", float),
+        "n": ("n=50", int), "alpha": ("alpha=0.5", float), "epochs": ("epochs=7", int),
+        "hidden": ("hidden=3", int), "init": ("init=orthogonal", str),
+        "init_scale": ("init-scale=0.01", float), "record_every": ("record-every=2", int),
+        "modes": ("modes=1,2", [int]), "dataset": (f"dataset={dataset}", Path),
+        "fmt": ("format=cache", str), "center": ("center=yes", bool),
+        "scale": ("scale=0", bool), "activation": ("activation=tanh", str),
+        "w0": ("w0=0.02", float), "weight_ratio": ("weight-ratio=3", float),
+        "w1_0": ("w1-0=0.1", float), "w2_0": ("w2-0=0.2", float),
+        "grid_min": ("grid-min=-1", float), "grid_max": ("grid-max=1", float),
+        "grid_points": ("grid-points=5", int), "paths": ("paths=2", int),
+        "eps_points": ("eps-points=3", int), "eps_max": ("eps-max=4", float),
+        "eigenvectors": ("eigenvectors=true", bool), "loss_mode": ("loss-mode=sampled", str),
+        "noise_draws": ("noise-draws=2", int),
+        noise_field: (noise_line, noise_kind),
+    }
+    # every field is set except the two noise specs this case leaves out
+    unset = set(ExperimentConfig.__dataclass_fields__) - {"experiment"} - set(lines)
+    assert unset == {"epsilons", "sigma2", "laplace_b"} - {noise_field}
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("\n".join(line for line, _ in lines.values()) + "\n")
+    cfg = build_config("predict", cli._parse_config_file(cfg_file), {})
+    for name, (_, kind) in lines.items():
+        value = getattr(cfg, name)
+        if isinstance(kind, list):
+            assert isinstance(value, list) and value, name
+            assert all(type(v) is kind[0] for v in value), name
+        else:
+            assert isinstance(value, kind) and (kind is Path or type(value) is kind), name
+    assert cfg.lambdas == [2.5, 1.0] and cfg.modes == [1, 2]
+    assert cfg.center is True and cfg.scale is False and cfg.eigenvectors is True
+    assert cfg.dataset == dataset and cfg.out == Path("results")
+
+
 def test_cli_returns_divergence_exit_code(tmp_path, capsys):
     code = main(["simulate", "--lambda", "1.0", "--epsilon", "0",
                  "--n", "1", "--alpha", "1e6", "--epochs", "5000",

@@ -260,6 +260,17 @@ def test_preprocess_scale_normalizes_peak():
     assert ds.samples.max() == 1.0
 
 
+def test_preprocess_plain_matrix_matches_image_batch_path():
+    # a loaded matrix cache takes the same centering and rescaling as parsed images
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0, 1, size=(25, 6))
+    batch = RawImageBatch(pixels=x, labels=None, source="mnist")
+    for flags in ({}, {"center": True}, {"scale": True}, {"center": True, "scale": True}):
+        ds = preprocess(x, **flags)
+        assert ds.source == "synthetic"
+        assert np.array_equal(ds.samples, preprocess(batch, **flags).samples)
+
+
 def test_matrix_cache_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     m = rng.standard_normal((13, 7))

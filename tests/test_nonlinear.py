@@ -7,15 +7,14 @@ from oracles import central_difference_grad
 
 from daedyn.analytic import NoiseModel
 from daedyn.data import synthetic_dataset
-from daedyn.nonlinear import (
-    ModeEstimate,
-    NonlinearAE,
+from daedyn.nonlinear import ModeEstimate, estimate_identity_map, reconstruct, train_nonlinear
+from daedyn.simulate import (
+    Autoencoder,
+    TrainingConfig,
     backprop_grads,
-    estimate_identity_map,
-    reconstruct,
-    train_nonlinear,
+    init_small_random,
+    run_linear_ae,
 )
-from daedyn.simulate import TrainingConfig, init_small_random, run_linear_ae
 from daedyn.spectrum import Dataset, covariance, eigendecompose, random_orthogonal
 
 
@@ -27,7 +26,7 @@ def toy_dataset():
 
 def test_estimator_on_exact_identity(toy_dataset):
     ds, spec = toy_dataset
-    model = NonlinearAE(w1=np.eye(5), w2=np.eye(5), activation="identity")
+    model = Autoencoder(w1=np.eye(5), w2=np.eye(5), activation="identity")
     est = estimate_identity_map(ds, model, spec)
     assert est.retained.all()
     assert np.max(np.abs(est.ratios - 1.0)) <= 1e-10
@@ -35,7 +34,7 @@ def test_estimator_on_exact_identity(toy_dataset):
 
 def test_estimator_on_zero_model(toy_dataset):
     ds, spec = toy_dataset
-    model = NonlinearAE(w1=np.zeros((3, 5)), w2=np.zeros((5, 3)), activation="relu")
+    model = Autoencoder(w1=np.zeros((3, 5)), w2=np.zeros((5, 3)), activation="relu")
     est = estimate_identity_map(ds, model, spec)
     assert np.max(np.abs(est.ratios[est.retained])) == 0.0
 
@@ -46,7 +45,7 @@ def test_estimator_reads_off_planted_diagonal(toy_dataset):
     c = np.array([0.9, 0.7, 0.5, 0.3, 0.1])
     v = spec.eigenvectors
     half = v @ np.diag(np.sqrt(c))
-    model = NonlinearAE(w1=half.T, w2=half, activation="identity")
+    model = Autoencoder(w1=half.T, w2=half, activation="identity")
     est = estimate_identity_map(ds, model, spec)
     assert np.max(np.abs(est.ratios - c)) <= 1e-10
 
@@ -58,7 +57,7 @@ def test_estimator_matches_projected_diagonal_for_linear_models(toy_dataset):
     rng = np.random.default_rng(6)
     w1 = rng.standard_normal((3, 5)) * 0.3
     w2 = rng.standard_normal((5, 3)) * 0.3
-    est = estimate_identity_map(ds, NonlinearAE(w1=w1, w2=w2, activation="identity"), spec)
+    est = estimate_identity_map(ds, Autoencoder(w1=w1, w2=w2, activation="identity"), spec)
     diag, _ = projected_diagonal(w1, w2, spec)
     assert np.max(np.abs(est.ratios - diag)) <= 1e-10
 
@@ -69,7 +68,7 @@ def test_estimator_reports_tiny_eigenvalues_absent():
     x = rng.standard_normal((200, 3)) @ (v[:, :3] * np.sqrt([2.0, 1.0, 0.5])).T
     ds = Dataset(x)
     spec = eigendecompose(covariance(ds))
-    model = NonlinearAE(w1=np.eye(4) * 0.1, w2=np.eye(4) * 0.1, activation="identity")
+    model = Autoencoder(w1=np.eye(4) * 0.1, w2=np.eye(4) * 0.1, activation="identity")
     est = estimate_identity_map(ds, model, spec)
     assert not est.retained[-1]
     assert np.isnan(est.ratios[-1])
@@ -79,7 +78,7 @@ def test_estimator_never_sees_corrupted_inputs(toy_dataset):
     # reconstruction is computed on clean inputs; corrupting a copy of the
     # dataset must not change what the estimator reports for a fixed model
     ds, spec = toy_dataset
-    model = NonlinearAE(w1=np.eye(5) * 0.5, w2=np.eye(5) * 0.5, activation="identity")
+    model = Autoencoder(w1=np.eye(5) * 0.5, w2=np.eye(5) * 0.5, activation="identity")
     est = estimate_identity_map(ds, model, spec)
     assert np.allclose(est.ratios, 0.25, atol=1e-10)
 
@@ -90,9 +89,10 @@ def test_backprop_identity_matches_linear_formula(toy_dataset):
     lin = init_small_random(5, 3, 0.3, seed=2)
     x = ds.samples
     x_tilde = x + rng.normal(0.0, 0.1, size=x.shape)
-    g1, g2 = backprop_grads(NonlinearAE(lin.w1, lin.w2, "identity"), x, x_tilde)
+    loss, g1, g2 = backprop_grads(Autoencoder(lin.w1, lin.w2, "identity"), x, x_tilde)
     n = x.shape[0]
     res = x_tilde @ lin.w1.T @ lin.w2.T - x
+    assert loss == pytest.approx(0.5 / n * np.sum(res * res), rel=1e-12)
     assert np.allclose(g2, res.T @ (x_tilde @ lin.w1.T) / n, atol=1e-12)
     assert np.allclose(g1, (res @ lin.w2).T @ x_tilde / n, atol=1e-12)
 
@@ -107,11 +107,11 @@ def test_backprop_matches_finite_differences(activation, toy_dataset):
     x_tilde = x + rng.normal(0.0, 0.2, size=x.shape)
 
     def loss_of(w1v, w2v):
-        model = NonlinearAE(w1=w1v, w2=w2v, activation=activation)
+        model = Autoencoder(w1=w1v, w2=w2v, activation=activation)
         r = reconstruct(model, x_tilde) - x
         return 0.5 / x.shape[0] * float(np.sum(r * r))
 
-    g1, g2 = backprop_grads(NonlinearAE(w1, w2, activation), x, x_tilde)
+    _, g1, g2 = backprop_grads(Autoencoder(w1, w2, activation), x, x_tilde)
     n1 = central_difference_grad(lambda v: loss_of(v, w2), w1.copy())
     n2 = central_difference_grad(lambda v: loss_of(w1, v), w2.copy())
     scale = max(np.max(np.abs(n1)), np.max(np.abs(n2)))
@@ -127,11 +127,11 @@ def test_backprop_relu_matches_finite_differences_away_from_kink():
     assert np.min(np.abs(x @ w1.T)) > 1e-3
 
     def loss_of(w1v, w2v):
-        model = NonlinearAE(w1=w1v, w2=w2v, activation="relu")
+        model = Autoencoder(w1=w1v, w2=w2v, activation="relu")
         r = reconstruct(model, x) - x
         return 0.5 / x.shape[0] * float(np.sum(r * r))
 
-    g1, g2 = backprop_grads(NonlinearAE(w1, w2, "relu"), x, x)
+    _, g1, g2 = backprop_grads(Autoencoder(w1, w2, "relu"), x, x)
     n1 = central_difference_grad(lambda v: loss_of(v, w2), w1.copy())
     n2 = central_difference_grad(lambda v: loss_of(w1, v), w2.copy())
     scale = max(np.max(np.abs(n1)), np.max(np.abs(n2)))
@@ -140,7 +140,7 @@ def test_backprop_relu_matches_finite_differences_away_from_kink():
 
 
 def test_relu_derivative_at_zero_is_zero():
-    from daedyn.nonlinear import ACTIVATIONS
+    from daedyn.simulate import ACTIVATIONS
 
     _, dphi = ACTIVATIONS["relu"]
     assert dphi(np.array([0.0]))[0] == 0.0
@@ -179,6 +179,23 @@ def test_train_is_deterministic_per_seed(toy_dataset):
     b = train_nonlinear(ds, spec, cfg, "tanh")
     for ea, eb in zip(a, b):
         assert np.array_equal(ea.ratios[ea.retained], eb.ratios[eb.retained])
+
+
+def test_train_relu_always_samples_corruption(toy_dataset):
+    # nonlinear corruption has no marginalised form, so loss_mode must not matter
+    ds, spec = toy_dataset
+    base = dict(learning_rate=0.3, epochs=80, noise=NoiseModel.gaussian(0.1),
+                init="small_random", init_scale=1e-2, seed=5, hidden_dim=3, record_every=20)
+    marg = train_nonlinear(ds, spec, TrainingConfig(loss_mode="marginalized", **base), "relu")
+    samp = train_nonlinear(ds, spec, TrainingConfig(loss_mode="sampled", **base), "relu")
+    clean = train_nonlinear(ds, spec, TrainingConfig(**{**base, "noise": NoiseModel.none()}),
+                            "relu")
+    assert len(marg) == len(samp) == 5
+    for a, b in zip(marg, samp):
+        assert a.epoch == b.epoch
+        assert np.array_equal(a.ratios, b.ratios, equal_nan=True)
+    # and the corruption was really drawn: the noise-free run ends elsewhere
+    assert not np.array_equal(marg[-1].ratios, clean[-1].ratios, equal_nan=True)
 
 
 def test_train_estimates_monotone_up_to_tolerance(toy_dataset):

@@ -13,7 +13,7 @@ from daedyn.analytic import NoiseModel, ScalarMode, dae_fixed_point, dae_traject
 from daedyn.data import synthetic_dataset
 from daedyn.errors import DivergenceError
 from daedyn.simulate import (
-    LinearAE,
+    Autoencoder,
     TrainingConfig,
     init_orthogonal,
     init_small_random,
@@ -139,7 +139,7 @@ def test_init_small_random_requires_positive_scale():
 
 def test_marginalized_loss_zero_for_perfect_reconstruction(small_dataset):
     ds, _ = small_dataset
-    model = LinearAE(w1=np.eye(8), w2=np.eye(8))
+    model = Autoencoder(w1=np.eye(8), w2=np.eye(8))
     loss, g1, g2 = marginalized_loss_and_grads(model, ds, 0.0)
     assert abs(loss) <= 1e-12
     assert np.max(np.abs(g1)) <= 1e-12 and np.max(np.abs(g2)) <= 1e-12
@@ -147,7 +147,7 @@ def test_marginalized_loss_zero_for_perfect_reconstruction(small_dataset):
 
 def test_marginalized_loss_at_zero_weights_is_energy(small_dataset):
     ds, _ = small_dataset
-    model = LinearAE(w1=np.zeros((4, 8)), w2=np.zeros((8, 4)))
+    model = Autoencoder(w1=np.zeros((4, 8)), w2=np.zeros((8, 4)))
     loss, g1, g2 = marginalized_loss_and_grads(model, ds, 1.0)
     expected = 0.5 / ds.n * np.sum(ds.samples ** 2)
     assert loss == pytest.approx(expected, rel=1e-12)
@@ -162,9 +162,9 @@ def test_marginalized_gradients_match_finite_differences():
     w2 = rng.standard_normal((5, 3)) * 0.4
 
     def loss_of(w1v, w2v):
-        return marginalized_loss_and_grads(LinearAE(w1=w1v, w2=w2v), x, eps_eff)[0]
+        return marginalized_loss_and_grads(Autoencoder(w1=w1v, w2=w2v), x, eps_eff)[0]
 
-    _, g1, g2 = marginalized_loss_and_grads(LinearAE(w1=w1, w2=w2), x, eps_eff)
+    _, g1, g2 = marginalized_loss_and_grads(Autoencoder(w1=w1, w2=w2), x, eps_eff)
     n1 = central_difference_grad(lambda v: loss_of(v, w2), w1.copy())
     n2 = central_difference_grad(lambda v: loss_of(w1, v), w2.copy())
     scale = max(np.max(np.abs(n1)), np.max(np.abs(n2)))
@@ -333,6 +333,6 @@ def test_training_config_validation():
 
 def test_linear_ae_validation():
     with pytest.raises(ValueError, match="shapes"):
-        LinearAE(w1=np.ones((2, 3)), w2=np.ones((2, 3)))
+        Autoencoder(w1=np.ones((2, 3)), w2=np.ones((2, 3)))
     with pytest.raises(ValueError, match="finite"):
-        LinearAE(w1=np.full((2, 3), np.nan), w2=np.ones((3, 2)))
+        Autoencoder(w1=np.full((2, 3), np.nan), w2=np.ones((3, 2)))
