@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -80,6 +81,10 @@ class ExperimentConfig:
         return self.n / self.alpha
 
     def validate(self):
+        for name, value in vars(self).items():
+            if any(isinstance(v, float) and not math.isfinite(v)
+                   for v in (value if isinstance(value, list) else [value])):
+                raise ConfigError(f"{name.replace('_', '-')} must be finite, got {value}")
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
         if self.alpha <= 0.0:
@@ -104,7 +109,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown init scheme {self.init!r}")
         if self.activation not in simulate.ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
-        if self.experiment in ("real_data", "nonlinear") or self.dataset is not None:
+        if self.experiment in ("real_data", "nonlinear", "ingest") or self.dataset is not None:
             if self.dataset is None:
                 raise ConfigError("this experiment needs --dataset")
             if not Path(self.dataset).is_file():
@@ -207,10 +212,9 @@ def _noise_model(cfg: ExperimentConfig, n) -> NoiseModel:
         return NoiseModel.gaussian(cfg.sigma2)
     if cfg.laplace_b is not None:
         return NoiseModel.laplace(cfg.laplace_b)
-    if cfg.epsilons is not None and cfg.epsilons and cfg.epsilons[0] > 0.0:
-        # effective units back to a per-component gaussian variance
-        return NoiseModel.gaussian(cfg.epsilons[0] / n)
-    return NoiseModel.none()
+    eps = _effective_epsilon(cfg, n)
+    # effective units back to a per-component gaussian variance
+    return NoiseModel.gaussian(eps / n) if eps > 0.0 else NoiseModel.none()
 
 
 def _initial_weights(cfg: ExperimentConfig):
@@ -438,7 +442,8 @@ def cmd_nonlinear(cfg: ExperimentConfig):
     gamma = cfg.gamma if cfg.gamma > 0.0 else 0.0045
     base = dict(learning_rate=cfg.alpha, epochs=cfg.epochs, init=cfg.init,
                 init_scale=cfg.init_scale, seed=cfg.seed, hidden_dim=cfg.hidden,
-                record_every=cfg.record_every, loss_mode="sampled")
+                record_every=cfg.record_every, loss_mode="sampled",
+                noise_draws=cfg.noise_draws)
     runs = {
         "ae": simulate.TrainingConfig(noise=NoiseModel.none(), **base),
         "wdae": simulate.TrainingConfig(noise=NoiseModel.none(), weight_decay=gamma, **base),

@@ -22,6 +22,7 @@ from .spectrum import Dataset, Spectrum, random_orthogonal, rotate_weights
 log = logging.getLogger(__name__)
 
 DIVERGENCE_LIMIT = 1e12
+SPECTRUM_TOL = 1e-8     # max |S V - V diag(lam)| relative to the largest |lam|
 
 
 def _identity(z):
@@ -219,7 +220,9 @@ def marginalized_loss_and_grads(model: Autoencoder, dataset, epsilon_eff, cov=No
 
     loss = (1/2N) sum ||x_i - W2 W1 x_i||^2 + (s^2 / 2) tr(W2 W1 W1^T W2^T)
     with N s^2 = epsilon_eff. Pass the precomputed unnormalised covariance to
-    avoid rebuilding it inside training loops.
+    avoid rebuilding it inside training loops. A 1-D cov is the eigenvalue
+    vector of a diagonal covariance: the weights are then read in that
+    eigenbasis, (W1 V, V^T W2), and a step costs O(H^2 D) instead of O(H D^2).
     """
     x = dataset.samples if isinstance(dataset, Dataset) else np.asarray(dataset, dtype=np.float64)
     n = x.shape[0]
@@ -229,15 +232,28 @@ def marginalized_loss_and_grads(model: Autoencoder, dataset, epsilon_eff, cov=No
         cov = x.T @ x
         cov = 0.5 * (cov + cov.T)
     w1, w2 = model.w1, model.w2
-    a = w1 @ cov                      # H x D
+    # the noise penalty enters only through S + eps I, which saves three products:
+    # W1 S + eps W1 = W1 (S + eps I) and W1 S W1^T + eps W1 W1^T = W1 (S + eps I) W1^T
+    if cov.ndim == 1:
+        a = w1 * cov                  # W1 S, H x D
+        a_eps = w1 * (cov + epsilon_eff)
+        w2t_cov = w2.T * cov          # W2^T S
+        trace = np.sum(cov)
+    else:
+        a = w1 @ cov
+        a_eps = a + epsilon_eff * w1
+        w2t_cov = w2.T @ cov
+        trace = np.trace(cov)
     b = w2.T @ w2                     # H x H
-    p = a @ w1.T                      # W1 S W1^T, H x H
-    w1w1t = w1 @ w1.T
-    recon = 0.5 / n * (np.trace(cov) - 2.0 * np.sum(w2 * a.T) + np.sum(p * b))
-    penalty = 0.5 * (epsilon_eff / n) * np.sum(w1w1t * b)
-    grad1 = -(w2.T @ cov - b @ a - epsilon_eff * (b @ w1)) / n
-    grad2 = -(a.T - w2 @ p - epsilon_eff * (w2 @ w1w1t)) / n
-    return recon + penalty, grad1, grad2
+    q = a_eps @ w1.T                  # W1 (S + eps I) W1^T, H x H
+    loss = 0.5 / n * (trace - 2.0 * np.sum(w2 * a.T) + np.sum(q * b))
+    grad1 = b @ a_eps
+    grad1 -= w2t_cov
+    grad1 /= n
+    grad2 = w2 @ q
+    grad2 -= a.T
+    grad2 /= n
+    return loss, grad1, grad2
 
 
 def _draw_noise(rng, noise: NoiseModel, shape):
@@ -300,6 +316,8 @@ def backprop_grads(model: Autoencoder, batch, corrupted_batch):
 
 def _sampled_grads(model: Autoencoder, x, noise: NoiseModel, draws, rng):
     # backprop loss and gradients averaged over `draws` fresh corruptions of x
+    if noise.kind == "none":
+        draws = 1       # every draw would be the clean batch
     loss, g1, g2 = 0.0, 0.0, 0.0
     for _ in range(draws):
         e = _draw_noise(rng, noise, x.shape)
@@ -316,6 +334,16 @@ def _rotated_diag(w1, w2, v):
     return np.einsum("jh,hj->j", w2r, w1r), w1r, w2r
 
 
+def _check_spectrum(x, spectrum: Spectrum):
+    # the eigenbasis step trusts the spectrum, so it must diagonalise S = X^T X
+    v, lams = spectrum.eigenvectors, spectrum.eigenvalues
+    residual = float(np.max(np.abs((x.T @ x) @ v - v * lams)))
+    bound = SPECTRUM_TOL * float(np.max(np.abs(lams)))
+    if not residual <= bound:
+        raise ValueError(f"spectrum does not diagonalise the dataset covariance: "
+                         f"max |S V - V diag(lam)| = {residual:.3e} > {bound:.3e}")
+
+
 def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, record,
             activation="identity", marginalized=False):
     """Full-batch gradient descent shared by every trained autoencoder.
@@ -323,11 +351,16 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, record
     Initialises the weights per config.init, then repeats: gradient (plus
     config.weight_decay * W, the penalty being part of the objective), update,
     divergence check. marginalized=True takes the closed-form noise
-    expectation of the linear objective; otherwise every step backpropagates
-    through config.noise_draws fresh corruptions drawn from the seeded stream.
-    record(epoch, loss, w1, w2) is called at epoch 0, every record_every
-    epochs and at the final epoch, with the objective at the current weights;
-    it must not keep or modify the arrays. Returns (initial, final) weights.
+    expectation of the linear objective and iterates in the covariance
+    eigenbasis, on (W1 V, V^T W2) against diag(lam), where every step costs
+    O(H^2 D); the spectrum must then diagonalise the dataset's covariance
+    (checked once, ValueError otherwise). Otherwise every step backpropagates
+    through config.noise_draws fresh corruptions drawn from the seeded stream,
+    in pixel space. record(epoch, loss, w1, w2) is called at epoch 0, every
+    record_every epochs and at the final epoch, with the iterated weights (in
+    the eigenbasis when marginalized) and the objective there; it must not
+    keep or modify the arrays. The divergence check reads the iterated
+    weights too. Returns the (initial, final) weights in pixel space.
     """
     if spectrum.d != dataset.d:
         raise ValueError(f"spectrum dimension {spectrum.d} does not match dataset dim {dataset.d}")
@@ -339,20 +372,24 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, record
     else:
         init = init_small_random(d, config.hidden_dim, config.init_scale, config.seed)
     init = replace(init, activation=activation)
-    w1 = init.w1.copy()
-    w2 = init.w2.copy()
     if marginalized:
+        _check_spectrum(x, spectrum)
         eps_eff = epsilon_from_noise(config.noise, n)
-        cov = x.T @ x
-        cov = 0.5 * (cov + cov.T)
+        lams = spectrum.eigenvalues
+        w1, w2 = rotate_weights(init.w1, init.w2, spectrum)
+    else:
+        w1 = init.w1.copy()
+        w2 = init.w2.copy()
+    # one model over the iterated arrays, which every step updates in place
+    model = Autoencoder(w1, w2, activation)
+    w1, w2 = model.w1, model.w2
     rng = np.random.default_rng(config.seed if config.noise_seed is None else config.noise_seed)
     alpha = config.learning_rate
     gamma = config.weight_decay
 
     def loss_and_grads():
-        model = Autoencoder(w1, w2, activation)
         if marginalized:
-            loss, g1, g2 = marginalized_loss_and_grads(model, x, eps_eff, cov=cov)
+            loss, g1, g2 = marginalized_loss_and_grads(model, x, eps_eff, cov=lams)
         else:
             loss, g1, g2 = _sampled_grads(model, x, config.noise, config.noise_draws, rng)
         if gamma > 0.0:
@@ -372,6 +409,9 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, record
         loss, g1, g2 = loss_and_grads()
         if epoch % config.record_every == 0 or epoch == config.epochs:
             record(epoch, loss, w1, w2)
+    if marginalized:
+        v = spectrum.eigenvectors
+        w1, w2 = w1 @ v.T, v @ w2
     return init, Autoencoder(w1, w2, activation)
 
 
@@ -379,13 +419,18 @@ def run_linear_ae(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig,
                   track_offdiag=None) -> LinearRun:
     """Linear-network descent emitting per-mode mapped values and weight norms.
 
-    config.loss_mode picks the marginalised or the sampled objective.
-    Off-diagonal tracking of the rotated product defaults to on for d <= 64
-    where it is cheap.
+    config.loss_mode picks the marginalised objective, trained in the
+    covariance eigenbasis where the per-mode values are read straight off the
+    iterated weights, or the sampled objective, trained in pixel space and
+    rotated at every record. The marginalised objective needs a spectrum that
+    diagonalises the dataset's covariance (ValueError otherwise). Off-diagonal
+    tracking of the rotated product defaults to on for d <= 64 where it is
+    cheap.
     """
     d = dataset.d
     if track_offdiag is None:
         track_offdiag = d <= 64
+    marginalized = config.loss_mode == "marginalized"
     v = spectrum.eigenvectors
     times = []
     diags = []
@@ -395,7 +440,10 @@ def run_linear_ae(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig,
 
     def record(epoch, loss, w1, w2):
         nonlocal worst_off
-        diag, w1r, w2r = _rotated_diag(w1, w2, v)
+        if marginalized:   # descend already iterates on (W1 V, V^T W2)
+            diag, w1r, w2r = np.einsum("jh,hj->j", w2, w1), w1, w2
+        else:
+            diag, w1r, w2r = _rotated_diag(w1, w2, v)
         times.append(float(epoch))
         diags.append(diag)
         norms.append(float(np.sum(w1 * w1) + np.sum(w2 * w2)))
@@ -405,8 +453,7 @@ def run_linear_ae(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig,
             np.fill_diagonal(m, 0.0)
             worst_off = max(worst_off, float(np.max(np.abs(m))))
 
-    init, model = descend(dataset, spectrum, config, record,
-                          marginalized=config.loss_mode == "marginalized")
+    init, model = descend(dataset, spectrum, config, record, marginalized=marginalized)
     times_arr = np.array(times)
     diag_mat = np.stack(diags, axis=0)
     trajectories = [

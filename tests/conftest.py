@@ -85,6 +85,14 @@ def mnist_like_dataset(mnist_like_paths):
     return dataset, spec
 
 
+@pytest.fixture(scope="session")
+def d16_cache(tmp_path_factory):
+    """Matrix-cache path of a 64 x 16 synthetic dataset with a known spectrum."""
+    path = tmp_path_factory.mktemp("d16") / "d16.cache"
+    data.save_matrix(path, data.synthetic_dataset(np.linspace(2.0, 0.1, 16), 64, seed=1).samples)
+    return path
+
+
 _ACCEPTANCE_RESULTS = {}
 
 

@@ -2,8 +2,10 @@
 
 These deliberately avoid the package's closed-form code paths: trajectories
 are checked against adaptive Runge-Kutta integration of the underlying flow,
-gradients against central finite differences, and the LAPACK-backed
-eigendecomposition against cyclic Jacobi rotations.
+gradients against central finite differences, the LAPACK-backed
+eigendecomposition against cyclic Jacobi rotations, and the eigenbasis
+training of the marginalised linear autoencoder against plain pixel-space
+descent.
 """
 
 import math
@@ -152,3 +154,38 @@ def jacobi_eigh(a, max_sweeps=60):
     else:
         raise RuntimeError(f"jacobi did not converge within {max_sweeps} sweeps")
     return np.diag(a).copy(), v
+
+
+def marginalized_descent_pixel_space(x, w1, w2, eps_eff, alpha, epochs, record_every, v,
+                                     gamma=0.0):
+    """Marginalised linear-autoencoder descent in pixel space, against the dense S = X^T X.
+
+    Each epoch steps W <- W - alpha * grad on
+    (1/2N) tr((I - W2 W1) S (I - W2 W1)^T) + (eps/2N) tr(W2 W1 W1^T W2^T)
+    + (gamma/2) (||W1||^2 + ||W2||^2), at O(H D^2) per step. Records at epoch 0,
+    every record_every epochs and the last epoch. Returns (epochs, rows of
+    diag(V^T W2 W1 V), ||W1||^2 + ||W2||^2, final W1, final W2).
+    """
+    n = x.shape[0]
+    s = x.T @ x
+    s = 0.5 * (s + s.T)
+    w1 = np.array(w1, dtype=np.float64)
+    w2 = np.array(w2, dtype=np.float64)
+    times, diags, norms = [], [], []
+
+    def record(epoch):
+        times.append(float(epoch))
+        diags.append(np.diag(v.T @ w2 @ w1 @ v))
+        norms.append(float(np.sum(w1 * w1) + np.sum(w2 * w2)))
+
+    record(0)
+    for epoch in range(1, epochs + 1):
+        a = w1 @ s
+        b = w2.T @ w2
+        g1 = -(w2.T @ s - b @ a - eps_eff * (b @ w1)) / n + gamma * w1
+        g2 = -(a.T - w2 @ (a @ w1.T) - eps_eff * (w2 @ (w1 @ w1.T))) / n + gamma * w2
+        w1 -= alpha * g1
+        w2 -= alpha * g2
+        if epoch % record_every == 0 or epoch == epochs:
+            record(epoch)
+    return np.array(times), np.array(diags), np.array(norms), w1, w2

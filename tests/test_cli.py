@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from daedyn import cli
+from daedyn import cli, spectrum
 from daedyn.analytic import read_trajectory_csv
 from daedyn.cli import ExperimentConfig, build_config, main
 from daedyn.errors import ConfigError
@@ -83,22 +83,18 @@ def test_cli_returns_io_error_exit_code(tmp_path, capsys):
     assert code == cli.EXIT_IO
 
 
-@pytest.fixture
-def d16_cache(tmp_path):
-    from daedyn.data import save_matrix, synthetic_dataset
-
-    path = tmp_path / "d16.cache"
-    save_matrix(path, synthetic_dataset(np.linspace(2.0, 0.1, 16), 64, seed=1).samples)
-    return path
-
-
 @pytest.mark.parametrize("argv", [
     ["predict", "--w1-0", "0.1", "--w2-0", "0.1"],
     ["real-data", "--dataset", "{cache}", "--init", "orthogonal", "--hidden", "40",
      "--modes", "1,2", "--epochs", "5"],
     ["surface", "--paths", "-3"],
     ["rates", "--eps-points", "0"],
-], ids=["degenerate-predict", "overcomplete-orthogonal", "negative-paths", "zero-eps-points"])
+    ["real-data", "--dataset", "{cache}", "--epsilon", "1,50", "--hidden", "4",
+     "--modes", "1,2", "--epochs", "5"],
+    ["surface", "--gamma", "inf", "--epochs", "5"],
+    ["ingest"],
+], ids=["degenerate-predict", "overcomplete-orthogonal", "negative-paths", "zero-eps-points",
+        "real-data-epsilon-list", "infinite-gamma", "ingest-without-dataset"])
 def test_cli_invalid_inputs_exit_2_without_traceback(argv, tmp_path, d16_cache, capsys):
     argv = [a.format(cache=d16_cache) for a in argv] + ["--out", str(tmp_path / "out")]
     assert main(argv) == cli.EXIT_CONFIG
@@ -118,6 +114,30 @@ def test_real_data_rejects_every_noise_spec_with_decay(noise, tmp_path, d16_cach
     assert main(base + noise) == cli.EXIT_OK
     assert main(base + ["--gamma", "0.01"]) == cli.EXIT_OK
     assert main(base + ["--sigma2", "0", "--gamma", "0.01"]) == cli.EXIT_OK
+
+
+def test_real_data_rejects_a_spectrum_that_does_not_diagonalise_the_data(
+        tmp_path, d16_cache, monkeypatch, capsys):
+    def unrotated(s):
+        # the right eigenvalues in the wrong basis
+        return spectrum.Spectrum(np.eye(s.shape[0]), np.sort(np.linalg.eigvalsh(s))[::-1])
+
+    monkeypatch.setattr(spectrum, "eigendecompose", unrotated)
+    code = main(["real-data", "--dataset", str(d16_cache), "--hidden", "4", "--modes", "1,2",
+                 "--epochs", "5", "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert "does not diagonalise" in capsys.readouterr().err
+
+
+def test_nonlinear_noise_draws_reach_the_dae_leg(tmp_path, d16_cache):
+    base = ["nonlinear", "--dataset", str(d16_cache), "--hidden", "4", "--modes", "1,2",
+            "--alpha", "0.05", "--epochs", "20", "--record-every", "5"]
+    assert main(base + ["--out", str(tmp_path / "one")]) == cli.EXIT_OK
+    assert main(base + ["--noise-draws", "2", "--out", str(tmp_path / "two")]) == cli.EXIT_OK
+    for leg, same in (("ae", True), ("wdae", True), ("dae", False)):
+        name = f"nonlinear_{leg}.csv"
+        assert ((tmp_path / "one" / name).read_bytes()
+                == (tmp_path / "two" / name).read_bytes()) is same, leg
 
 
 @pytest.mark.parametrize("noise", [("epsilon=0.5", "epsilons", [float]),

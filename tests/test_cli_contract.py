@@ -1,0 +1,91 @@
+"""Property test of the CLI exit-code contract: 0 ok, 2 config, 3 divergence, 4 I/O or parse.
+
+Every subcommand is driven with drawn combinations of valid, out-of-range and
+malformed flag values on a small cache; whatever the combination, the run must
+end with one of the four contract codes and never with a traceback.
+"""
+
+import contextlib
+import io
+
+import pytest
+
+from daedyn import cli
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+CONTRACT_CODES = {cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_DIVERGENCE, cli.EXIT_IO}
+
+# None marks a flag that takes no value; --epochs stays small so a run is quick
+FLAG_VALUES = {
+    "--lambda": ["1", "2.5,0.5", "0", "-1", "nan", "x"],
+    "--epsilon": ["0", "1", "1,50", "-1", "inf", ","],
+    "--sigma2": ["0", "0.5", "-1", "nan"],
+    "--laplace-b": ["0.1", "-1"],
+    "--gamma": ["0", "0.01", "-1", "inf"],
+    "--n": ["0", "1", "32", "1000"],
+    "--alpha": ["0.01", "1", "1e9", "0", "nan"],
+    "--hidden": ["0", "1", "4", "40"],
+    "--init-scale": ["1e-3", "0", "-1", "1e200"],
+    "--init": ["small_random", "orthogonal", "bogus"],
+    "--seed": ["0", "7", "-1"],
+    "--format": ["idx", "cache", "cifar10", "png"],
+    "--modes": ["1", "1,2", "0", "17", "a"],
+    "--record-every": ["0", "1", "2"],
+    "--center": [None],
+    "--scale": [None],
+    "--eigenvectors": [None],
+    "--w0": ["1e-3", "0", "-1", "nan"],
+    "--weight-ratio": ["2", "0", "inf"],
+    "--w1-0": ["0.1", "0", "-0.5"],
+    "--w2-0": ["0.1", "0"],
+    "--activation": ["relu", "tanh", "identity", "sigmoid"],
+    "--grid-min": ["-1", "nan", "2"],
+    "--grid-max": ["1", "inf", "-2"],
+    "--grid-points": ["1", "2", "5"],
+    "--paths": ["-1", "0", "2"],
+    "--eps-max": ["10", "0", "-1", "inf", "nan"],
+    "--eps-points": ["0", "1", "5"],
+    "--loss-mode": ["marginalized", "sampled", "other"],
+    "--noise-draws": ["0", "1", "2"],
+}
+
+
+@pytest.fixture(scope="module")
+def inputs(d16_cache, tmp_path_factory):
+    root = tmp_path_factory.mktemp("contract")
+    garbage = root / "garbage.cache"
+    garbage.write_bytes(b"\x01\x00")
+    bad_config = root / "bad.cfg"
+    bad_config.write_text("alpha 0.5\n")
+    return {"cache": d16_cache, "garbage": garbage, "missing": root / "missing.idx",
+            "config": bad_config, "out": root / "out"}
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+@hypothesis.settings(max_examples=20, deadline=None, derandomize=True, database=None,
+                     suppress_health_check=[hypothesis.HealthCheck.too_slow])
+@hypothesis.given(data=st.data())
+def test_every_flag_combination_exits_with_a_contract_code(command, data, inputs):
+    argv = [command, "--out", str(inputs["out"]),
+            "--epochs", data.draw(st.sampled_from(["0", "1", "5", "-1"]), label="epochs")]
+    dataset = data.draw(st.sampled_from(["cache", "cache", "cache", "garbage", "missing", None]),
+                        label="dataset")
+    if dataset is not None:
+        argv += ["--dataset", str(inputs[dataset])]
+    if data.draw(st.integers(0, 9), label="config") == 0:
+        argv += ["--config", str(inputs["config"])]
+    flags = data.draw(st.lists(st.sampled_from(sorted(FLAG_VALUES)), unique=True, max_size=6),
+                      label="flags")
+    for flag in flags:
+        value = data.draw(st.sampled_from(FLAG_VALUES[flag]), label=flag)
+        argv += [flag] if value is None else [flag, value]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:   # argparse rejects a malformed flag with exit 2
+            code = exc.code
+    assert code in CONTRACT_CODES, (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv

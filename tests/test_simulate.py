@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import central_difference_grad
+from oracles import central_difference_grad, marginalized_descent_pixel_space
 
 from daedyn import analytic, simulate
 from daedyn.analytic import NoiseModel, ScalarMode, dae_fixed_point, dae_trajectory
@@ -172,6 +172,37 @@ def test_marginalized_gradients_match_finite_differences():
     assert np.max(np.abs(g2 - n2)) <= 1e-5 * scale
 
 
+def test_marginalized_diagonal_form_matches_pixel_space_on_rotated_weights(small_dataset):
+    ds, spec = small_dataset
+    v = spec.eigenvectors
+    model = init_small_random(8, 4, 0.5, seed=6)
+    rotated = Autoencoder(w1=model.w1 @ v, w2=v.T @ model.w2)
+    loss, g1, g2 = marginalized_loss_and_grads(model, ds, 2.0, cov=covariance(ds))
+    loss_r, g1_r, g2_r = marginalized_loss_and_grads(rotated, ds, 2.0, cov=spec.eigenvalues)
+    assert loss_r == pytest.approx(loss, rel=1e-12)
+    assert np.max(np.abs(g1_r - g1 @ v)) <= 1e-12 * np.max(np.abs(g1))
+    assert np.max(np.abs(g2_r - v.T @ g2)) <= 1e-12 * np.max(np.abs(g2))
+
+
+def test_marginalized_diagonal_form_gradients_match_finite_differences():
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((12, 5))      # only N enters the diagonal form
+    lams = np.sort(rng.uniform(0.5, 20.0, size=5))[::-1]
+    eps_eff = 3.0
+    w1 = rng.standard_normal((3, 5)) * 0.4
+    w2 = rng.standard_normal((5, 3)) * 0.4
+
+    def loss_of(w1v, w2v):
+        return marginalized_loss_and_grads(Autoencoder(w1=w1v, w2=w2v), x, eps_eff, cov=lams)[0]
+
+    _, g1, g2 = marginalized_loss_and_grads(Autoencoder(w1=w1, w2=w2), x, eps_eff, cov=lams)
+    n1 = central_difference_grad(lambda v: loss_of(v, w2), w1.copy())
+    n2 = central_difference_grad(lambda v: loss_of(w1, v), w2.copy())
+    scale = max(np.max(np.abs(n1)), np.max(np.abs(n2)))
+    assert np.max(np.abs(g1 - n1)) <= 1e-5 * scale
+    assert np.max(np.abs(g2 - n2)) <= 1e-5 * scale
+
+
 def test_sampled_loss_without_noise_equals_marginalized(small_dataset):
     ds, _ = small_dataset
     model = init_small_random(8, 4, 0.5, seed=1)
@@ -207,6 +238,18 @@ def test_sampled_loss_laplace_matches_its_effective_strength(small_dataset):
     exact, _, _ = marginalized_loss_and_grads(model, ds, eps_eff)
     estimate = sampled_loss(model, ds, NoiseModel.laplace(b), 20_000, seed=3)
     assert abs(estimate - exact) / exact <= 0.01
+
+
+def test_noise_free_sampled_step_backpropagates_once(small_dataset, monkeypatch):
+    ds, _ = small_dataset
+    calls = []
+    backprop = simulate.backprop_grads
+    monkeypatch.setattr(simulate, "backprop_grads", lambda *a: calls.append(a) or backprop(*a))
+    model = init_small_random(8, 4, 0.5, seed=1)
+    loss, _, _ = simulate._sampled_grads(model, ds.samples, NoiseModel.none(), 3,
+                                         np.random.default_rng(0))
+    assert len(calls) == 1
+    assert loss == pytest.approx(marginalized_loss_and_grads(model, ds, 0.0)[0], rel=1e-12)
 
 
 # --- full-matrix runs ----------------------------------------------------------
@@ -284,6 +327,37 @@ def test_linear_ae_sampled_mode_without_noise_matches_marginalized(small_dataset
                                                   loss_mode="sampled", **base))
     for a, b in zip(marg.trajectories, samp.trajectories):
         assert np.max(np.abs(a.values - b.values)) <= 1e-12
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1e-3], ids=["no-decay", "decay"])
+@pytest.mark.parametrize("init", ["small_random", "orthogonal"])
+def test_linear_ae_matches_pixel_space_descent_oracle(small_dataset, init, gamma):
+    ds, spec = small_dataset
+    sigma2 = 0.5 / ds.n
+    cfg = TrainingConfig(learning_rate=0.5, epochs=1500, noise=NoiseModel.gaussian(sigma2),
+                         weight_decay=gamma, init=init, init_scale=0.05, seed=4, hidden_dim=4,
+                         record_every=25)
+    run = run_linear_ae(ds, spec, cfg)
+    times, diags, norms, w1, w2 = marginalized_descent_pixel_space(
+        ds.samples, run.init_model.w1, run.init_model.w2, ds.n * sigma2, cfg.learning_rate,
+        cfg.epochs, cfg.record_every, spec.eigenvectors, gamma=gamma)
+    assert np.max(diags[-1]) > 0.1     # the leading modes have been learned
+
+    def close(got, want):
+        return np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+    assert np.array_equal(run.norms.times, times)
+    assert close(np.stack([t.values for t in run.trajectories], axis=1), diags)
+    assert close(run.norms.values, norms)
+    assert close(run.model.w1, w1) and close(run.model.w2, w2)
+
+
+def test_linear_ae_rejects_a_spectrum_of_other_data(small_dataset):
+    ds, _ = small_dataset
+    other = eigendecompose(covariance(synthetic_dataset(SPECTRUM_8, 400, seed=4)))
+    cfg = TrainingConfig(learning_rate=0.5, epochs=10, hidden_dim=2)
+    with pytest.raises(ValueError, match="diagonalise"):
+        run_linear_ae(ds, other, cfg)
 
 
 def test_linear_ae_divergence_aborts_with_epoch(small_dataset):
