@@ -178,10 +178,7 @@ def _coerce(key, value):
 def build_config(experiment, file_values, flag_values) -> ExperimentConfig:
     """Merge defaults, config-file values and explicit flags (flags win)."""
     cfg = ExperimentConfig(experiment=experiment)
-    if experiment == "nonlinear" and flag_values.get("activation") == "tanh":
-        # tanh preset: heavier cadence and its own default corruption level
-        cfg.record_every = 100
-        cfg.sigma2 = 2.0
+    given = set()
     for source in (file_values, flag_values):
         for key, value in source.items():
             if value is None:
@@ -190,6 +187,12 @@ def build_config(experiment, file_values, flag_values) -> ExperimentConfig:
             if not hasattr(cfg, key) or key == "experiment":
                 raise ConfigError(f"unknown config key {key!r}")
             setattr(cfg, key, _coerce(key, value))
+            given.add(key)
+    if experiment == "nonlinear" and cfg.activation == "tanh":
+        # tanh preset: heavier cadence and its own default corruption level
+        for key, value in (("record_every", 100), ("sigma2", 2.0)):
+            if key not in given:
+                setattr(cfg, key, value)
     cfg.validate()
     return cfg
 
@@ -257,26 +260,35 @@ def _load_dataset(cfg: ExperimentConfig) -> spectrum.Dataset:
     return data.preprocess(raw, center=cfg.center, scale=cfg.scale)
 
 
-def cmd_predict(cfg: ExperimentConfig):
-    """Analytic DAE and matched WDAE curves over a (lambda, noise) grid."""
+def _theory_grid(cfg: ExperimentConfig):
+    """Record times and one (mode, lambda, epsilon, gamma_eff, dae, wdae) per grid cell.
+
+    The WDAE decay is N * gamma when --gamma is given, else the cell's matched one.
+    """
     times = _record_times(cfg)
     w1_0, w2_0 = _initial_weights(cfg)
     w0 = w2_0 * w1_0
     epsilons = cfg.epsilons if cfg.epsilons is not None else list(DEFAULT_EPSILONS)
-    trajectories = []
-    legend = []
-    mode_index = 0
+    cells = []
     for lam in cfg.lambdas:
         for eps in epsilons:
-            mode_index += 1
+            mode_index = len(cells) + 1
             gamma_eff = cfg.n * cfg.gamma if cfg.gamma > 0.0 else analytic.equivalent_decay(lam, eps)
             mode = analytic.ScalarMode(lam=lam, epsilon=eps, tau=cfg.tau, w1_0=w1_0, w2_0=w2_0)
-            trajectories.append(analytic.dae_series(mode, times, mode_index=mode_index))
-            trajectories.append(analytic.wdae_series(lam, gamma_eff, cfg.tau, w0, times,
-                                                     mode_index=mode_index))
-            legend.append((mode_index, lam, eps, gamma_eff,
-                           analytic.dae_fixed_point(lam, eps),
-                           analytic.wdae_fixed_point(lam, gamma_eff)))
+            cells.append((mode_index, lam, eps, gamma_eff,
+                          analytic.dae_series(mode, times, mode_index=mode_index),
+                          analytic.wdae_series(lam, gamma_eff, cfg.tau, w0, times,
+                                               mode_index=mode_index)))
+    return times, cells
+
+
+def cmd_predict(cfg: ExperimentConfig):
+    """Analytic DAE and matched WDAE curves over a (lambda, noise) grid."""
+    _, cells = _theory_grid(cfg)
+    trajectories = [series for cell in cells for series in cell[4:]]
+    legend = [(mode_index, lam, eps, gamma_eff, analytic.dae_fixed_point(lam, eps),
+               analytic.wdae_fixed_point(lam, gamma_eff))
+              for mode_index, lam, eps, gamma_eff, _, _ in cells]
     cfg.out.mkdir(parents=True, exist_ok=True)
     analytic.write_trajectory_csv(cfg.out / "predict.csv", trajectories)
     _write_rows(cfg.out / "predict_legend.csv",
@@ -341,27 +353,17 @@ def cmd_simulate(cfg: ExperimentConfig):
 
 def cmd_compare(cfg: ExperimentConfig):
     """Matched DAE-vs-WDAE theory curves plus plateau and half-rise summary."""
-    times = _record_times(cfg)
-    w1_0, w2_0 = _initial_weights(cfg)
-    w0 = w2_0 * w1_0
-    epsilons = cfg.epsilons if cfg.epsilons is not None else list(DEFAULT_EPSILONS)
-    trajectories = []
+    if cfg.gamma > 0.0:
+        raise ConfigError("compare always uses each cell's matched decay; it takes no --gamma")
+    times, cells = _theory_grid(cfg)
+    trajectories = [series for cell in cells for series in cell[4:]]
     summary = []
-    mode_index = 0
-    for lam in cfg.lambdas:
-        for eps in epsilons:
-            mode_index += 1
-            gamma_eff = analytic.equivalent_decay(lam, eps)
-            mode = analytic.ScalarMode(lam=lam, epsilon=eps, tau=cfg.tau, w1_0=w1_0, w2_0=w2_0)
-            dae = analytic.dae_series(mode, times, mode_index=mode_index)
-            wdae = analytic.wdae_series(lam, gamma_eff, cfg.tau, w0, times,
-                                        mode_index=mode_index)
-            trajectories.extend([dae, wdae])
-            target = 0.5 * analytic.dae_fixed_point(lam, eps)
-            summary.append((mode_index, lam, eps, gamma_eff,
-                            repr(float(dae.values[-1])), repr(float(wdae.values[-1])),
-                            analytic.first_crossing_time(times, dae.values, target),
-                            analytic.first_crossing_time(times, wdae.values, target)))
+    for mode_index, lam, eps, gamma_eff, dae, wdae in cells:
+        target = 0.5 * analytic.dae_fixed_point(lam, eps)
+        summary.append((mode_index, lam, eps, gamma_eff,
+                        repr(float(dae.values[-1])), repr(float(wdae.values[-1])),
+                        analytic.first_crossing_time(times, dae.values, target),
+                        analytic.first_crossing_time(times, wdae.values, target)))
     cfg.out.mkdir(parents=True, exist_ok=True)
     analytic.write_trajectory_csv(cfg.out / "compare.csv", trajectories)
     _write_rows(cfg.out / "compare_summary.csv",

@@ -3,7 +3,8 @@
 Nonlinear training has no closed-form noise marginalisation, so corruption is
 sampled fresh every epoch. The estimator projects the clean-input
 reconstruction cross-covariance onto the input eigenbasis to read off how
-much of each eigen-direction the network currently reconstructs.
+much of each eigen-direction the network currently reconstructs; it works
+in that basis, where the weights (W1 V, V^T W2) map XV to X_hat V.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 # module because the benchmark tracer (bench/spans.py) wraps them by name
 from .simulate import (  # noqa: F401
     ACTIVATIONS, Autoencoder, TrainingConfig, _draw_noise, backprop_grads, descend)
-from .spectrum import Dataset, Spectrum
+from .spectrum import Dataset, Spectrum, rotate_weights
 
 LAMBDA_FLOOR_FACTOR = 1e-8  # modes below this fraction of the top eigenvalue are absent
 
@@ -50,27 +51,29 @@ def reconstruct(model: Autoencoder, x):
     return phi(x @ model.w1.T) @ model.w2.T
 
 
-def estimate_identity_map(dataset: Dataset, model: Autoencoder, spectrum: Spectrum,
-                          epoch=0.0) -> ModeEstimate:
-    """Project the clean-reconstruction cross-covariance onto the input eigenbasis.
-
-    Computes sum_i x_i xhat_i^T with xhat the model's reconstruction of the
-    clean input, rotates it into the eigenbasis and divides the diagonal by
-    the eigenvalues. Estimation never consumes corrupted data.
-    """
-    x = dataset.samples
-    if spectrum.d != dataset.d:
-        raise ValueError(f"spectrum dimension {spectrum.d} does not match dataset dim {dataset.d}")
-    xhat = reconstruct(model, x)
-    sigma_hat = x.T @ xhat
-    v = spectrum.eigenvectors
-    diag = np.sum(v * (sigma_hat @ v), axis=0)
-    lams = spectrum.eigenvalues
+def _estimate(xv, rotated: Autoencoder, lams, epoch) -> ModeEstimate:
+    # diag(V^T X^T X_hat V) / lam as colsum(XV * X_hat V) / lam, O(N H D): a hidden
+    # nonlinearity commutes with the rotation, so X_hat V = reconstruct(rotated, XV)
+    diag = np.sum(xv * reconstruct(rotated, xv), axis=0)
     floor = LAMBDA_FLOOR_FACTOR * (lams[0] if lams.size else 0.0)
     retained = lams > floor
     ratios = np.full(lams.shape, np.nan)
     ratios[retained] = diag[retained] / lams[retained]
     return ModeEstimate(epoch=float(epoch), ratios=ratios, retained=retained)
+
+
+def estimate_identity_map(dataset: Dataset, model: Autoencoder, spectrum: Spectrum,
+                          epoch=0.0) -> ModeEstimate:
+    """Project the clean-reconstruction cross-covariance onto the input eigenbasis.
+
+    Returns diag(V^T X^T X_hat V) / lam, with X_hat the model's reconstruction
+    of the clean input, computed in the eigenbasis from XV and the rotated
+    weights. Estimation never consumes corrupted data.
+    """
+    if spectrum.d != dataset.d:
+        raise ValueError(f"spectrum dimension {spectrum.d} does not match dataset dim {dataset.d}")
+    rotated = Autoencoder(*rotate_weights(model.w1, model.w2, spectrum), model.activation)
+    return _estimate(dataset.samples @ spectrum.eigenvectors, rotated, spectrum.eigenvalues, epoch)
 
 
 def train_nonlinear(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig,
@@ -79,14 +82,15 @@ def train_nonlinear(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig
 
     Corruption is always sampled, whatever config.loss_mode says. Estimates
     are recorded at epoch 0, every record_every epochs, and at the final
-    epoch; the run is deterministic per seed. epochs=0 is allowed and returns
-    the initial-model estimate only.
+    epoch, from XV and the eigenbasis weights; the run is deterministic per
+    seed. epochs=0 is allowed and returns the initial-model estimate only.
     """
+    xv = dataset.samples @ spectrum.eigenvectors
     estimates = []
 
-    def record(epoch, _loss, w1, w2):
-        estimates.append(estimate_identity_map(
-            dataset, Autoencoder(w1, w2, activation), spectrum, float(epoch)))
+    def record(epoch, _loss, w1r, w2r):
+        estimates.append(_estimate(xv, Autoencoder(w1r, w2r, activation),
+                                   spectrum.eigenvalues, epoch))
 
     descend(dataset, spectrum, config, record, activation=activation)
     return estimates

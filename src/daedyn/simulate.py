@@ -100,7 +100,6 @@ class TrainingConfig:
     record_every: int = 10
     loss_mode: str = "marginalized"
     noise_draws: int = 1
-    noise_seed: int | None = None
 
     def __post_init__(self):
         if self.learning_rate <= 0.0:
@@ -328,10 +327,9 @@ def _sampled_grads(model: Autoencoder, x, noise: NoiseModel, draws, rng):
     return loss, g1, g2
 
 
-def _rotated_diag(w1, w2, v):
-    w1r = w1 @ v
-    w2r = v.T @ w2
-    return np.einsum("jh,hj->j", w2r, w1r), w1r, w2r
+# The benchmark tracer (bench/spans.py) wraps a per-record rotation under this name;
+# `descend` now rotates for every recorder, so it is bound to nothing and counts 0.
+_rotated_diag = None
 
 
 def _check_spectrum(x, spectrum: Spectrum):
@@ -356,11 +354,12 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, record
     O(H^2 D); the spectrum must then diagonalise the dataset's covariance
     (checked once, ValueError otherwise). Otherwise every step backpropagates
     through config.noise_draws fresh corruptions drawn from the seeded stream,
-    in pixel space. record(epoch, loss, w1, w2) is called at epoch 0, every
-    record_every epochs and at the final epoch, with the iterated weights (in
-    the eigenbasis when marginalized) and the objective there; it must not
-    keep or modify the arrays. The divergence check reads the iterated
-    weights too. Returns the (initial, final) weights in pixel space.
+    in pixel space. The divergence check reads the iterated weights.
+    record(epoch, loss, w1r, w2r) is called at epoch 0, every record_every
+    epochs and at the final epoch with the objective there and always the
+    eigenbasis weights w1r = W1 V and w2r = V^T W2; pixel-space loops rotate
+    only at those epochs. It must not keep or modify the arrays. Returns the
+    (initial, final) weights in pixel space.
     """
     if spectrum.d != dataset.d:
         raise ValueError(f"spectrum dimension {spectrum.d} does not match dataset dim {dataset.d}")
@@ -383,7 +382,7 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, record
     # one model over the iterated arrays, which every step updates in place
     model = Autoencoder(w1, w2, activation)
     w1, w2 = model.w1, model.w2
-    rng = np.random.default_rng(config.seed if config.noise_seed is None else config.noise_seed)
+    rng = np.random.default_rng(config.seed)
     alpha = config.learning_rate
     gamma = config.weight_decay
 
@@ -398,8 +397,11 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, record
             g2 = g2 + gamma * w2
         return loss, g1, g2
 
+    def emit(epoch, loss):
+        record(epoch, loss, *((w1, w2) if marginalized else rotate_weights(w1, w2, spectrum)))
+
     loss, g1, g2 = loss_and_grads()
-    record(0, loss, w1, w2)
+    emit(0, loss)
     for epoch in range(1, config.epochs + 1):
         w1 -= alpha * g1
         w2 -= alpha * g2
@@ -408,52 +410,45 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, record
             raise DivergenceError(f"run diverged at epoch {epoch}", step=epoch)
         loss, g1, g2 = loss_and_grads()
         if epoch % config.record_every == 0 or epoch == config.epochs:
-            record(epoch, loss, w1, w2)
+            emit(epoch, loss)
     if marginalized:
         v = spectrum.eigenvectors
         w1, w2 = w1 @ v.T, v @ w2
     return init, Autoencoder(w1, w2, activation)
 
 
-def run_linear_ae(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig,
-                  track_offdiag=None) -> LinearRun:
+def run_linear_ae(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig) -> LinearRun:
     """Linear-network descent emitting per-mode mapped values and weight norms.
 
     config.loss_mode picks the marginalised objective, trained in the
-    covariance eigenbasis where the per-mode values are read straight off the
-    iterated weights, or the sampled objective, trained in pixel space and
-    rotated at every record. The marginalised objective needs a spectrum that
-    diagonalises the dataset's covariance (ValueError otherwise). Off-diagonal
-    tracking of the rotated product defaults to on for d <= 64 where it is
-    cheap.
+    covariance eigenbasis, or the sampled objective, trained in pixel space;
+    the marginalised one needs a spectrum that diagonalises the dataset's
+    covariance (ValueError otherwise). Either way the record reads the
+    eigenbasis weights `descend` hands it: the per-mode values are the
+    diagonal of V^T W2 W1 V, and the worst off-diagonal is tracked for
+    d <= 64, where it is cheap.
     """
     d = dataset.d
-    if track_offdiag is None:
-        track_offdiag = d <= 64
-    marginalized = config.loss_mode == "marginalized"
-    v = spectrum.eigenvectors
+    track_offdiag = d <= 64
     times = []
     diags = []
     norms = []
     losses = []
     worst_off = 0.0 if track_offdiag else np.nan
 
-    def record(epoch, loss, w1, w2):
+    def record(epoch, loss, w1r, w2r):
         nonlocal worst_off
-        if marginalized:   # descend already iterates on (W1 V, V^T W2)
-            diag, w1r, w2r = np.einsum("jh,hj->j", w2, w1), w1, w2
-        else:
-            diag, w1r, w2r = _rotated_diag(w1, w2, v)
         times.append(float(epoch))
-        diags.append(diag)
-        norms.append(float(np.sum(w1 * w1) + np.sum(w2 * w2)))
+        diags.append(np.einsum("jh,hj->j", w2r, w1r))
+        norms.append(float(np.sum(w1r * w1r) + np.sum(w2r * w2r)))
         losses.append(loss)
         if track_offdiag:
             m = w2r @ w1r
             np.fill_diagonal(m, 0.0)
             worst_off = max(worst_off, float(np.max(np.abs(m))))
 
-    init, model = descend(dataset, spectrum, config, record, marginalized=marginalized)
+    init, model = descend(dataset, spectrum, config, record,
+                          marginalized=config.loss_mode == "marginalized")
     times_arr = np.array(times)
     diag_mat = np.stack(diags, axis=0)
     trajectories = [

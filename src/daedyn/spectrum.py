@@ -83,11 +83,11 @@ class Spectrum:
         return self.eigenvalues.shape[0]
 
 
-def covariance(dataset, *, normalized=False, center=False):
+def covariance(dataset):
     """Sum of outer products of the samples, symmetrized as (S + S^T) / 2.
 
-    `normalized` divides by N (never used by the analytic path); `center`
-    removes per-feature means first. Accepts a Dataset or a plain N x D array.
+    Unnormalised and uncentred (centring belongs to `data.preprocess`).
+    Accepts a Dataset or a plain N x D array.
     """
     x = dataset.samples if isinstance(dataset, Dataset) else np.asarray(dataset, dtype=np.float64)
     if x.ndim != 2:
@@ -96,11 +96,7 @@ def covariance(dataset, *, normalized=False, center=False):
     if not finite_rows.all():
         bad = int(np.flatnonzero(~finite_rows)[0])
         raise ValueError(f"non-finite entry in sample {bad}")
-    if center:
-        x = x - x.mean(axis=0)
     s = x.T @ x
-    if normalized:
-        s = s / x.shape[0]
     return 0.5 * (s + s.T)
 
 

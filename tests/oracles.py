@@ -3,9 +3,10 @@
 These deliberately avoid the package's closed-form code paths: trajectories
 are checked against adaptive Runge-Kutta integration of the underlying flow,
 gradients against central finite differences, the LAPACK-backed
-eigendecomposition against cyclic Jacobi rotations, and the eigenbasis
+eigendecomposition against cyclic Jacobi rotations, the eigenbasis
 training of the marginalised linear autoencoder against plain pixel-space
-descent.
+descent, and the eigenbasis mode estimator against the dense pixel-space
+cross-covariance.
 """
 
 import math
@@ -189,3 +190,20 @@ def marginalized_descent_pixel_space(x, w1, w2, eps_eff, alpha, epochs, record_e
         if epoch % record_every == 0 or epoch == epochs:
             record(epoch)
     return np.array(times), np.array(diags), np.array(norms), w1, w2
+
+
+def cross_covariance_mode_ratios(x, w1, w2, phi, v, lams, floor_factor=1e-8):
+    """Per-mode identity-map ratios from the dense pixel-space cross-covariance.
+
+    Reconstructs the clean input X_hat = phi(X W1^T) W2^T, forms
+    Sigma_hat = X^T X_hat (D x D), rotates it into the eigenbasis with a D^3
+    product and divides its diagonal by the eigenvalues. Modes at or below
+    floor_factor * lams[0] come out NaN. O(N D^2 + D^3) per call.
+    """
+    xhat = phi(x @ w1.T) @ w2.T
+    sigma_hat = x.T @ xhat
+    diag = np.sum(v * (sigma_hat @ v), axis=0)
+    retained = lams > floor_factor * lams[0]
+    ratios = np.full(lams.shape, np.nan)
+    ratios[retained] = diag[retained] / lams[retained]
+    return ratios

@@ -177,7 +177,7 @@ def test_criterion_07_real_data_desk_scale(mnist_like_dataset):
     cfg = TrainingConfig(learning_rate=alpha, epochs=3500,
                          noise=NoiseModel.gaussian(sigma2), init="small_random",
                          init_scale=1e-3, seed=7, hidden_dim=hidden, record_every=10)
-    run = run_linear_ae(ds, spec, cfg, track_offdiag=False)
+    run = run_linear_ae(ds, spec, cfg)
     measured = modes_from_linear_ae(run.init_model, spec, eps_eff, tau)
     for rank in (1, 4, 8, 16, 32):
         mode = measured[rank - 1]
@@ -204,7 +204,7 @@ def test_criterion_07_cifar_optional(cifar_like_path):
     cfg = TrainingConfig(learning_rate=alpha, epochs=1500,
                          noise=NoiseModel.gaussian(sigma2), init="small_random",
                          init_scale=1e-3, seed=7, hidden_dim=64, record_every=10)
-    run = run_linear_ae(ds, spec, cfg, track_offdiag=False)
+    run = run_linear_ae(ds, spec, cfg)
     measured = modes_from_linear_ae(run.init_model, spec, eps_eff, tau)
     for rank in (1, 4, 8, 16, 32):
         mode = measured[rank - 1]

@@ -50,6 +50,24 @@ def test_noise_specs_are_mutually_exclusive_in_files(tmp_path):
         build_config("predict", cli._parse_config_file(cfg_file), {})
 
 
+def test_tanh_preset_same_from_file_and_flag(tmp_path, d16_cache):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("activation=tanh\n")
+    flags = {"dataset": str(d16_cache)}
+    from_file = build_config("nonlinear", cli._parse_config_file(cfg_file), flags)
+    from_flag = build_config("nonlinear", {}, {**flags, "activation": "tanh"})
+    assert from_file == from_flag
+    assert (from_file.record_every, from_file.sigma2) == (100, 2.0)
+    # an explicit record_every wins over the preset, from either source, and
+    # the preset still fills in the corruption level nobody set
+    cfg_file.write_text("activation=tanh\nrecord-every=7\n")
+    for cfg in (build_config("nonlinear", cli._parse_config_file(cfg_file), flags),
+                build_config("nonlinear", {"record_every": "7"}, {**flags, "activation": "tanh"}),
+                build_config("nonlinear", {}, {**flags, "activation": "tanh", "record_every": 7})):
+        assert (cfg.record_every, cfg.sigma2) == (7, 2.0)
+    assert build_config("nonlinear", {}, flags).record_every == 10   # relu: no preset
+
+
 def test_config_file_rejects_garbage(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("alpha 0.25\n")
@@ -93,8 +111,9 @@ def test_cli_returns_io_error_exit_code(tmp_path, capsys):
      "--modes", "1,2", "--epochs", "5"],
     ["surface", "--gamma", "inf", "--epochs", "5"],
     ["ingest"],
+    ["compare", "--gamma", "0.5", "--epochs", "5"],
 ], ids=["degenerate-predict", "overcomplete-orthogonal", "negative-paths", "zero-eps-points",
-        "real-data-epsilon-list", "infinite-gamma", "ingest-without-dataset"])
+        "real-data-epsilon-list", "infinite-gamma", "ingest-without-dataset", "compare-gamma"])
 def test_cli_invalid_inputs_exit_2_without_traceback(argv, tmp_path, d16_cache, capsys):
     argv = [a.format(cache=d16_cache) for a in argv] + ["--out", str(tmp_path / "out")]
     assert main(argv) == cli.EXIT_CONFIG

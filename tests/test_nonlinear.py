@@ -3,15 +3,17 @@
 import numpy as np
 import pytest
 
-from oracles import central_difference_grad
+from oracles import central_difference_grad, cross_covariance_mode_ratios
 
 from daedyn.analytic import NoiseModel
 from daedyn.data import synthetic_dataset
 from daedyn.nonlinear import ModeEstimate, estimate_identity_map, reconstruct, train_nonlinear
 from daedyn.simulate import (
+    ACTIVATIONS,
     Autoencoder,
     TrainingConfig,
     backprop_grads,
+    descend,
     init_small_random,
     run_linear_ae,
 )
@@ -60,6 +62,57 @@ def test_estimator_matches_projected_diagonal_for_linear_models(toy_dataset):
     est = estimate_identity_map(ds, Autoencoder(w1=w1, w2=w2, activation="identity"), spec)
     diag, _ = projected_diagonal(w1, w2, spec)
     assert np.max(np.abs(est.ratios - diag)) <= 1e-10
+
+
+def _oracle_ratios(ds, spec, w1, w2, activation):
+    phi, _ = ACTIVATIONS[activation]
+    return cross_covariance_mode_ratios(ds.samples, w1, w2, phi, spec.eigenvectors,
+                                        spec.eigenvalues)
+
+
+def _assert_matches_oracle(ratios, want):
+    # the same retained modes, and equal ratios to within 1e-10 of the largest one
+    assert np.array_equal(np.isnan(ratios), np.isnan(want))
+    kept = ~np.isnan(want)
+    assert np.max(np.abs(ratios[kept] - want[kept])) <= 1e-10 * np.max(np.abs(want[kept]))
+
+
+@pytest.fixture(scope="module")
+def rank_deficient_dataset():
+    # D=12 data spanning 9 directions, so three modes sit below the eigenvalue floor
+    rng = np.random.default_rng(8)
+    v = random_orthogonal(12, rng)
+    x = rng.standard_normal((250, 9)) @ (v[:, :9] * np.sqrt(np.geomspace(3.0, 0.05, 9))).T
+    ds = Dataset(x)
+    return ds, eigendecompose(covariance(ds))
+
+
+@pytest.mark.parametrize("activation", ["identity", "relu", "tanh"])
+def test_estimator_matches_cross_covariance_oracle(activation, rank_deficient_dataset):
+    ds, spec = rank_deficient_dataset
+    rng = np.random.default_rng(9)
+    w1 = rng.standard_normal((5, 12)) * 0.8
+    w2 = rng.standard_normal((12, 5)) * 0.8
+    est = estimate_identity_map(ds, Autoencoder(w1=w1, w2=w2, activation=activation), spec)
+    assert est.retained.sum() == 9
+    _assert_matches_oracle(est.ratios, _oracle_ratios(ds, spec, w1, w2, activation))
+
+
+@pytest.mark.parametrize("activation", ["identity", "relu", "tanh"])
+def test_train_estimates_match_cross_covariance_oracle(activation, rank_deficient_dataset):
+    # every recorded estimate equals the oracle on that epoch's pixel-space weights
+    ds, spec = rank_deficient_dataset
+    cfg = TrainingConfig(learning_rate=0.2, epochs=45, noise=NoiseModel.gaussian(0.05),
+                         init="small_random", init_scale=0.3, seed=6, hidden_dim=5,
+                         record_every=15)
+    estimates = train_nonlinear(ds, spec, cfg, activation)
+    v = spec.eigenvectors
+    pairs = []
+    descend(ds, spec, cfg, lambda epoch, loss, w1r, w2r: pairs.append(
+        (epoch, w1r @ v.T, v @ w2r)), activation=activation)
+    assert [e.epoch for e in estimates] == [p[0] for p in pairs] == [0, 15, 30, 45]
+    for est, (_, w1, w2) in zip(estimates, pairs):
+        _assert_matches_oracle(est.ratios, _oracle_ratios(ds, spec, w1, w2, activation))
 
 
 def test_estimator_reports_tiny_eigenvalues_absent():

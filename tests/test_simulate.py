@@ -20,10 +20,11 @@ from daedyn.simulate import (
     marginalized_loss_and_grads,
     modes_from_linear_ae,
     run_linear_ae,
+    descend,
     run_scalar_gd,
     sampled_loss,
 )
-from daedyn.spectrum import covariance, eigendecompose, projected_diagonal
+from daedyn.spectrum import covariance, eigendecompose, projected_diagonal, rotate_weights
 
 SPECTRUM_8 = [2.5, 1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01]
 
@@ -350,6 +351,29 @@ def test_linear_ae_matches_pixel_space_descent_oracle(small_dataset, init, gamma
     assert close(np.stack([t.values for t in run.trajectories], axis=1), diags)
     assert close(run.norms.values, norms)
     assert close(run.model.w1, w1) and close(run.model.w2, w2)
+
+
+@pytest.mark.parametrize("loss_mode, activation", [
+    ("marginalized", "identity"), ("sampled", "identity"), ("sampled", "relu")])
+def test_descend_records_eigenbasis_weights(loss_mode, activation, small_dataset):
+    # whichever basis the loop iterates in, the recorder sees (W1 V, V^T W2)
+    ds, spec = small_dataset
+    cfg = TrainingConfig(learning_rate=0.2, epochs=25, noise=NoiseModel.gaussian(0.01),
+                         init_scale=0.1, seed=2, hidden_dim=3, record_every=10,
+                         loss_mode=loss_mode)
+    pairs = []
+
+    def record(epoch, loss, w1r, w2r):
+        pairs.append((epoch, w1r.copy(), w2r.copy()))
+
+    init, model = descend(ds, spec, cfg, record, activation=activation,
+                          marginalized=loss_mode == "marginalized")
+    assert [p[0] for p in pairs] == [0, 10, 20, 25]
+    for (_, w1r, w2r), weights in ((pairs[0], init), (pairs[-1], model)):
+        want1, want2 = rotate_weights(weights.w1, weights.w2, spec)
+        scale = max(np.max(np.abs(want1)), np.max(np.abs(want2)))
+        assert np.max(np.abs(w1r - want1)) <= 1e-12 * scale
+        assert np.max(np.abs(w2r - want2)) <= 1e-12 * scale
 
 
 def test_linear_ae_rejects_a_spectrum_of_other_data(small_dataset):

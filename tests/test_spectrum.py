@@ -49,15 +49,6 @@ def test_covariance_rejects_nonfinite_with_sample_index():
         Dataset(x)
 
 
-def test_covariance_normalized_and_centered_variants():
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal((50, 4)) + 3.0
-    ds = Dataset(x)
-    assert np.allclose(covariance(ds, normalized=True) * 50, covariance(ds), atol=1e-10)
-    xc = x - x.mean(axis=0)
-    assert np.allclose(covariance(ds, center=True), xc.T @ xc, atol=1e-10)
-
-
 def test_eigendecompose_identity():
     spec = eigendecompose(np.eye(3))
     assert np.array_equal(spec.eigenvalues, np.ones(3))
