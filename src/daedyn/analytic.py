@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -289,33 +290,30 @@ def first_crossing_time(times, values, threshold):
     return float(np.asarray(times, dtype=np.float64)[hits[0]])
 
 
+def write_csv(path, header, rows):
+    """The one CSV emitter: commas, CRLF row ends, None as an empty field.
+
+    Fields are written with str(), for a Python float its shortest round-trip
+    repr, so output is byte-reproducible. Pass Python scalars (``.tolist()``
+    for arrays): str of a numpy float32 is its own shortest repr, not the
+    float64 value. A header of None writes no header row. The parent
+    directory is created.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        if header is not None:
+            writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_trajectory_csv(path, trajectories):
     """Shared plot-data schema: header epoch,mode,kind,value; one row per (t, mode).
 
     mode is the 1-based eigen-direction rank; -1 is reserved for weight-norm
-    series. Floats are written with repr for byte-reproducible output.
+    series.
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "mode", "kind", "value"])
-        for traj in trajectories:
-            for t, v in zip(traj.times, traj.values):
-                writer.writerow([repr(float(t)), traj.mode_index, traj.kind, repr(float(v))])
-
-
-def read_trajectory_csv(path):
-    """Read the shared schema back into Trajectory objects (grouped by mode, kind)."""
-    groups: dict[tuple[int, str], list[tuple[float, float]]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["epoch", "mode", "kind", "value"]:
-            raise ValueError(f"unexpected trajectory CSV header {header!r}")
-        for row in reader:
-            groups.setdefault((int(row[1]), row[2]), []).append((float(row[0]), float(row[3])))
-    out = []
-    for (mode_index, kind), pairs in groups.items():
-        times, values = zip(*pairs)
-        out.append(Trajectory(times=np.array(times), values=np.array(values),
-                              kind=kind, mode_index=mode_index))
-    return out
+    write_csv(path, ["epoch", "mode", "kind", "value"],
+              ((t, traj.mode_index, traj.kind, v) for traj in trajectories
+               for t, v in zip(traj.times.tolist(), traj.values.tolist())))

@@ -10,7 +10,6 @@ divergence, 4 I/O or parse error.
 from __future__ import annotations
 
 import argparse
-import csv
 import logging
 import math
 import sys
@@ -34,6 +33,9 @@ EXIT_IO = 4
 DEFAULT_LAMBDAS = [2.5, 1.0, 0.5]
 DEFAULT_EPSILONS = [0.5, 1.0, 2.0]
 DEFAULT_MODES = {"real-data": [1, 4, 8, 16, 32], "nonlinear": [1, 2, 3, 4]}
+# `nonlinear` defaults per activation; build_config fills in only unset keys
+NONLINEAR_PRESETS = {"identity": {"sigma2": 3.0}, "relu": {"sigma2": 3.0},
+                     "tanh": {"record_every": 100, "sigma2": 2.0}}
 W0_FLOOR = 1e-15
 
 
@@ -188,9 +190,11 @@ def build_config(experiment, file_values, flag_values) -> ExperimentConfig:
                 raise ConfigError(f"unknown config key {key!r}")
             setattr(cfg, key, _coerce(key, value))
             given.add(key)
-    if experiment == "nonlinear" and cfg.activation == "tanh":
-        # tanh preset: heavier cadence and its own default corruption level
-        for key, value in (("record_every", 100), ("sigma2", 2.0)):
+    if experiment == "nonlinear":
+        # any one noise spec sets the corruption level, not only --sigma2
+        if given & {"sigma2", "laplace_b", "epsilons"}:
+            given.add("sigma2")
+        for key, value in NONLINEAR_PRESETS.get(cfg.activation, {}).items():
             if key not in given:
                 setattr(cfg, key, value)
     cfg.validate()
@@ -289,11 +293,10 @@ def cmd_predict(cfg: ExperimentConfig):
     legend = [(mode_index, lam, eps, gamma_eff, analytic.dae_fixed_point(lam, eps),
                analytic.wdae_fixed_point(lam, gamma_eff))
               for mode_index, lam, eps, gamma_eff, _, _ in cells]
-    cfg.out.mkdir(parents=True, exist_ok=True)
     analytic.write_trajectory_csv(cfg.out / "predict.csv", trajectories)
-    _write_rows(cfg.out / "predict_legend.csv",
-                ["mode", "lambda", "epsilon", "gamma_eff", "fixed_point_dae", "fixed_point_wdae"],
-                legend)
+    analytic.write_csv(cfg.out / "predict_legend.csv",
+                       ["mode", "lambda", "epsilon", "gamma_eff", "fixed_point_dae",
+                        "fixed_point_wdae"], legend)
     return [cfg.out / "predict.csv", cfg.out / "predict_legend.csv"]
 
 
@@ -304,13 +307,12 @@ def cmd_surface(cfg: ExperimentConfig):
     gamma_eff = cfg.n * cfg.gamma
     if not (np.isfinite(cfg.grid_min) and np.isfinite(cfg.grid_max)) or cfg.grid_min >= cfg.grid_max:
         raise ConfigError("surface grid bounds must be finite with min < max")
-    axis = np.linspace(cfg.grid_min, cfg.grid_max, cfg.grid_points)
+    axis = np.linspace(cfg.grid_min, cfg.grid_max, cfg.grid_points).tolist()
     surface_rows = []
     for w1 in axis:
         for w2 in axis:
             loss, _, _ = analytic.scalar_loss_and_grad(w1, w2, lam, eps, tau=1.0)
-            loss += 0.5 * gamma_eff * (w1 * w1 + w2 * w2)
-            surface_rows.append((repr(float(w1)), repr(float(w2)), repr(float(loss))))
+            surface_rows.append((w1, w2, loss + 0.5 * gamma_eff * (w1 * w1 + w2 * w2)))
     rng = np.random.default_rng(cfg.seed)
     path_rows = []
     for path_id in range(cfg.paths):
@@ -318,12 +320,12 @@ def cmd_surface(cfg: ExperimentConfig):
         mode = analytic.ScalarMode(lam=lam, epsilon=eps, tau=cfg.tau, w1_0=w1_0, w2_0=w2_0)
         run = simulate.run_scalar_gd(mode, cfg.alpha, cfg.epochs, cfg.record_every,
                                      gamma_eff=gamma_eff)
-        for t, w1, w2, w in zip(run.trajectory.times, run.w1, run.w2, run.trajectory.values):
-            path_rows.append((path_id, repr(float(t)), repr(float(w1)), repr(float(w2)),
-                              repr(float(w))))
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    _write_rows(cfg.out / "surface.csv", ["w1", "w2", "loss"], surface_rows)
-    _write_rows(cfg.out / "surface_paths.csv", ["path", "epoch", "w1", "w2", "value"], path_rows)
+        path_rows += [(path_id, *row) for row in zip(
+            run.trajectory.times.tolist(), run.w1.tolist(), run.w2.tolist(),
+            run.trajectory.values.tolist())]
+    analytic.write_csv(cfg.out / "surface.csv", ["w1", "w2", "loss"], surface_rows)
+    analytic.write_csv(cfg.out / "surface_paths.csv", ["path", "epoch", "w1", "w2", "value"],
+                       path_rows)
     return [cfg.out / "surface.csv", cfg.out / "surface_paths.csv"]
 
 
@@ -346,7 +348,6 @@ def cmd_simulate(cfg: ExperimentConfig):
     elif eps == 0.0 and mode.w0 > 0.0:
         trajectories.append(analytic.wdae_series(lam, gamma_eff, cfg.tau, mode.w0,
                                                  run.trajectory.times))
-    cfg.out.mkdir(parents=True, exist_ok=True)
     analytic.write_trajectory_csv(cfg.out / "simulate.csv", trajectories)
     return [cfg.out / "simulate.csv"]
 
@@ -361,14 +362,13 @@ def cmd_compare(cfg: ExperimentConfig):
     for mode_index, lam, eps, gamma_eff, dae, wdae in cells:
         target = 0.5 * analytic.dae_fixed_point(lam, eps)
         summary.append((mode_index, lam, eps, gamma_eff,
-                        repr(float(dae.values[-1])), repr(float(wdae.values[-1])),
+                        float(dae.values[-1]), float(wdae.values[-1]),
                         analytic.first_crossing_time(times, dae.values, target),
                         analytic.first_crossing_time(times, wdae.values, target)))
-    cfg.out.mkdir(parents=True, exist_ok=True)
     analytic.write_trajectory_csv(cfg.out / "compare.csv", trajectories)
-    _write_rows(cfg.out / "compare_summary.csv",
-                ["mode", "lambda", "epsilon", "gamma_eff", "plateau_dae", "plateau_wdae",
-                 "half_rise_dae", "half_rise_wdae"], summary)
+    analytic.write_csv(cfg.out / "compare_summary.csv",
+                       ["mode", "lambda", "epsilon", "gamma_eff", "plateau_dae", "plateau_wdae",
+                        "half_rise_dae", "half_rise_wdae"], summary)
     return [cfg.out / "compare.csv", cfg.out / "compare_summary.csv"]
 
 
@@ -426,7 +426,6 @@ def cmd_real_data(cfg: ExperimentConfig):
     tau = n / cfg.alpha
     simulated = [run.trajectories[rank - 1] for rank in modes]
     predicted = predictions_for_run(run, spec, eps_eff, n * cfg.gamma, tau, modes)
-    cfg.out.mkdir(parents=True, exist_ok=True)
     analytic.write_trajectory_csv(cfg.out / "real_data.csv",
                                   simulated + predicted + [run.norms])
     spectrum.write_spectrum_csv(spec, cfg.out / "spectrum.csv")
@@ -440,8 +439,11 @@ def cmd_nonlinear(cfg: ExperimentConfig):
     modes = cfg.modes if cfg.modes is not None else list(DEFAULT_MODES["nonlinear"])
     if any(m > dataset.d for m in modes):
         raise ConfigError(f"mode ranks {modes} exceed input dimension {dataset.d}")
-    sigma2 = cfg.sigma2 if cfg.sigma2 is not None else 3.0
-    gamma = cfg.gamma if cfg.gamma > 0.0 else 0.0045
+    noise = _noise_model(cfg, dataset.n)
+    eps_eff = analytic.epsilon_from_noise(noise, dataset.n)
+    gamma = cfg.gamma
+    if gamma == 0.0 and eps_eff > 0.0:   # the decay matching the DAE leg's mode-1 fixed point
+        gamma = analytic.equivalent_decay(float(spec.eigenvalues[0]), eps_eff) / dataset.n
     base = dict(learning_rate=cfg.alpha, epochs=cfg.epochs, init=cfg.init,
                 init_scale=cfg.init_scale, seed=cfg.seed, hidden_dim=cfg.hidden,
                 record_every=cfg.record_every, loss_mode="sampled",
@@ -449,19 +451,13 @@ def cmd_nonlinear(cfg: ExperimentConfig):
     runs = {
         "ae": simulate.TrainingConfig(noise=NoiseModel.none(), **base),
         "wdae": simulate.TrainingConfig(noise=NoiseModel.none(), weight_decay=gamma, **base),
-        "dae": simulate.TrainingConfig(noise=NoiseModel.gaussian(sigma2), **base),
+        "dae": simulate.TrainingConfig(noise=noise, **base),
     }
-    outputs = []
-    results = {}
-    for name, train in runs.items():
-        estimates = nonlinear.train_nonlinear(dataset, spec, train, cfg.activation)
-        results[name] = estimates
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    for name, estimates in results.items():
-        trajectories = estimates_to_trajectories(estimates, modes)
-        path = cfg.out / f"nonlinear_{name}.csv"
-        analytic.write_trajectory_csv(path, trajectories)
-        outputs.append(path)
+    results = {name: nonlinear.train_nonlinear(dataset, spec, train, cfg.activation)
+               for name, train in runs.items()}
+    outputs = [cfg.out / f"nonlinear_{name}.csv" for name in results]
+    for path, estimates in zip(outputs, results.values()):
+        analytic.write_trajectory_csv(path, estimates_to_trajectories(estimates, modes))
     return outputs
 
 
@@ -481,19 +477,14 @@ def estimates_to_trajectories(estimates, mode_ranks):
 def cmd_rates(cfg: ExperimentConfig):
     """Optimal learning rates and their ratio over a noise grid."""
     lam = cfg.lambdas[0]
-    if cfg.epsilons is not None:
-        eps_grid = np.asarray(cfg.epsilons, dtype=np.float64)
-    else:
-        eps_grid = np.linspace(0.0, cfg.eps_max, cfg.eps_points)
+    eps_grid = (cfg.epsilons if cfg.epsilons is not None
+                else np.linspace(0.0, cfg.eps_max, cfg.eps_points).tolist())
     rows = []
     for eps in eps_grid:
         gamma_eff = analytic.equivalent_decay(lam, eps) if lam + eps > 0.0 else 0.0
-        a_eps, a_gamma, ratio = analytic.optimal_rates(lam, eps, gamma_eff, cfg.tau)
-        rows.append((repr(float(eps)), repr(float(gamma_eff)), repr(float(a_eps)),
-                     repr(float(a_gamma)), repr(float(ratio))))
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    _write_rows(cfg.out / "rates.csv",
-                ["epsilon", "gamma_eff", "alpha_eps", "alpha_gamma", "ratio"], rows)
+        rows.append((eps, gamma_eff, *analytic.optimal_rates(lam, eps, gamma_eff, cfg.tau)))
+    analytic.write_csv(cfg.out / "rates.csv",
+                       ["epsilon", "gamma_eff", "alpha_eps", "alpha_gamma", "ratio"], rows)
     return [cfg.out / "rates.csv"]
 
 
@@ -511,13 +502,6 @@ def cmd_ingest(cfg: ExperimentConfig):
     if vec_path:
         outputs.append(vec_path)
     return outputs
-
-
-def _write_rows(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 COMMANDS = {

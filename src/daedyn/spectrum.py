@@ -7,12 +7,12 @@ time constant tau = N / alpha rather than the covariance itself.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
+from .analytic import write_csv
 from .errors import NotSymmetricError
 
 log = logging.getLogger(__name__)
@@ -168,26 +168,9 @@ def random_orthogonal(dim, rng):
 def write_spectrum_csv(spectrum, path, eigenvectors_path=None):
     """CSV rows (index, eigenvalue) with a header; index is the 1-based rank.
 
-    Eigenvectors go to a separate D x D CSV when a path is given (column j of
-    the file is eigenvector j).
+    Eigenvectors go to a separate headerless D x D CSV when a path is given
+    (column j of the file is eigenvector j).
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "eigenvalue"])
-        for i, lam in enumerate(spectrum.eigenvalues, start=1):
-            writer.writerow([i, repr(float(lam))])
+    write_csv(path, ["index", "eigenvalue"], enumerate(spectrum.eigenvalues.tolist(), start=1))
     if eigenvectors_path is not None:
-        with open(eigenvectors_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in spectrum.eigenvectors:
-                writer.writerow([repr(float(x)) for x in row])
-
-
-def read_spectrum_csv(path):
-    """Inverse of write_spectrum_csv for the eigenvalue file; returns the value array."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:2] != ["index", "eigenvalue"]:
-            raise ValueError(f"unexpected spectrum CSV header {header!r}")
-        return np.array([float(row[1]) for row in reader])
+        write_csv(eigenvectors_path, None, spectrum.eigenvectors.tolist())

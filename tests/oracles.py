@@ -6,12 +6,16 @@ gradients against central finite differences, the LAPACK-backed
 eigendecomposition against cyclic Jacobi rotations, the eigenbasis
 training of the marginalised linear autoencoder against plain pixel-space
 descent, and the eigenbasis mode estimator against the dense pixel-space
-cross-covariance.
+cross-covariance. The CSV readers turn the files the CLI writes back into
+arrays.
 """
 
+import csv
 import math
 
 import numpy as np
+
+from daedyn.analytic import Trajectory
 
 
 def rk4_step(f, t, y, h):
@@ -207,3 +211,31 @@ def cross_covariance_mode_ratios(x, w1, w2, phi, v, lams, floor_factor=1e-8):
     ratios = np.full(lams.shape, np.nan)
     ratios[retained] = diag[retained] / lams[retained]
     return ratios
+
+
+def read_trajectory_csv(path):
+    """The epoch,mode,kind,value schema back as Trajectory objects, one per (mode, kind)."""
+    groups: dict[tuple[int, str], list[tuple[float, float]]] = {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        if header != ["epoch", "mode", "kind", "value"]:
+            raise ValueError(f"unexpected trajectory CSV header {header!r}")
+        for row in reader:
+            groups.setdefault((int(row[1]), row[2]), []).append((float(row[0]), float(row[3])))
+    out = []
+    for (mode_index, kind), pairs in groups.items():
+        times, values = zip(*pairs)
+        out.append(Trajectory(times=np.array(times), values=np.array(values),
+                              kind=kind, mode_index=mode_index))
+    return out
+
+
+def read_spectrum_csv(path):
+    """The eigenvalue column of an index,eigenvalue spectrum CSV."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        if header[:2] != ["index", "eigenvalue"]:
+            raise ValueError(f"unexpected spectrum CSV header {header!r}")
+        return np.array([float(row[1]) for row in reader])

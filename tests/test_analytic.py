@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import central_difference_grad, dae_flow, solve_at_times, wdae_flow
+from oracles import (
+    central_difference_grad,
+    dae_flow,
+    read_trajectory_csv,
+    solve_at_times,
+    wdae_flow,
+)
 
 from daedyn import analytic
 from daedyn.analytic import (
@@ -18,10 +24,10 @@ from daedyn.analytic import (
     equivalent_decay,
     first_crossing_time,
     optimal_rates,
-    read_trajectory_csv,
     scalar_loss_and_grad,
     wdae_fixed_point,
     wdae_trajectory,
+    write_csv,
     write_trajectory_csv,
 )
 from daedyn.errors import DegenerateTrajectoryError, UnsupportedModeError
@@ -347,6 +353,27 @@ def test_trajectory_csv_round_trip(tmp_path):
     back = {(t.mode_index, t.kind): t for t in read_trajectory_csv(path)}
     assert np.array_equal(back[(1, "analytic_dae")].values, t1.values)
     assert np.array_equal(back[(2, "analytic_wdae")].values, t2.values)
+
+
+def test_write_csv_encoding(tmp_path):
+    # commas, CRLF row ends, floats as repr(float(x)), None as an empty field
+    values = np.array([1.0 / 3.0, -2.5e-300, 6.02214076e23])
+    rows = [[1, "analytic_dae", None, -0.0],
+            [5e-324, 1e-05, 1e16, 0.1 + 0.2],
+            values.tolist(),
+            [-1, np.arange(3)[2].item(), np.float64(0.7).item(), None]]
+
+    def field(x):
+        if x is None:
+            return ""
+        return repr(float(x)) if isinstance(x, float) else str(x)
+
+    path = tmp_path / "new" / "dir" / "table.csv"
+    write_csv(path, ["a", "b", "c", "d"], rows)
+    expected = "".join(",".join(map(field, row)) + "\r\n" for row in [["a", "b", "c", "d"], *rows])
+    assert path.read_bytes() == expected.encode()
+    write_csv(path, None, rows[1:2])
+    assert path.read_bytes() == b"5e-324,1e-05,1e+16,0.30000000000000004\r\n"
 
 
 def test_first_crossing_time():

@@ -5,8 +5,9 @@ import csv
 import numpy as np
 import pytest
 
+from oracles import read_trajectory_csv
+
 from daedyn import cli, spectrum
-from daedyn.analytic import read_trajectory_csv
 from daedyn.cli import ExperimentConfig, build_config, main
 from daedyn.errors import ConfigError
 
@@ -112,8 +113,11 @@ def test_cli_returns_io_error_exit_code(tmp_path, capsys):
     ["surface", "--gamma", "inf", "--epochs", "5"],
     ["ingest"],
     ["compare", "--gamma", "0.5", "--epochs", "5"],
+    ["nonlinear", "--dataset", "{cache}", "--epsilon", "1,50", "--hidden", "4",
+     "--modes", "1,2", "--epochs", "5"],
 ], ids=["degenerate-predict", "overcomplete-orthogonal", "negative-paths", "zero-eps-points",
-        "real-data-epsilon-list", "infinite-gamma", "ingest-without-dataset", "compare-gamma"])
+        "real-data-epsilon-list", "infinite-gamma", "ingest-without-dataset", "compare-gamma",
+        "nonlinear-epsilon-list"])
 def test_cli_invalid_inputs_exit_2_without_traceback(argv, tmp_path, d16_cache, capsys):
     argv = [a.format(cache=d16_cache) for a in argv] + ["--out", str(tmp_path / "out")]
     assert main(argv) == cli.EXIT_CONFIG
@@ -157,6 +161,55 @@ def test_nonlinear_noise_draws_reach_the_dae_leg(tmp_path, d16_cache):
         name = f"nonlinear_{leg}.csv"
         assert ((tmp_path / "one" / name).read_bytes()
                 == (tmp_path / "two" / name).read_bytes()) is same, leg
+
+
+def test_nonlinear_noise_preset_yields_to_any_noise_spec(d16_cache):
+    flags = {"dataset": str(d16_cache)}
+    for activation, preset in (("relu", 3.0), ("identity", 3.0), ("tanh", 2.0)):
+        flags["activation"] = activation
+        assert build_config("nonlinear", {}, flags).sigma2 == preset
+        assert build_config("nonlinear", {}, {**flags, "sigma2": 0.5}).sigma2 == 0.5
+        for spec in ({"laplace_b": 5.0}, {"epsilons": "100"}):
+            assert build_config("nonlinear", {}, {**flags, **spec}).sigma2 is None, spec
+
+
+NONLINEAR_SMALL = ["nonlinear", "--hidden", "4", "--modes", "1,2", "--alpha", "0.05",
+                   "--epochs", "20", "--record-every", "5"]
+
+
+@pytest.mark.parametrize("noise", [["--sigma2", "0.5"], ["--epsilon", "100"],
+                                   ["--laplace-b", "5"]], ids=["sigma2", "epsilon", "laplace-b"])
+def test_nonlinear_honours_every_noise_flag(noise, tmp_path, d16_cache):
+    # an explicit decay keeps the WDAE leg independent of the noise level
+    base = NONLINEAR_SMALL + ["--dataset", str(d16_cache), "--gamma", "0.01"]
+    assert main(base + ["--out", str(tmp_path / "preset")]) == cli.EXIT_OK
+    assert main(base + noise + ["--out", str(tmp_path / "flag")]) == cli.EXIT_OK
+    for leg, same in (("ae", True), ("wdae", True), ("dae", False)):
+        name = f"nonlinear_{leg}.csv"
+        assert ((tmp_path / "preset" / name).read_bytes()
+                == (tmp_path / "flag" / name).read_bytes()) is same, leg
+    # tanh's preset noise level no longer collides with an explicit spec
+    assert main(base + noise + ["--activation", "tanh", "--out", str(tmp_path / "tanh")]) \
+        == cli.EXIT_OK
+
+
+def test_nonlinear_default_decay_is_the_matched_decay(tmp_path, d16_cache):
+    from daedyn.analytic import equivalent_decay
+    from daedyn.data import load_matrix, preprocess
+
+    ds = preprocess(load_matrix(d16_cache))
+    lam1 = float(spectrum.eigendecompose(spectrum.covariance(ds)).eigenvalues[0])
+    gamma = equivalent_decay(lam1, ds.n * 3.0) / ds.n
+    base = NONLINEAR_SMALL + ["--dataset", str(d16_cache)]
+    assert main(base + ["--out", str(tmp_path / "default")]) == cli.EXIT_OK
+    assert main(base + ["--gamma", repr(gamma), "--out", str(tmp_path / "explicit")]) \
+        == cli.EXIT_OK
+    assert ((tmp_path / "default" / "nonlinear_wdae.csv").read_bytes()
+            == (tmp_path / "explicit" / "nonlinear_wdae.csv").read_bytes())
+    # without noise there is nothing to match: the WDAE leg is the AE leg
+    assert main(base + ["--sigma2", "0", "--out", str(tmp_path / "clean")]) == cli.EXIT_OK
+    assert ((tmp_path / "clean" / "nonlinear_wdae.csv").read_bytes()
+            == (tmp_path / "clean" / "nonlinear_ae.csv").read_bytes())
 
 
 @pytest.mark.parametrize("noise", [("epsilon=0.5", "epsilons", [float]),
@@ -388,16 +441,31 @@ def test_nonlinear_zero_epoch_emits_one_row_per_mode(tmp_path, mnist_like_paths)
 
 
 def test_cli_outputs_are_deterministic(tmp_path, mnist_like_paths):
-    images, _ = mnist_like_paths
-    args = ["real-data", "--dataset", str(images), "--n", "200", "--sigma2", "0.5",
-            "--alpha", "0.02", "--epochs", "300", "--hidden", "8",
-            "--modes", "1,2", "--record-every", "50", "--seed", "11"]
-    out_a = tmp_path / "a"
-    out_b = tmp_path / "b"
-    assert main(args + ["--out", str(out_a)]) == 0
-    assert main(args + ["--out", str(out_b)]) == 0
-    for name in ("real_data.csv", "spectrum.csv"):
-        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+    images = str(mnist_like_paths[0])
+    runs = {
+        "real-data": ["real-data", "--dataset", images, "--n", "200", "--sigma2", "0.5",
+                      "--alpha", "0.02", "--epochs", "300", "--hidden", "8",
+                      "--modes", "1,2", "--record-every", "50", "--seed", "11"],
+        "nonlinear": ["nonlinear", "--dataset", images, "--n", "100", "--hidden", "8",
+                      "--alpha", "0.02", "--epochs", "20", "--record-every", "5", "--seed", "11"],
+        "ingest": ["ingest", "--dataset", images, "--n", "100", "--eigenvectors"],
+        "predict": ["predict", "--epochs", "500"],
+        "compare": ["compare", "--epochs", "500"],
+        "simulate": ["simulate", "--epsilon", "0.5", "--epochs", "500"],
+        "surface": ["surface", "--grid-points", "11", "--paths", "2", "--epochs", "100",
+                    "--seed", "11"],
+        "rates": ["rates"],
+    }
+    assert set(runs) == set(cli.COMMANDS)
+    for command, args in runs.items():
+        out_a = tmp_path / command / "a"
+        out_b = tmp_path / command / "b"
+        assert main(args + ["--out", str(out_a)]) == 0
+        assert main(args + ["--out", str(out_b)]) == 0
+        names = sorted(path.name for path in out_a.glob("*.csv"))
+        assert names and names == sorted(path.name for path in out_b.glob("*.csv")), command
+        for name in names:
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), (command, name)
 
 
 def test_experiment_config_tau():

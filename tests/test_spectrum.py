@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import jacobi_eigh
+from oracles import jacobi_eigh, read_spectrum_csv
 
 from daedyn.errors import NotSymmetricError
 from daedyn.spectrum import (
@@ -13,7 +13,6 @@ from daedyn.spectrum import (
     eigendecompose,
     projected_diagonal,
     random_orthogonal,
-    read_spectrum_csv,
     rotate_weights,
     write_spectrum_csv,
 )
