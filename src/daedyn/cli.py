@@ -13,7 +13,7 @@ import argparse
 import logging
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -46,11 +46,11 @@ class ExperimentConfig:
     experiment: str
     out: Path = Path("out")
     seed: int = 0
-    lambdas: list[float] = field(default_factory=lambda: list(DEFAULT_LAMBDAS))
+    lambdas: list[float] | None = None
     epsilons: list[float] | None = None
     sigma2: float | None = None
     laplace_b: float | None = None
-    gamma: float = 0.0
+    gamma: float | None = None
     n: int = 100
     alpha: float = 1.0
     epochs: int = 1000
@@ -84,9 +84,12 @@ class ExperimentConfig:
 
     def validate(self):
         for name, value in vars(self).items():
-            if any(isinstance(v, float) and not math.isfinite(v)
-                   for v in (value if isinstance(value, list) else [value])):
-                raise ConfigError(f"{name.replace('_', '-')} must be finite, got {value}")
+            flag = next((k for k, v in _KEY_ALIASES.items() if v == name), name).replace("_", "-")
+            values = value if isinstance(value, list) else [value]
+            if not values:
+                raise ConfigError(f"{flag} needs at least one value")
+            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+                raise ConfigError(f"{flag} must be finite, got {value}")
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
         if self.alpha <= 0.0:
@@ -97,13 +100,13 @@ class ExperimentConfig:
             raise ConfigError(f"record-every must be >= 1, got {self.record_every}")
         if self.hidden < 1:
             raise ConfigError(f"hidden must be >= 1, got {self.hidden}")
-        if self.gamma < 0.0:
+        if self.gamma is not None and self.gamma < 0.0:
             raise ConfigError(f"gamma must be >= 0, got {self.gamma}")
         if self.sigma2 is not None and self.sigma2 < 0.0:
             raise ConfigError(f"sigma2 must be >= 0, got {self.sigma2}")
         if self.laplace_b is not None and self.laplace_b < 0.0:
             raise ConfigError(f"laplace-b must be >= 0, got {self.laplace_b}")
-        if any(lam <= 0.0 for lam in self.lambdas):
+        if self.lambdas is not None and any(lam <= 0.0 for lam in self.lambdas):
             raise ConfigError(f"lambda grid must be positive, got {self.lambdas}")
         if self.epsilons is not None and any(e < 0.0 for e in self.epsilons):
             raise ConfigError(f"epsilon grid must be >= 0, got {self.epsilons}")
@@ -201,17 +204,22 @@ def build_config(experiment, file_values, flag_values) -> ExperimentConfig:
     return cfg
 
 
-def _effective_epsilon(cfg: ExperimentConfig, n):
-    """Scalar effective noise from whichever noise flag was given (0 if none)."""
+def _epsilons(cfg: ExperimentConfig, n, default=None):
+    """Effective noise levels from whichever noise spec was given, else default."""
     if cfg.sigma2 is not None:
-        return analytic.epsilon_from_noise(NoiseModel.gaussian(cfg.sigma2), n)
+        return [analytic.epsilon_from_noise(NoiseModel.gaussian(cfg.sigma2), n)]
     if cfg.laplace_b is not None:
-        return analytic.epsilon_from_noise(NoiseModel.laplace(cfg.laplace_b), n)
-    if cfg.epsilons is not None:
-        if len(cfg.epsilons) != 1:
-            raise ConfigError("this experiment needs a single epsilon value")
-        return cfg.epsilons[0]
-    return 0.0
+        return [analytic.epsilon_from_noise(NoiseModel.laplace(cfg.laplace_b), n)]
+    return cfg.epsilons if cfg.epsilons is not None else default
+
+
+def _single(values, name, default):
+    """The one value a one-mode command takes from a list setting; default if not given."""
+    if values is None:
+        return default
+    if len(values) != 1:
+        raise ConfigError(f"this experiment needs a single {name} value")
+    return values[0]
 
 
 def _noise_model(cfg: ExperimentConfig, n) -> NoiseModel:
@@ -219,7 +227,7 @@ def _noise_model(cfg: ExperimentConfig, n) -> NoiseModel:
         return NoiseModel.gaussian(cfg.sigma2)
     if cfg.laplace_b is not None:
         return NoiseModel.laplace(cfg.laplace_b)
-    eps = _effective_epsilon(cfg, n)
+    eps = _single(cfg.epsilons, "epsilon", 0.0)
     # effective units back to a per-component gaussian variance
     return NoiseModel.gaussian(eps / n) if eps > 0.0 else NoiseModel.none()
 
@@ -272,12 +280,13 @@ def _theory_grid(cfg: ExperimentConfig):
     times = _record_times(cfg)
     w1_0, w2_0 = _initial_weights(cfg)
     w0 = w2_0 * w1_0
-    epsilons = cfg.epsilons if cfg.epsilons is not None else list(DEFAULT_EPSILONS)
+    epsilons = _epsilons(cfg, cfg.n, DEFAULT_EPSILONS)
     cells = []
-    for lam in cfg.lambdas:
+    for lam in cfg.lambdas if cfg.lambdas is not None else DEFAULT_LAMBDAS:
         for eps in epsilons:
             mode_index = len(cells) + 1
-            gamma_eff = cfg.n * cfg.gamma if cfg.gamma > 0.0 else analytic.equivalent_decay(lam, eps)
+            gamma_eff = (cfg.n * cfg.gamma if cfg.gamma is not None
+                         else analytic.equivalent_decay(lam, eps))
             mode = analytic.ScalarMode(lam=lam, epsilon=eps, tau=cfg.tau, w1_0=w1_0, w2_0=w2_0)
             cells.append((mode_index, lam, eps, gamma_eff,
                           analytic.dae_series(mode, times, mode_index=mode_index),
@@ -302,9 +311,9 @@ def cmd_predict(cfg: ExperimentConfig):
 
 def cmd_surface(cfg: ExperimentConfig):
     """Loss surface samples over (w1, w2) plus seeded gradient-descent paths."""
-    lam = cfg.lambdas[0]
-    eps = _effective_epsilon(cfg, cfg.n)
-    gamma_eff = cfg.n * cfg.gamma
+    lam = _single(cfg.lambdas, "lambda", DEFAULT_LAMBDAS[0])
+    eps = _single(_epsilons(cfg, cfg.n), "epsilon", 0.0)
+    gamma_eff = cfg.n * (cfg.gamma or 0.0)
     if not (np.isfinite(cfg.grid_min) and np.isfinite(cfg.grid_max)) or cfg.grid_min >= cfg.grid_max:
         raise ConfigError("surface grid bounds must be finite with min < max")
     axis = np.linspace(cfg.grid_min, cfg.grid_max, cfg.grid_points).tolist()
@@ -331,9 +340,9 @@ def cmd_surface(cfg: ExperimentConfig):
 
 def cmd_simulate(cfg: ExperimentConfig):
     """One scalar gradient-descent run with the analytic overlay when available."""
-    lam = cfg.lambdas[0]
-    eps = _effective_epsilon(cfg, cfg.n)
-    gamma_eff = cfg.n * cfg.gamma
+    lam = _single(cfg.lambdas, "lambda", DEFAULT_LAMBDAS[0])
+    eps = _single(_epsilons(cfg, cfg.n), "epsilon", 0.0)
+    gamma_eff = cfg.n * (cfg.gamma or 0.0)
     w1_0, w2_0 = _initial_weights(cfg)
     mode = analytic.ScalarMode(lam=lam, epsilon=eps, tau=cfg.tau, w1_0=w1_0, w2_0=w2_0)
     run = simulate.run_scalar_gd(mode, cfg.alpha, cfg.epochs, cfg.record_every,
@@ -354,7 +363,7 @@ def cmd_simulate(cfg: ExperimentConfig):
 
 def cmd_compare(cfg: ExperimentConfig):
     """Matched DAE-vs-WDAE theory curves plus plateau and half-rise summary."""
-    if cfg.gamma > 0.0:
+    if cfg.gamma is not None:
         raise ConfigError("compare always uses each cell's matched decay; it takes no --gamma")
     times, cells = _theory_grid(cfg)
     trajectories = [series for cell in cells for series in cell[4:]]
@@ -406,7 +415,8 @@ def cmd_real_data(cfg: ExperimentConfig):
     n = dataset.n
     noise = _noise_model(cfg, n)
     eps_eff = analytic.epsilon_from_noise(noise, n)
-    if eps_eff > 0.0 and cfg.gamma > 0.0:
+    gamma = cfg.gamma or 0.0
+    if eps_eff > 0.0 and gamma > 0.0:
         # the predicted curves have a closed form for noise or for decay, not both
         raise ConfigError("comparison runs use either noise or weight decay, not both")
     spec = spectrum.eigendecompose(spectrum.covariance(dataset))
@@ -417,15 +427,19 @@ def cmd_real_data(cfg: ExperimentConfig):
         if rank > cfg.hidden:
             log.warning("mode %d exceeds hidden width %d and cannot be learned",
                         rank, cfg.hidden)
+        elif rank == cfg.hidden:
+            # the last mode the network can hold couples to the unlearnable ones
+            log.warning("mode %d sits at hidden width %d; its simulated curve can lag "
+                        "the closed form", rank, cfg.hidden)
     train = simulate.TrainingConfig(
         learning_rate=cfg.alpha, epochs=cfg.epochs, noise=noise,
-        weight_decay=cfg.gamma, init=cfg.init, init_scale=cfg.init_scale,
+        weight_decay=gamma, init=cfg.init, init_scale=cfg.init_scale,
         seed=cfg.seed, hidden_dim=cfg.hidden, record_every=cfg.record_every,
         loss_mode=cfg.loss_mode, noise_draws=cfg.noise_draws)
     run = simulate.run_linear_ae(dataset, spec, train)
     tau = n / cfg.alpha
     simulated = [run.trajectories[rank - 1] for rank in modes]
-    predicted = predictions_for_run(run, spec, eps_eff, n * cfg.gamma, tau, modes)
+    predicted = predictions_for_run(run, spec, eps_eff, n * gamma, tau, modes)
     analytic.write_trajectory_csv(cfg.out / "real_data.csv",
                                   simulated + predicted + [run.norms])
     spectrum.write_spectrum_csv(spec, cfg.out / "spectrum.csv")
@@ -442,8 +456,9 @@ def cmd_nonlinear(cfg: ExperimentConfig):
     noise = _noise_model(cfg, dataset.n)
     eps_eff = analytic.epsilon_from_noise(noise, dataset.n)
     gamma = cfg.gamma
-    if gamma == 0.0 and eps_eff > 0.0:   # the decay matching the DAE leg's mode-1 fixed point
-        gamma = analytic.equivalent_decay(float(spec.eigenvalues[0]), eps_eff) / dataset.n
+    if gamma is None:   # the decay matching the DAE leg's mode-1 fixed point
+        gamma = (analytic.equivalent_decay(float(spec.eigenvalues[0]), eps_eff) / dataset.n
+                 if eps_eff > 0.0 else 0.0)
     base = dict(learning_rate=cfg.alpha, epochs=cfg.epochs, init=cfg.init,
                 init_scale=cfg.init_scale, seed=cfg.seed, hidden_dim=cfg.hidden,
                 record_every=cfg.record_every, loss_mode="sampled",
@@ -476,9 +491,8 @@ def estimates_to_trajectories(estimates, mode_ranks):
 
 def cmd_rates(cfg: ExperimentConfig):
     """Optimal learning rates and their ratio over a noise grid."""
-    lam = cfg.lambdas[0]
-    eps_grid = (cfg.epsilons if cfg.epsilons is not None
-                else np.linspace(0.0, cfg.eps_max, cfg.eps_points).tolist())
+    lam = _single(cfg.lambdas, "lambda", DEFAULT_LAMBDAS[0])
+    eps_grid = _epsilons(cfg, cfg.n, np.linspace(0.0, cfg.eps_max, cfg.eps_points).tolist())
     rows = []
     for eps in eps_grid:
         gamma_eff = analytic.equivalent_decay(lam, eps) if lam + eps > 0.0 else 0.0

@@ -263,36 +263,6 @@ def _draw_noise(rng, noise: NoiseModel, shape):
     return rng.laplace(0.0, noise.scale, size=shape)
 
 
-def sampled_loss(model: Autoencoder, dataset, noise: NoiseModel, draws, seed, with_std=False):
-    """Monte Carlo reconstruction loss over sampled corruptions.
-
-    Averages (1/2N) sum ||x_i - W2 W1 (x_i + e)||^2 over `draws` independent
-    corruption draws; converges to the marginalised loss as draws grow.
-    with_std additionally returns the per-draw standard deviation.
-    """
-    if draws < 1:
-        raise ValueError(f"draws must be >= 1, got {draws}")
-    x = dataset.samples if isinstance(dataset, Dataset) else np.asarray(dataset, dtype=np.float64)
-    n, d = x.shape
-    rng = np.random.default_rng(seed)
-    m = model.w2 @ model.w1
-    base = x - x @ m.T                # clean residual, N x D
-    if noise.kind == "none":
-        value = 0.5 / n * float(np.sum(base * base))
-        return (value, 0.0) if with_std else value
-    chunk = max(1, int(2_000_000 / (n * d)))
-    per_draw = np.empty(draws)
-    done = 0
-    while done < draws:
-        take = min(chunk, draws - done)
-        e = _draw_noise(rng, noise, (take, n, d))
-        res = base[None, :, :] - e @ m.T
-        per_draw[done:done + take] = 0.5 / n * np.sum(res * res, axis=(1, 2))
-        done += take
-    value = float(per_draw.mean())
-    return (value, float(per_draw.std(ddof=1)) if draws > 1 else 0.0) if with_std else value
-
-
 def backprop_grads(model: Autoencoder, batch, corrupted_batch):
     """Loss and full-batch gradients of (1/2N) sum ||x_i - W2 phi(W1 x_tilde_i)||^2.
 

@@ -142,22 +142,6 @@ def rotate_weights(w1, w2, spectrum):
     return w1 @ v, v.T @ w2
 
 
-def projected_diagonal(w1, w2, spectrum):
-    """Per-mode mapping values: diag of V^T W2 W1 V, plus the max off-diagonal.
-
-    The off-diagonal report is the decoupling check; it is exactly zero for
-    rotation-aligned initialisation.
-    """
-    w1r, w2r = rotate_weights(w1, w2, spectrum)
-    m = w2r @ w1r
-    diag = np.diag(m).copy()
-    if m.shape[0] > 1:
-        off = float(np.max(np.abs(m - np.diag(diag))))
-    else:
-        off = 0.0
-    return diag, off
-
-
 def random_orthogonal(dim, rng):
     """Orthogonal matrix from QR of a standard normal draw, sign-fixed via diag(R) >= 0."""
     m = rng.standard_normal((dim, dim))

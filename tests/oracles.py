@@ -6,8 +6,10 @@ gradients against central finite differences, the LAPACK-backed
 eigendecomposition against cyclic Jacobi rotations, the eigenbasis
 training of the marginalised linear autoencoder against plain pixel-space
 descent, and the eigenbasis mode estimator against the dense pixel-space
-cross-covariance. The CSV readers turn the files the CLI writes back into
-arrays.
+cross-covariance. The Monte Carlo sampled loss is the reference for the
+noise-marginalised loss, and the projected diagonal reads per-mode values off
+a pair of pixel-space weights. The CSV readers turn the files the CLI writes
+back into arrays.
 """
 
 import csv
@@ -15,7 +17,9 @@ import math
 
 import numpy as np
 
+from daedyn import simulate
 from daedyn.analytic import Trajectory
+from daedyn.spectrum import Dataset, rotate_weights
 
 
 def rk4_step(f, t, y, h):
@@ -211,6 +215,52 @@ def cross_covariance_mode_ratios(x, w1, w2, phi, v, lams, floor_factor=1e-8):
     ratios = np.full(lams.shape, np.nan)
     ratios[retained] = diag[retained] / lams[retained]
     return ratios
+
+
+def sampled_loss(model, dataset, noise, draws, seed, with_std=False):
+    """Monte Carlo reconstruction loss over sampled corruptions.
+
+    Averages (1/2N) sum ||x_i - W2 W1 (x_i + e)||^2 over `draws` independent
+    corruption draws; converges to the marginalised loss as draws grow.
+    with_std additionally returns the per-draw standard deviation.
+    """
+    if draws < 1:
+        raise ValueError(f"draws must be >= 1, got {draws}")
+    x = dataset.samples if isinstance(dataset, Dataset) else np.asarray(dataset, dtype=np.float64)
+    n, d = x.shape
+    rng = np.random.default_rng(seed)
+    m = model.w2 @ model.w1
+    base = x - x @ m.T                # clean residual, N x D
+    if noise.kind == "none":
+        value = 0.5 / n * float(np.sum(base * base))
+        return (value, 0.0) if with_std else value
+    chunk = max(1, int(2_000_000 / (n * d)))
+    per_draw = np.empty(draws)
+    done = 0
+    while done < draws:
+        take = min(chunk, draws - done)
+        e = simulate._draw_noise(rng, noise, (take, n, d))
+        res = base[None, :, :] - e @ m.T
+        per_draw[done:done + take] = 0.5 / n * np.sum(res * res, axis=(1, 2))
+        done += take
+    value = float(per_draw.mean())
+    return (value, float(per_draw.std(ddof=1)) if draws > 1 else 0.0) if with_std else value
+
+
+def projected_diagonal(w1, w2, spectrum):
+    """Per-mode mapping values: diag of V^T W2 W1 V, plus the max off-diagonal.
+
+    The off-diagonal report is the decoupling check; it is exactly zero for
+    rotation-aligned initialisation.
+    """
+    w1r, w2r = rotate_weights(w1, w2, spectrum)
+    m = w2r @ w1r
+    diag = np.diag(m).copy()
+    if m.shape[0] > 1:
+        off = float(np.max(np.abs(m - np.diag(diag))))
+    else:
+        off = 0.0
+    return diag, off
 
 
 def read_trajectory_csv(path):

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import central_difference_grad, dae_flow, solve_at_times, wdae_flow
+from oracles import central_difference_grad, dae_flow, sampled_loss, solve_at_times, wdae_flow
 
 from daedyn import analytic, data, nonlinear, simulate, spectrum
 from daedyn.analytic import (
@@ -36,7 +36,6 @@ from daedyn.simulate import (
     modes_from_linear_ae,
     run_linear_ae,
     run_scalar_gd,
-    sampled_loss,
 )
 from daedyn.spectrum import covariance, eigendecompose
 

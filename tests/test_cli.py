@@ -7,7 +7,8 @@ import pytest
 
 from oracles import read_trajectory_csv
 
-from daedyn import cli, spectrum
+from daedyn import analytic, cli, spectrum
+from daedyn.analytic import NoiseModel
 from daedyn.cli import ExperimentConfig, build_config, main
 from daedyn.errors import ConfigError
 
@@ -115,9 +116,22 @@ def test_cli_returns_io_error_exit_code(tmp_path, capsys):
     ["compare", "--gamma", "0.5", "--epochs", "5"],
     ["nonlinear", "--dataset", "{cache}", "--epsilon", "1,50", "--hidden", "4",
      "--modes", "1,2", "--epochs", "5"],
+    ["compare", "--gamma", "0", "--epochs", "5"],
+    ["simulate", "--lambda", "1,7", "--epochs", "5"],
+    ["surface", "--lambda", "1,7", "--epochs", "5"],
+    ["rates", "--lambda", "1,7"],
+    ["simulate", "--lambda", ",", "--epochs", "5"],
+    ["surface", "--lambda", ",", "--epochs", "5"],
+    ["rates", "--lambda", ","],
+    ["predict", "--lambda", ",", "--epochs", "5"],
+    ["predict", "--epsilon", ",", "--epochs", "5"],
+    ["real-data", "--dataset", "{cache}", "--modes", ",", "--hidden", "4", "--epochs", "5"],
 ], ids=["degenerate-predict", "overcomplete-orthogonal", "negative-paths", "zero-eps-points",
         "real-data-epsilon-list", "infinite-gamma", "ingest-without-dataset", "compare-gamma",
-        "nonlinear-epsilon-list"])
+        "nonlinear-epsilon-list", "compare-zero-gamma", "simulate-lambda-list",
+        "surface-lambda-list", "rates-lambda-list", "simulate-empty-lambda",
+        "surface-empty-lambda", "rates-empty-lambda", "predict-empty-lambda",
+        "predict-empty-epsilon", "real-data-empty-modes"])
 def test_cli_invalid_inputs_exit_2_without_traceback(argv, tmp_path, d16_cache, capsys):
     argv = [a.format(cache=d16_cache) for a in argv] + ["--out", str(tmp_path / "out")]
     assert main(argv) == cli.EXIT_CONFIG
@@ -206,10 +220,12 @@ def test_nonlinear_default_decay_is_the_matched_decay(tmp_path, d16_cache):
         == cli.EXIT_OK
     assert ((tmp_path / "default" / "nonlinear_wdae.csv").read_bytes()
             == (tmp_path / "explicit" / "nonlinear_wdae.csv").read_bytes())
-    # without noise there is nothing to match: the WDAE leg is the AE leg
-    assert main(base + ["--sigma2", "0", "--out", str(tmp_path / "clean")]) == cli.EXIT_OK
-    assert ((tmp_path / "clean" / "nonlinear_wdae.csv").read_bytes()
-            == (tmp_path / "clean" / "nonlinear_ae.csv").read_bytes())
+    # without noise there is nothing to match, and an explicit 0 is no decay even with
+    # noise: either way the WDAE leg is the AE leg
+    for name, flags in (("clean", ["--sigma2", "0"]), ("no-decay", ["--gamma", "0"])):
+        assert main(base + flags + ["--out", str(tmp_path / name)]) == cli.EXIT_OK
+        assert ((tmp_path / name / "nonlinear_wdae.csv").read_bytes()
+                == (tmp_path / name / "nonlinear_ae.csv").read_bytes()), name
 
 
 @pytest.mark.parametrize("noise", [("epsilon=0.5", "epsilons", [float]),
@@ -278,6 +294,35 @@ def test_predict_plateaus_match_fixed_points(tmp_path):
     assert series[(2, "analytic_dae")].values[-1] == pytest.approx(0.5, abs=1e-6)
     legend = _rows(out / "predict_legend.csv")
     assert float(legend[1]["gamma_eff"]) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_predict_zero_gamma_is_no_decay(tmp_path):
+    out = tmp_path / "out"
+    assert main(["predict", "--gamma", "0", "--epochs", "50", "--out", str(out)]) == 0
+    legend = _rows(out / "predict_legend.csv")
+    assert len(legend) == 9
+    assert all(float(row["gamma_eff"]) == 0.0 for row in legend)
+    assert all(float(row["fixed_point_wdae"]) == 1.0 for row in legend)
+
+
+@pytest.mark.parametrize("command", ["predict", "compare", "rates"])
+@pytest.mark.parametrize("noise", [(["--sigma2", "0.01"], NoiseModel.gaussian(0.01)),
+                                   (["--laplace-b", "0.3"], NoiseModel.laplace(0.3))],
+                         ids=["sigma2", "laplace-b"])
+def test_theory_commands_honour_every_noise_flag(command, noise, tmp_path):
+    # the flag writes what its level in effective units (N sigma2 or 2 N b^2) writes
+    flag, model = noise
+    base = [command, "--n", "100", "--epochs", "20", "--record-every", "5"]
+    runs = {"flag": flag, "default": [],
+            "epsilon": ["--epsilon", repr(analytic.epsilon_from_noise(model, 100))]}
+    for name, flags in runs.items():
+        assert main(base + flags + ["--out", str(tmp_path / name)]) == 0, name
+    names = sorted(path.name for path in (tmp_path / "flag").glob("*.csv"))
+    assert names
+    for name in names:
+        written = (tmp_path / "flag" / name).read_bytes()
+        assert written == (tmp_path / "epsilon" / name).read_bytes(), name
+        assert written != (tmp_path / "default" / name).read_bytes(), name
 
 
 def test_predict_matched_decay_same_plateau_later_half_rise(tmp_path):
@@ -419,6 +464,16 @@ def test_real_data_matched_decay_reaches_same_mode1_plateau(tmp_path):
     dae = _series(out_dae / "real_data.csv")[(1, "simulated")]
     wdae = _series(out_wdae / "real_data.csv")[(1, "simulated")]
     assert abs(dae.values[-1] - wdae.values[-1]) <= 1e-3
+
+
+def test_real_data_warns_for_modes_at_and_beyond_the_hidden_width(tmp_path, d16_cache, caplog):
+    with caplog.at_level("WARNING", logger="daedyn.cli"):
+        assert main(["real-data", "--dataset", str(d16_cache), "--hidden", "4",
+                     "--modes", "1,3,4,5", "--epochs", "5", "--out", str(tmp_path)]) == 0
+    warned = [r.getMessage() for r in caplog.records if r.name == "daedyn.cli"]
+    assert any(m.startswith("mode 4 sits at hidden width 4") for m in warned), warned
+    assert any(m.startswith("mode 5 exceeds hidden width 4") for m in warned), warned
+    assert not any(m.startswith(("mode 1 ", "mode 3 ")) for m in warned), warned
 
 
 def test_real_data_rejects_noise_and_decay_together(tmp_path, mnist_like_paths):

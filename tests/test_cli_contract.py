@@ -5,6 +5,7 @@ malformed flag values on a small cache; whatever the combination, the run must
 end with one of the four contract codes and never with a traceback.
 """
 
+import argparse
 import contextlib
 import io
 
@@ -19,7 +20,7 @@ CONTRACT_CODES = {cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_DIVERGENCE, cli.EXIT_IO
 
 # None marks a flag that takes no value; --epochs stays small so a run is quick
 FLAG_VALUES = {
-    "--lambda": ["1", "2.5,0.5", "0", "-1", "nan", "x"],
+    "--lambda": ["1", "2.5,0.5", "0", "-1", "nan", "x", ","],
     "--epsilon": ["0", "1", "1,50", "-1", "inf", ","],
     "--sigma2": ["0", "0.5", "-1", "nan"],
     "--laplace-b": ["0.1", "-1"],
@@ -31,7 +32,7 @@ FLAG_VALUES = {
     "--init": ["small_random", "orthogonal", "bogus"],
     "--seed": ["0", "7", "-1"],
     "--format": ["idx", "cache", "cifar10", "png"],
-    "--modes": ["1", "1,2", "0", "17", "a"],
+    "--modes": ["1", "1,2", "0", "17", "a", ","],
     "--record-every": ["0", "1", "2"],
     "--center": [None],
     "--scale": [None],
@@ -89,3 +90,12 @@ def test_every_flag_combination_exits_with_a_contract_code(command, data, inputs
             code = exc.code
     assert code in CONTRACT_CODES, (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue(), argv
+
+
+def test_flag_values_cover_every_shared_flag():
+    parser = argparse.ArgumentParser()
+    cli._add_shared_flags(parser)
+    registered = {option for action in parser._actions for option in action.option_strings}
+    # the test draws these four itself
+    assert registered - {"-h", "--help"} == set(FLAG_VALUES) | {
+        "--out", "--epochs", "--dataset", "--config"}

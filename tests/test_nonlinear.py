@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import central_difference_grad, cross_covariance_mode_ratios
+from oracles import central_difference_grad, cross_covariance_mode_ratios, projected_diagonal
 
 from daedyn.analytic import NoiseModel
 from daedyn.data import synthetic_dataset
@@ -53,8 +53,6 @@ def test_estimator_reads_off_planted_diagonal(toy_dataset):
 
 
 def test_estimator_matches_projected_diagonal_for_linear_models(toy_dataset):
-    from daedyn.spectrum import projected_diagonal
-
     ds, spec = toy_dataset
     rng = np.random.default_rng(6)
     w1 = rng.standard_normal((3, 5)) * 0.3

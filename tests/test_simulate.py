@@ -6,7 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import central_difference_grad, marginalized_descent_pixel_space
+from oracles import (
+    central_difference_grad,
+    marginalized_descent_pixel_space,
+    projected_diagonal,
+    sampled_loss,
+)
 
 from daedyn import analytic, simulate
 from daedyn.analytic import NoiseModel, ScalarMode, dae_fixed_point, dae_trajectory
@@ -22,9 +27,8 @@ from daedyn.simulate import (
     run_linear_ae,
     descend,
     run_scalar_gd,
-    sampled_loss,
 )
-from daedyn.spectrum import covariance, eigendecompose, projected_diagonal, rotate_weights
+from daedyn.spectrum import covariance, eigendecompose, rotate_weights
 
 SPECTRUM_8 = [2.5, 1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01]
 

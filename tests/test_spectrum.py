@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import jacobi_eigh, read_spectrum_csv
+from oracles import jacobi_eigh, projected_diagonal, read_spectrum_csv
 
 from daedyn.errors import NotSymmetricError
 from daedyn.spectrum import (
@@ -11,7 +11,6 @@ from daedyn.spectrum import (
     Spectrum,
     covariance,
     eigendecompose,
-    projected_diagonal,
     random_orthogonal,
     rotate_weights,
     write_spectrum_csv,
