@@ -114,7 +114,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown init scheme {self.init!r}")
         if self.activation not in simulate.ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
-        if self.experiment in ("real_data", "nonlinear", "ingest") or self.dataset is not None:
+        if self.experiment in ("real-data", "nonlinear", "ingest") or self.dataset is not None:
             if self.dataset is None:
                 raise ConfigError("this experiment needs --dataset")
             if not Path(self.dataset).is_file():
@@ -354,7 +354,13 @@ def cmd_simulate(cfg: ExperimentConfig):
         except DegenerateTrajectoryError:
             log.warning("initial weights are degenerate for the closed form; "
                         "emitting the simulated curve only")
-    elif eps == 0.0 and mode.w0 > 0.0:
+    elif eps > 0.0:
+        log.warning("no closed form with both noise and decay; "
+                    "emitting the simulated curve only")
+    elif mode.w0 <= 0.0:
+        log.warning("the decay closed form needs a positive initial product w1*w2, got %g; "
+                    "emitting the simulated curve only", mode.w0)
+    else:
         trajectories.append(analytic.wdae_series(lam, gamma_eff, cfg.tau, mode.w0,
                                                  run.trajectory.times))
     analytic.write_trajectory_csv(cfg.out / "simulate.csv", trajectories)
@@ -381,7 +387,7 @@ def cmd_compare(cfg: ExperimentConfig):
     return [cfg.out / "compare.csv", cfg.out / "compare_summary.csv"]
 
 
-def predictions_for_run(run: simulate.LinearRun, spec: spectrum.Spectrum, eps_eff,
+def predictions_for_run(run: simulate.Run, spec: spectrum.Spectrum, eps_eff,
                         gamma_eff, tau, mode_ranks):
     """Analytic per-mode series matched to a linear run's recorded epochs.
 
@@ -389,7 +395,7 @@ def predictions_for_run(run: simulate.LinearRun, spec: spectrum.Spectrum, eps_ef
     modes whose closed form is unavailable (zero eigenvalue or degenerate
     conserved quantity) are skipped with a warning.
     """
-    times = run.norms.times
+    times = run.times
     measured = simulate.modes_from_linear_ae(run.init_model, spec, eps_eff, tau)
     out = []
     for rank in mode_ranks:
@@ -409,20 +415,32 @@ def predictions_for_run(run: simulate.LinearRun, spec: spectrum.Spectrum, eps_ef
     return out
 
 
+def _training_inputs(cfg: ExperimentConfig):
+    """Dataset, spectrum, requested mode ranks, noise and effective noise of a training command."""
+    dataset = _load_dataset(cfg)
+    spec = spectrum.eigendecompose(spectrum.covariance(dataset))
+    modes = cfg.modes if cfg.modes is not None else list(DEFAULT_MODES[cfg.experiment])
+    if any(m > dataset.d for m in modes):
+        raise ConfigError(f"mode ranks {modes} exceed input dimension {dataset.d}")
+    noise = _noise_model(cfg, dataset.n)
+    return dataset, spec, modes, noise, analytic.epsilon_from_noise(noise, dataset.n)
+
+
+def _training_config(cfg: ExperimentConfig, noise, weight_decay) -> simulate.TrainingConfig:
+    return simulate.TrainingConfig(
+        learning_rate=cfg.alpha, epochs=cfg.epochs, noise=noise, weight_decay=weight_decay,
+        init=cfg.init, init_scale=cfg.init_scale, seed=cfg.seed, hidden_dim=cfg.hidden,
+        record_every=cfg.record_every, loss_mode=cfg.loss_mode, noise_draws=cfg.noise_draws)
+
+
 def cmd_real_data(cfg: ExperimentConfig):
     """Predicted vs simulated per-mode trajectories on an ingested dataset."""
-    dataset = _load_dataset(cfg)
+    dataset, spec, modes, noise, eps_eff = _training_inputs(cfg)
     n = dataset.n
-    noise = _noise_model(cfg, n)
-    eps_eff = analytic.epsilon_from_noise(noise, n)
     gamma = cfg.gamma or 0.0
     if eps_eff > 0.0 and gamma > 0.0:
         # the predicted curves have a closed form for noise or for decay, not both
         raise ConfigError("comparison runs use either noise or weight decay, not both")
-    spec = spectrum.eigendecompose(spectrum.covariance(dataset))
-    modes = cfg.modes if cfg.modes is not None else list(DEFAULT_MODES["real-data"])
-    if any(m > dataset.d for m in modes):
-        raise ConfigError(f"mode ranks {modes} exceed input dimension {dataset.d}")
     for rank in modes:
         if rank > cfg.hidden:
             log.warning("mode %d exceeds hidden width %d and cannot be learned",
@@ -431,15 +449,9 @@ def cmd_real_data(cfg: ExperimentConfig):
             # the last mode the network can hold couples to the unlearnable ones
             log.warning("mode %d sits at hidden width %d; its simulated curve can lag "
                         "the closed form", rank, cfg.hidden)
-    train = simulate.TrainingConfig(
-        learning_rate=cfg.alpha, epochs=cfg.epochs, noise=noise,
-        weight_decay=gamma, init=cfg.init, init_scale=cfg.init_scale,
-        seed=cfg.seed, hidden_dim=cfg.hidden, record_every=cfg.record_every,
-        loss_mode=cfg.loss_mode, noise_draws=cfg.noise_draws)
-    run = simulate.run_linear_ae(dataset, spec, train)
-    tau = n / cfg.alpha
-    simulated = [run.trajectories[rank - 1] for rank in modes]
-    predicted = predictions_for_run(run, spec, eps_eff, n * gamma, tau, modes)
+    run = simulate.run_linear_ae(dataset, spec, _training_config(cfg, noise, gamma))
+    simulated = [run.trajectory(rank) for rank in modes]
+    predicted = predictions_for_run(run, spec, eps_eff, n * gamma, n / cfg.alpha, modes)
     analytic.write_trajectory_csv(cfg.out / "real_data.csv",
                                   simulated + predicted + [run.norms])
     spectrum.write_spectrum_csv(spec, cfg.out / "spectrum.csv")
@@ -448,45 +460,26 @@ def cmd_real_data(cfg: ExperimentConfig):
 
 def cmd_nonlinear(cfg: ExperimentConfig):
     """AE / WDAE / DAE nonlinear triple with shared seed; estimated-mode CSVs."""
-    dataset = _load_dataset(cfg)
-    spec = spectrum.eigendecompose(spectrum.covariance(dataset))
-    modes = cfg.modes if cfg.modes is not None else list(DEFAULT_MODES["nonlinear"])
-    if any(m > dataset.d for m in modes):
-        raise ConfigError(f"mode ranks {modes} exceed input dimension {dataset.d}")
-    noise = _noise_model(cfg, dataset.n)
-    eps_eff = analytic.epsilon_from_noise(noise, dataset.n)
+    dataset, spec, modes, noise, eps_eff = _training_inputs(cfg)
     gamma = cfg.gamma
     if gamma is None:   # the decay matching the DAE leg's mode-1 fixed point
         gamma = (analytic.equivalent_decay(float(spec.eigenvalues[0]), eps_eff) / dataset.n
                  if eps_eff > 0.0 else 0.0)
-    base = dict(learning_rate=cfg.alpha, epochs=cfg.epochs, init=cfg.init,
-                init_scale=cfg.init_scale, seed=cfg.seed, hidden_dim=cfg.hidden,
-                record_every=cfg.record_every, loss_mode="sampled",
-                noise_draws=cfg.noise_draws)
-    runs = {
-        "ae": simulate.TrainingConfig(noise=NoiseModel.none(), **base),
-        "wdae": simulate.TrainingConfig(noise=NoiseModel.none(), weight_decay=gamma, **base),
-        "dae": simulate.TrainingConfig(noise=noise, **base),
-    }
-    results = {name: nonlinear.train_nonlinear(dataset, spec, train, cfg.activation)
-               for name, train in runs.items()}
-    outputs = [cfg.out / f"nonlinear_{name}.csv" for name in results]
-    for path, estimates in zip(outputs, results.values()):
-        analytic.write_trajectory_csv(path, estimates_to_trajectories(estimates, modes))
+
+    def estimated(leg_noise, decay):
+        # only the series outlives a leg, so its weights are freed before the next one trains
+        run = nonlinear.train_nonlinear(dataset, spec, _training_config(cfg, leg_noise, decay),
+                                        cfg.activation)
+        # a mode below the eigenvalue floor reads NaN throughout and is left out
+        return [run.trajectory(rank, kind="estimated") for rank in modes
+                if not np.isnan(run.modes[:, rank - 1]).any()]
+
+    series = {"ae": estimated(NoiseModel.none(), 0.0),
+              "wdae": estimated(NoiseModel.none(), gamma), "dae": estimated(noise, 0.0)}
+    outputs = [cfg.out / f"nonlinear_{name}.csv" for name in series]
+    for path, trajectories in zip(outputs, series.values()):
+        analytic.write_trajectory_csv(path, trajectories)
     return outputs
-
-
-def estimates_to_trajectories(estimates, mode_ranks):
-    """Shared-schema series (kind=estimated) for the retained modes of interest."""
-    times = np.array([est.epoch for est in estimates])
-    out = []
-    for rank in mode_ranks:
-        if not all(est.retained[rank - 1] for est in estimates):
-            continue
-        values = np.array([est.ratios[rank - 1] for est in estimates])
-        out.append(analytic.Trajectory(times=times, values=values, kind="estimated",
-                                       mode_index=rank))
-    return out
 
 
 def cmd_rates(cfg: ExperimentConfig):
@@ -519,14 +512,14 @@ def cmd_ingest(cfg: ExperimentConfig):
 
 
 COMMANDS = {
-    "predict": ("predict", cmd_predict),
-    "surface": ("surface", cmd_surface),
-    "simulate": ("simulate_scalar", cmd_simulate),
-    "compare": ("compare_decay", cmd_compare),
-    "real-data": ("real_data", cmd_real_data),
-    "nonlinear": ("nonlinear", cmd_nonlinear),
-    "rates": ("rates", cmd_rates),
-    "ingest": ("ingest", cmd_ingest),
+    "predict": cmd_predict,
+    "surface": cmd_surface,
+    "simulate": cmd_simulate,
+    "compare": cmd_compare,
+    "real-data": cmd_real_data,
+    "nonlinear": cmd_nonlinear,
+    "rates": cmd_rates,
+    "ingest": cmd_ingest,
 }
 
 
@@ -575,17 +568,14 @@ def _add_shared_flags(parser):
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     parser = argparse.ArgumentParser(prog="daedyn", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        _add_shared_flags(sub.add_parser(name))
+    parser.add_argument("command", choices=COMMANDS)
+    _add_shared_flags(parser)
     args = parser.parse_args(argv)
-    command = args.command
-    experiment, func = COMMANDS[command]
     flag_values = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     try:
         file_values = _parse_config_file(args.config) if args.config else {}
-        cfg = build_config(experiment, file_values, flag_values)
-        outputs = func(cfg)
+        cfg = build_config(args.command, file_values, flag_values)
+        outputs = COMMANDS[args.command](cfg)
     except DivergenceError as exc:
         print(f"numeric divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE

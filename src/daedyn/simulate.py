@@ -3,8 +3,9 @@
 One gradient step on the full-batch objective advances time by one epoch,
 matching tau = N / alpha; there is no minibatching because the theory is
 full-batch. The linear, weight-decayed and nonlinear networks all train
-through `descend`, which differs between them only in the gradient and in
-what its recorder keeps. Runs are deterministic given their seeds.
+through `descend` and come back as one `Run` record; they differ only in the
+gradient and in the per-mode readout of the eigenbasis weights. Runs are
+deterministic given their seeds.
 """
 
 from __future__ import annotations
@@ -130,15 +131,21 @@ class ScalarRun:
 
 
 @dataclass(frozen=True)
-class LinearRun:
-    """Recorded per-mode trajectories, weight norms, losses and the end-point models."""
+class Run:
+    """One trained network's record: per-mode readouts, weight norms, losses and end points."""
 
-    trajectories: list
+    times: np.ndarray          # recorded epochs
+    modes: np.ndarray          # records x D, the readout of each recorded epoch
     norms: Trajectory          # ||W1||^2 + ||W2||^2 per recorded epoch, mode -1
     losses: np.ndarray         # objective value per recorded epoch
     max_offdiag: float         # worst rotated off-diagonal seen (nan if untracked)
     model: Autoencoder         # final weights
     init_model: Autoencoder    # weights before the first step
+
+    def trajectory(self, rank, kind="simulated") -> Trajectory:
+        """The series of 1-based mode `rank` in the shared schema."""
+        return Trajectory(times=self.times, values=self.modes[:, rank - 1], kind=kind,
+                          mode_index=rank)
 
 
 def run_scalar_gd(mode: ScalarMode, alpha, steps, record_every=1, gamma_eff=0.0,
@@ -312,8 +319,8 @@ def _check_spectrum(x, spectrum: Spectrum):
                          f"max |S V - V diag(lam)| = {residual:.3e} > {bound:.3e}")
 
 
-def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, record,
-            activation="identity", marginalized=False):
+def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readout,
+            activation="identity", marginalized=False) -> Run:
     """Full-batch gradient descent shared by every trained autoencoder.
 
     Initialises the weights per config.init, then repeats: gradient (plus
@@ -325,11 +332,13 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, record
     (checked once, ValueError otherwise). Otherwise every step backpropagates
     through config.noise_draws fresh corruptions drawn from the seeded stream,
     in pixel space. The divergence check reads the iterated weights.
-    record(epoch, loss, w1r, w2r) is called at epoch 0, every record_every
-    epochs and at the final epoch with the objective there and always the
-    eigenbasis weights w1r = W1 V and w2r = V^T W2; pixel-space loops rotate
-    only at those epochs. It must not keep or modify the arrays. Returns the
-    (initial, final) weights in pixel space.
+
+    The run is recorded at epoch 0, every record_every epochs and at the final
+    epoch: the objective, the weight norm, the worst rotated off-diagonal of
+    V^T W2 W1 V (for d <= 64, where it is cheap) and readout(w1r, w2r), the
+    network's D-vector of per-mode values read from the eigenbasis weights
+    w1r = W1 V and w2r = V^T W2; pixel-space loops rotate only at those
+    epochs. readout must not keep or modify the arrays.
     """
     if spectrum.d != dataset.d:
         raise ValueError(f"spectrum dimension {spectrum.d} does not match dataset dim {dataset.d}")
@@ -355,6 +364,9 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, record
     rng = np.random.default_rng(config.seed)
     alpha = config.learning_rate
     gamma = config.weight_decay
+    track_offdiag = d <= 64
+    times, modes, norms, losses = [], [], [], []
+    worst_off = 0.0 if track_offdiag else np.nan
 
     def loss_and_grads():
         if marginalized:
@@ -367,11 +379,20 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, record
             g2 = g2 + gamma * w2
         return loss, g1, g2
 
-    def emit(epoch, loss):
-        record(epoch, loss, *((w1, w2) if marginalized else rotate_weights(w1, w2, spectrum)))
+    def record(epoch, loss):
+        nonlocal worst_off
+        w1r, w2r = (w1, w2) if marginalized else rotate_weights(w1, w2, spectrum)
+        times.append(float(epoch))
+        modes.append(readout(w1r, w2r))
+        norms.append(float(np.sum(w1r * w1r) + np.sum(w2r * w2r)))
+        losses.append(loss)
+        if track_offdiag:
+            m = w2r @ w1r
+            np.fill_diagonal(m, 0.0)
+            worst_off = max(worst_off, float(np.max(np.abs(m))))
 
     loss, g1, g2 = loss_and_grads()
-    emit(0, loss)
+    record(0, loss)
     for epoch in range(1, config.epochs + 1):
         w1 -= alpha * g1
         w2 -= alpha * g2
@@ -380,55 +401,29 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, record
             raise DivergenceError(f"run diverged at epoch {epoch}", step=epoch)
         loss, g1, g2 = loss_and_grads()
         if epoch % config.record_every == 0 or epoch == config.epochs:
-            emit(epoch, loss)
+            record(epoch, loss)
     if marginalized:
         v = spectrum.eigenvectors
         w1, w2 = w1 @ v.T, v @ w2
-    return init, Autoencoder(w1, w2, activation)
+    times = np.array(times)
+    return Run(times=times, modes=np.stack(modes, axis=0),
+               norms=Trajectory(times=times, values=np.array(norms), kind="simulated",
+                                mode_index=-1),
+               losses=np.array(losses), max_offdiag=worst_off,
+               model=Autoencoder(w1, w2, activation), init_model=init)
 
 
-def run_linear_ae(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig) -> LinearRun:
-    """Linear-network descent emitting per-mode mapped values and weight norms.
+def run_linear_ae(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig) -> Run:
+    """Linear-network descent whose per-mode values are the diagonal of V^T W2 W1 V.
 
     config.loss_mode picks the marginalised objective, trained in the
     covariance eigenbasis, or the sampled objective, trained in pixel space;
     the marginalised one needs a spectrum that diagonalises the dataset's
-    covariance (ValueError otherwise). Either way the record reads the
-    eigenbasis weights `descend` hands it: the per-mode values are the
-    diagonal of V^T W2 W1 V, and the worst off-diagonal is tracked for
-    d <= 64, where it is cheap.
+    covariance (ValueError otherwise).
     """
-    d = dataset.d
-    track_offdiag = d <= 64
-    times = []
-    diags = []
-    norms = []
-    losses = []
-    worst_off = 0.0 if track_offdiag else np.nan
-
-    def record(epoch, loss, w1r, w2r):
-        nonlocal worst_off
-        times.append(float(epoch))
-        diags.append(np.einsum("jh,hj->j", w2r, w1r))
-        norms.append(float(np.sum(w1r * w1r) + np.sum(w2r * w2r)))
-        losses.append(loss)
-        if track_offdiag:
-            m = w2r @ w1r
-            np.fill_diagonal(m, 0.0)
-            worst_off = max(worst_off, float(np.max(np.abs(m))))
-
-    init, model = descend(dataset, spectrum, config, record,
-                          marginalized=config.loss_mode == "marginalized")
-    times_arr = np.array(times)
-    diag_mat = np.stack(diags, axis=0)
-    trajectories = [
-        Trajectory(times=times_arr, values=diag_mat[:, j], kind="simulated", mode_index=j + 1)
-        for j in range(d)
-    ]
-    norm_traj = Trajectory(times=times_arr, values=np.array(norms),
-                           kind="simulated", mode_index=-1)
-    return LinearRun(trajectories=trajectories, norms=norm_traj, losses=np.array(losses),
-                     max_offdiag=worst_off, model=model, init_model=init)
+    return descend(dataset, spectrum, config,
+                   lambda w1r, w2r: np.einsum("jh,hj->j", w2r, w1r),
+                   marginalized=config.loss_mode == "marginalized")
 
 
 def modes_from_linear_ae(model: Autoencoder, spectrum: Spectrum, epsilon, tau):

@@ -161,7 +161,7 @@ def test_criterion_06_decoupling():
         mode = ScalarMode(lam=float(spec.eigenvalues[j]), epsilon=1.0, tau=tau,
                           w1_0=w0, w2_0=w0)
         scalar = run_scalar_gd(mode, cfg.learning_rate, cfg.epochs, cfg.record_every)
-        gap = np.max(np.abs(scalar.trajectory.values - run.trajectories[j].values))
+        gap = np.max(np.abs(scalar.trajectory.values - run.modes[:, j]))
         assert gap <= 1e-8
 
 
@@ -180,7 +180,7 @@ def test_criterion_07_real_data_desk_scale(mnist_like_dataset):
     measured = modes_from_linear_ae(run.init_model, spec, eps_eff, tau)
     for rank in (1, 4, 8, 16, 32):
         mode = measured[rank - 1]
-        sim = run.trajectories[rank - 1]
+        sim = run.trajectory(rank)
         predicted = dae_trajectory(mode, sim.times)
         wstar = dae_fixed_point(mode.lam, eps_eff)
         rms = np.sqrt(np.mean((sim.values - predicted) ** 2))
@@ -207,7 +207,7 @@ def test_criterion_07_cifar_optional(cifar_like_path):
     measured = modes_from_linear_ae(run.init_model, spec, eps_eff, tau)
     for rank in (1, 4, 8, 16, 32):
         mode = measured[rank - 1]
-        sim = run.trajectories[rank - 1]
+        sim = run.trajectory(rank)
         predicted = dae_trajectory(mode, sim.times)
         wstar = dae_fixed_point(mode.lam, eps_eff)
         rms = np.sqrt(np.mean((sim.values - predicted) ** 2))
@@ -266,11 +266,9 @@ def test_criterion_09_nonlinear_qualitative(mnist_like_paths):
     }
     series = {}
     for name, cfg in runs.items():
-        estimates = nonlinear.train_nonlinear(ds, spec, cfg, "relu")
-        times = np.array([e.epoch for e in estimates])
-        values = {r: np.array([e.ratios[r - 1] for e in estimates]) for r in (1, 2, 3, 4)}
-        assert all(e.retained[:4].all() for e in estimates)
-        series[name] = (times, values)
+        run = nonlinear.train_nonlinear(ds, spec, cfg, "relu")
+        values = {r: run.trajectory(r, kind="estimated").values for r in (1, 2, 3, 4)}
+        series[name] = (run.times, values)
     for rank in (1, 2, 3, 4):
         plateau = {name: float(np.mean(vals[rank][-8:])) for name, (_, vals) in series.items()}
         assert plateau["dae"] < plateau["ae"], f"mode {rank}: {plateau}"

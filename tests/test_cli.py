@@ -7,7 +7,7 @@ import pytest
 
 from oracles import read_trajectory_csv
 
-from daedyn import analytic, cli, spectrum
+from daedyn import analytic, cli, data, spectrum
 from daedyn.analytic import NoiseModel
 from daedyn.cli import ExperimentConfig, build_config, main
 from daedyn.errors import ConfigError
@@ -86,7 +86,7 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         build_config("rates", {}, {"alpha": -1.0})
     with pytest.raises(ConfigError):
-        build_config("real_data", {}, {})  # dataset required
+        build_config("real-data", {}, {})  # dataset required
     with pytest.raises(ConfigError):
         build_config("predict", {}, {"epsilons": "1.0", "sigma2": 0.5})
 
@@ -493,6 +493,39 @@ def test_nonlinear_zero_epoch_emits_one_row_per_mode(tmp_path, mnist_like_paths)
         series = read_trajectory_csv(out / f"nonlinear_{name}.csv")
         assert {t.mode_index for t in series} == {1, 2, 3, 4}
         assert all(t.values.size == 1 and t.kind == "estimated" for t in series)
+
+
+def test_nonlinear_leaves_out_modes_past_the_data_rank(tmp_path):
+    # D=10 samples spanning 6 directions: modes 7-10 sit below the eigenvalue floor
+    rng = np.random.default_rng(4)
+    basis = np.linalg.qr(rng.standard_normal((10, 6)))[0]
+    cache = tmp_path / "rank6.cache"
+    data.save_matrix(cache, rng.standard_normal((80, 6)) @ basis.T)
+    out = tmp_path / "out"
+    assert main(NONLINEAR_SMALL + ["--dataset", str(cache), "--modes", "1,6,7,10",
+                                   "--out", str(out)]) == cli.EXIT_OK
+    for name in ("ae", "wdae", "dae"):
+        series = read_trajectory_csv(out / f"nonlinear_{name}.csv")
+        assert [t.mode_index for t in series] == [1, 6], name
+        assert all(np.isfinite(t.values).all() and t.values.size == 5 for t in series)
+
+
+@pytest.mark.parametrize("flags, reason", [
+    (["--epsilon", "1"], None),
+    (["--gamma", "0.01"], None),
+    (["--epsilon", "1", "--gamma", "0.01"], "both noise and decay"),
+    (["--gamma", "0.01", "--w1-0", "-0.1", "--w2-0", "0.1"], "positive initial product"),
+], ids=["noise", "decay", "noise-and-decay", "negative-product"])
+def test_simulate_says_when_it_drops_the_analytic_overlay(flags, reason, tmp_path, caplog):
+    with caplog.at_level("WARNING", logger="daedyn.cli"):
+        assert main(["simulate", "--epochs", "50", *flags, "--out", str(tmp_path)]) == 0
+    warned = [r.getMessage() for r in caplog.records if r.name == "daedyn.cli"]
+    kinds = {t.kind for t in read_trajectory_csv(tmp_path / "simulate.csv")}
+    if reason is None:
+        assert not warned and len(kinds) == 2
+    else:
+        assert any(reason in m and "simulated curve only" in m for m in warned), warned
+        assert kinds == {"simulated"}
 
 
 def test_cli_outputs_are_deterministic(tmp_path, mnist_like_paths):

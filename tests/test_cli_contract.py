@@ -1,8 +1,9 @@
 """Property test of the CLI exit-code contract: 0 ok, 2 config, 3 divergence, 4 I/O or parse.
 
-Every subcommand is driven with drawn combinations of valid, out-of-range and
-malformed flag values on a small cache; whatever the combination, the run must
-end with one of the four contract codes and never with a traceback.
+Every subcommand is driven with each listed flag value on its own and with
+drawn combinations of valid, out-of-range and malformed values on a small
+cache; whatever the input, the run must end with one of the four contract
+codes and never with a traceback.
 """
 
 import argparse
@@ -64,6 +65,17 @@ def inputs(d16_cache, tmp_path_factory):
             "config": bad_config, "out": root / "out"}
 
 
+def _assert_exits_with_a_contract_code(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:   # argparse rejects a malformed flag with exit 2
+            code = exc.code
+    assert code in CONTRACT_CODES, (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
+
+
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
 @hypothesis.settings(max_examples=20, deadline=None, derandomize=True, database=None,
                      suppress_health_check=[hypothesis.HealthCheck.too_slow])
@@ -82,14 +94,17 @@ def test_every_flag_combination_exits_with_a_contract_code(command, data, inputs
     for flag in flags:
         value = data.draw(st.sampled_from(FLAG_VALUES[flag]), label=flag)
         argv += [flag] if value is None else [flag, value]
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:   # argparse rejects a malformed flag with exit 2
-            code = exc.code
-    assert code in CONTRACT_CODES, (argv, code, err.getvalue())
-    assert "Traceback" not in err.getvalue(), argv
+    _assert_exits_with_a_contract_code(argv)
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+@pytest.mark.parametrize("flag, value", [(flag, value) for flag, values in FLAG_VALUES.items()
+                                         for value in values])
+def test_every_flag_value_exits_with_a_contract_code(command, flag, value, inputs):
+    # each table entry once on its own, which the drawn combinations may miss
+    argv = [command, "--out", str(inputs["out"]), "--epochs", "0",
+            "--dataset", str(inputs["cache"])] + ([flag] if value is None else [flag, value])
+    _assert_exits_with_a_contract_code(argv)
 
 
 def test_flag_values_cover_every_shared_flag():

@@ -7,7 +7,7 @@ from oracles import central_difference_grad, cross_covariance_mode_ratios, proje
 
 from daedyn.analytic import NoiseModel
 from daedyn.data import synthetic_dataset
-from daedyn.nonlinear import ModeEstimate, estimate_identity_map, reconstruct, train_nonlinear
+from daedyn.nonlinear import estimate_identity_map, reconstruct, train_nonlinear
 from daedyn.simulate import (
     ACTIVATIONS,
     Autoencoder,
@@ -29,16 +29,16 @@ def toy_dataset():
 def test_estimator_on_exact_identity(toy_dataset):
     ds, spec = toy_dataset
     model = Autoencoder(w1=np.eye(5), w2=np.eye(5), activation="identity")
-    est = estimate_identity_map(ds, model, spec)
-    assert est.retained.all()
-    assert np.max(np.abs(est.ratios - 1.0)) <= 1e-10
+    ratios = estimate_identity_map(ds, model, spec)
+    assert not np.isnan(ratios).any()
+    assert np.max(np.abs(ratios - 1.0)) <= 1e-10
 
 
 def test_estimator_on_zero_model(toy_dataset):
     ds, spec = toy_dataset
     model = Autoencoder(w1=np.zeros((3, 5)), w2=np.zeros((5, 3)), activation="relu")
-    est = estimate_identity_map(ds, model, spec)
-    assert np.max(np.abs(est.ratios[est.retained])) == 0.0
+    ratios = estimate_identity_map(ds, model, spec)
+    assert np.max(np.abs(ratios[~np.isnan(ratios)])) == 0.0
 
 
 def test_estimator_reads_off_planted_diagonal(toy_dataset):
@@ -48,8 +48,8 @@ def test_estimator_reads_off_planted_diagonal(toy_dataset):
     v = spec.eigenvectors
     half = v @ np.diag(np.sqrt(c))
     model = Autoencoder(w1=half.T, w2=half, activation="identity")
-    est = estimate_identity_map(ds, model, spec)
-    assert np.max(np.abs(est.ratios - c)) <= 1e-10
+    ratios = estimate_identity_map(ds, model, spec)
+    assert np.max(np.abs(ratios - c)) <= 1e-10
 
 
 def test_estimator_matches_projected_diagonal_for_linear_models(toy_dataset):
@@ -57,9 +57,9 @@ def test_estimator_matches_projected_diagonal_for_linear_models(toy_dataset):
     rng = np.random.default_rng(6)
     w1 = rng.standard_normal((3, 5)) * 0.3
     w2 = rng.standard_normal((5, 3)) * 0.3
-    est = estimate_identity_map(ds, Autoencoder(w1=w1, w2=w2, activation="identity"), spec)
+    ratios = estimate_identity_map(ds, Autoencoder(w1=w1, w2=w2, activation="identity"), spec)
     diag, _ = projected_diagonal(w1, w2, spec)
-    assert np.max(np.abs(est.ratios - diag)) <= 1e-10
+    assert np.max(np.abs(ratios - diag)) <= 1e-10
 
 
 def _oracle_ratios(ds, spec, w1, w2, activation):
@@ -91,9 +91,9 @@ def test_estimator_matches_cross_covariance_oracle(activation, rank_deficient_da
     rng = np.random.default_rng(9)
     w1 = rng.standard_normal((5, 12)) * 0.8
     w2 = rng.standard_normal((12, 5)) * 0.8
-    est = estimate_identity_map(ds, Autoencoder(w1=w1, w2=w2, activation=activation), spec)
-    assert est.retained.sum() == 9
-    _assert_matches_oracle(est.ratios, _oracle_ratios(ds, spec, w1, w2, activation))
+    ratios = estimate_identity_map(ds, Autoencoder(w1=w1, w2=w2, activation=activation), spec)
+    assert np.sum(~np.isnan(ratios)) == 9
+    _assert_matches_oracle(ratios, _oracle_ratios(ds, spec, w1, w2, activation))
 
 
 @pytest.mark.parametrize("activation", ["identity", "relu", "tanh"])
@@ -103,14 +103,18 @@ def test_train_estimates_match_cross_covariance_oracle(activation, rank_deficien
     cfg = TrainingConfig(learning_rate=0.2, epochs=45, noise=NoiseModel.gaussian(0.05),
                          init="small_random", init_scale=0.3, seed=6, hidden_dim=5,
                          record_every=15)
-    estimates = train_nonlinear(ds, spec, cfg, activation)
+    run = train_nonlinear(ds, spec, cfg, activation)
     v = spec.eigenvectors
     pairs = []
-    descend(ds, spec, cfg, lambda epoch, loss, w1r, w2r: pairs.append(
-        (epoch, w1r @ v.T, v @ w2r)), activation=activation)
-    assert [e.epoch for e in estimates] == [p[0] for p in pairs] == [0, 15, 30, 45]
-    for est, (_, w1, w2) in zip(estimates, pairs):
-        _assert_matches_oracle(est.ratios, _oracle_ratios(ds, spec, w1, w2, activation))
+
+    def readout(w1r, w2r):
+        pairs.append((w1r @ v.T, v @ w2r))
+        return np.zeros(ds.d)
+
+    replay = descend(ds, spec, cfg, readout, activation=activation)
+    assert run.times.tolist() == replay.times.tolist() == [0, 15, 30, 45]
+    for ratios, (w1, w2) in zip(run.modes, pairs):
+        _assert_matches_oracle(ratios, _oracle_ratios(ds, spec, w1, w2, activation))
 
 
 def test_estimator_reports_tiny_eigenvalues_absent():
@@ -120,9 +124,9 @@ def test_estimator_reports_tiny_eigenvalues_absent():
     ds = Dataset(x)
     spec = eigendecompose(covariance(ds))
     model = Autoencoder(w1=np.eye(4) * 0.1, w2=np.eye(4) * 0.1, activation="identity")
-    est = estimate_identity_map(ds, model, spec)
-    assert not est.retained[-1]
-    assert np.isnan(est.ratios[-1])
+    ratios = estimate_identity_map(ds, model, spec)
+    assert np.isnan(ratios[-1])
+    assert not np.isnan(ratios[:-1]).any()
 
 
 def test_estimator_never_sees_corrupted_inputs(toy_dataset):
@@ -130,8 +134,8 @@ def test_estimator_never_sees_corrupted_inputs(toy_dataset):
     # dataset must not change what the estimator reports for a fixed model
     ds, spec = toy_dataset
     model = Autoencoder(w1=np.eye(5) * 0.5, w2=np.eye(5) * 0.5, activation="identity")
-    est = estimate_identity_map(ds, model, spec)
-    assert np.allclose(est.ratios, 0.25, atol=1e-10)
+    ratios = estimate_identity_map(ds, model, spec)
+    assert np.allclose(ratios, 0.25, atol=1e-10)
 
 
 def test_backprop_identity_matches_linear_formula(toy_dataset):
@@ -202,13 +206,10 @@ def test_train_identity_no_noise_equals_linear_run(toy_dataset):
     cfg = TrainingConfig(learning_rate=0.3, epochs=400, noise=NoiseModel.none(),
                          init="small_random", init_scale=1e-2, seed=3, hidden_dim=3,
                          record_every=20)
-    estimates = train_nonlinear(ds, spec, cfg, "identity")
+    estimated = train_nonlinear(ds, spec, cfg, "identity")
     run = run_linear_ae(ds, spec, cfg)
-    est_times = np.array([e.epoch for e in estimates])
-    assert np.array_equal(est_times, run.norms.times)
-    for j in range(5):
-        series = np.array([e.ratios[j] for e in estimates])
-        assert np.max(np.abs(series - run.trajectories[j].values)) <= 1e-6
+    assert np.array_equal(estimated.times, run.times)
+    assert np.max(np.abs(estimated.modes - run.modes)) <= 1e-6
 
 
 def test_train_zero_epochs_returns_initial_estimate_only(toy_dataset):
@@ -216,9 +217,9 @@ def test_train_zero_epochs_returns_initial_estimate_only(toy_dataset):
     cfg = TrainingConfig(learning_rate=0.3, epochs=0, noise=NoiseModel.none(),
                          init="small_random", init_scale=1e-2, seed=3, hidden_dim=3,
                          record_every=20)
-    estimates = train_nonlinear(ds, spec, cfg, "relu")
-    assert len(estimates) == 1
-    assert estimates[0].epoch == 0.0
+    run = train_nonlinear(ds, spec, cfg, "relu")
+    assert run.times.tolist() == [0.0]
+    assert run.modes.shape == (1, ds.d)
 
 
 def test_train_is_deterministic_per_seed(toy_dataset):
@@ -228,8 +229,7 @@ def test_train_is_deterministic_per_seed(toy_dataset):
                          record_every=30)
     a = train_nonlinear(ds, spec, cfg, "tanh")
     b = train_nonlinear(ds, spec, cfg, "tanh")
-    for ea, eb in zip(a, b):
-        assert np.array_equal(ea.ratios[ea.retained], eb.ratios[eb.retained])
+    assert np.array_equal(a.modes, b.modes, equal_nan=True)
 
 
 def test_train_relu_always_samples_corruption(toy_dataset):
@@ -241,12 +241,11 @@ def test_train_relu_always_samples_corruption(toy_dataset):
     samp = train_nonlinear(ds, spec, TrainingConfig(loss_mode="sampled", **base), "relu")
     clean = train_nonlinear(ds, spec, TrainingConfig(**{**base, "noise": NoiseModel.none()}),
                             "relu")
-    assert len(marg) == len(samp) == 5
-    for a, b in zip(marg, samp):
-        assert a.epoch == b.epoch
-        assert np.array_equal(a.ratios, b.ratios, equal_nan=True)
+    assert len(marg.times) == len(samp.times) == 5
+    assert np.array_equal(marg.times, samp.times)
+    assert np.array_equal(marg.modes, samp.modes, equal_nan=True)
     # and the corruption was really drawn: the noise-free run ends elsewhere
-    assert not np.array_equal(marg[-1].ratios, clean[-1].ratios, equal_nan=True)
+    assert not np.array_equal(marg.modes[-1], clean.modes[-1], equal_nan=True)
 
 
 def test_train_estimates_monotone_up_to_tolerance(toy_dataset):
@@ -254,13 +253,19 @@ def test_train_estimates_monotone_up_to_tolerance(toy_dataset):
     cfg = TrainingConfig(learning_rate=0.3, epochs=1500, noise=NoiseModel.gaussian(0.2 / ds.n),
                          init="small_random", init_scale=1e-3, seed=4, hidden_dim=5,
                          record_every=25)
-    estimates = train_nonlinear(ds, spec, cfg, "identity")
-    for j in range(5):
-        series = np.array([e.ratios[j] for e in estimates[1:]])
-        assert np.all(np.diff(series) >= -1e-3)
+    run = train_nonlinear(ds, spec, cfg, "identity")
+    assert np.all(np.diff(run.modes[1:], axis=0) >= -1e-3)
 
 
-def test_mode_estimate_validation():
-    with pytest.raises(ValueError, match="finite"):
-        ModeEstimate(epoch=0.0, ratios=np.array([np.nan]), retained=np.array([True]))
-    ModeEstimate(epoch=0.0, ratios=np.array([np.nan]), retained=np.array([False]))
+
+def test_train_relu_norms_read_the_final_model(toy_dataset):
+    ds, spec = toy_dataset
+    cfg = TrainingConfig(learning_rate=0.3, epochs=50, noise=NoiseModel.gaussian(0.1),
+                         init="small_random", init_scale=0.1, seed=5, hidden_dim=3,
+                         record_every=20)
+    run = train_nonlinear(ds, spec, cfg, "relu")
+    assert run.norms.mode_index == -1
+    assert run.norms.times.tolist() == [0.0, 20.0, 40.0, 50.0]
+    w1, w2 = run.model.w1, run.model.w2
+    assert run.norms.values[-1] == pytest.approx(np.sum(w1 * w1) + np.sum(w2 * w2), rel=1e-12)
+    assert len(run.losses) == 4 and np.isfinite(run.losses).all()

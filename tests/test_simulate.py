@@ -266,7 +266,7 @@ def test_linear_ae_learns_identity_without_regularisation():
                          init="orthogonal", init_scale=0.1, seed=2, hidden_dim=4,
                          record_every=500)
     run = run_linear_ae(ds, spec, cfg)
-    final = np.array([t.values[-1] for t in run.trajectories])
+    final = run.modes[-1]
     assert np.max(np.abs(final - 1.0)) <= 1e-3
 
 
@@ -279,7 +279,7 @@ def test_linear_ae_reaches_noise_suppressed_fixed_points():
                          init_scale=0.1, seed=4, hidden_dim=3, record_every=1000)
     run = run_linear_ae(ds, spec, cfg)
     expected = spec.eigenvalues / (spec.eigenvalues + 1.0)
-    final = np.array([t.values[-1] for t in run.trajectories])
+    final = run.modes[-1]
     assert np.max(np.abs(final - expected)) <= 1e-3
 
 
@@ -297,7 +297,7 @@ def test_linear_ae_decoupling_and_scalar_equivalence(small_dataset):
         mode = ScalarMode(lam=float(spec.eigenvalues[j]), epsilon=1.0, tau=tau,
                           w1_0=w0, w2_0=w0)
         scalar = run_scalar_gd(mode, cfg.learning_rate, cfg.epochs, cfg.record_every)
-        assert np.max(np.abs(scalar.trajectory.values - run.trajectories[j].values)) <= 1e-8
+        assert np.max(np.abs(scalar.trajectory.values - run.modes[:, j])) <= 1e-8
 
 
 def test_linear_ae_loss_non_increasing_below_optimal_rate(small_dataset):
@@ -320,7 +320,7 @@ def test_linear_ae_weight_decay_gradient_matches_finite_differences():
     run = run_linear_ae(ds, spec, cfg)
     assert np.all(np.diff(run.losses) <= 1e-12)
     # decayed runs settle below the unregularised mapping
-    assert run.trajectories[0].values[-1] < 1.0
+    assert run.modes[-1, 0] < 1.0
 
 
 def test_linear_ae_sampled_mode_without_noise_matches_marginalized(small_dataset):
@@ -330,8 +330,7 @@ def test_linear_ae_sampled_mode_without_noise_matches_marginalized(small_dataset
     marg = run_linear_ae(ds, spec, TrainingConfig(noise=NoiseModel.none(), **base))
     samp = run_linear_ae(ds, spec, TrainingConfig(noise=NoiseModel.none(),
                                                   loss_mode="sampled", **base))
-    for a, b in zip(marg.trajectories, samp.trajectories):
-        assert np.max(np.abs(a.values - b.values)) <= 1e-12
+    assert np.max(np.abs(marg.modes - samp.modes)) <= 1e-12
 
 
 @pytest.mark.parametrize("gamma", [0.0, 1e-3], ids=["no-decay", "decay"])
@@ -352,7 +351,7 @@ def test_linear_ae_matches_pixel_space_descent_oracle(small_dataset, init, gamma
         return np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
     assert np.array_equal(run.norms.times, times)
-    assert close(np.stack([t.values for t in run.trajectories], axis=1), diags)
+    assert close(run.modes, diags)
     assert close(run.norms.values, norms)
     assert close(run.model.w1, w1) and close(run.model.w2, w2)
 
@@ -367,13 +366,14 @@ def test_descend_records_eigenbasis_weights(loss_mode, activation, small_dataset
                          loss_mode=loss_mode)
     pairs = []
 
-    def record(epoch, loss, w1r, w2r):
-        pairs.append((epoch, w1r.copy(), w2r.copy()))
+    def readout(w1r, w2r):
+        pairs.append((w1r.copy(), w2r.copy()))
+        return np.zeros(ds.d)
 
-    init, model = descend(ds, spec, cfg, record, activation=activation,
-                          marginalized=loss_mode == "marginalized")
-    assert [p[0] for p in pairs] == [0, 10, 20, 25]
-    for (_, w1r, w2r), weights in ((pairs[0], init), (pairs[-1], model)):
+    run = descend(ds, spec, cfg, readout, activation=activation,
+                  marginalized=loss_mode == "marginalized")
+    assert run.times.tolist() == [0, 10, 20, 25] and len(pairs) == 4
+    for (w1r, w2r), weights in ((pairs[0], run.init_model), (pairs[-1], run.model)):
         want1, want2 = rotate_weights(weights.w1, weights.w2, spec)
         scale = max(np.max(np.abs(want1)), np.max(np.abs(want2)))
         assert np.max(np.abs(w1r - want1)) <= 1e-12 * scale
