@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from .errors import DegenerateTrajectoryError, UnsupportedModeError
 
 C0_MIN = 1e-9          # below this the hyperbolic coordinates divide by ~0
 OVERFLOW_ARG = 700.0   # exp saturation horizon; beyond it w(t) is the fixed point
+CSV_BLOCK_ROWS = 1024  # trajectory rows formatted per write: bounds the text held at once
 
 TRAJECTORY_KINDS = ("analytic_dae", "analytic_wdae", "simulated", "estimated")
 
@@ -290,8 +292,19 @@ def first_crossing_time(times, values, threshold):
     return float(np.asarray(times, dtype=np.float64)[hits[0]])
 
 
+@contextmanager
+def _csv_file(path, header):
+    """Create the parent directory, open path for writing and write the header row."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        if header is not None:
+            csv.writer(fh).writerow(header)
+        yield fh
+
+
 def write_csv(path, header, rows):
-    """The one CSV emitter: commas, CRLF row ends, None as an empty field.
+    """CSV table emitter: commas, CRLF row ends, None as an empty field.
 
     Fields are written with str(), for a Python float its shortest round-trip
     repr, so output is byte-reproducible. Pass Python scalars (``.tolist()``
@@ -299,21 +312,22 @@ def write_csv(path, header, rows):
     float64 value. A header of None writes no header row. The parent
     directory is created.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if header is not None:
-            writer.writerow(header)
-        writer.writerows(rows)
+    with _csv_file(path, header) as fh:
+        csv.writer(fh).writerows(rows)
 
 
 def write_trajectory_csv(path, trajectories):
     """Shared plot-data schema: header epoch,mode,kind,value; one row per (t, mode).
 
     mode is the 1-based eigen-direction rank; -1 is reserved for weight-norm
-    series.
+    series. The bytes are those write_csv gives for the same rows; each
+    trajectory is formatted and written CSV_BLOCK_ROWS rows at a time, so no
+    whole-series list is ever built.
     """
-    write_csv(path, ["epoch", "mode", "kind", "value"],
-              ((t, traj.mode_index, traj.kind, v) for traj in trajectories
-               for t, v in zip(traj.times.tolist(), traj.values.tolist())))
+    with _csv_file(path, ["epoch", "mode", "kind", "value"]) as fh:
+        for traj in trajectories:
+            middle = f",{traj.mode_index},{traj.kind},"
+            for start in range(0, traj.times.size, CSV_BLOCK_ROWS):
+                block = slice(start, start + CSV_BLOCK_ROWS)
+                fh.write("".join([f"{t!r}{middle}{v!r}\r\n" for t, v in
+                                  zip(traj.times[block].tolist(), traj.values[block].tolist())]))

@@ -110,10 +110,12 @@ class ExperimentConfig:
             raise ConfigError(f"lambda grid must be positive, got {self.lambdas}")
         if self.epsilons is not None and any(e < 0.0 for e in self.epsilons):
             raise ConfigError(f"epsilon grid must be >= 0, got {self.epsilons}")
-        if self.init not in ("small_random", "orthogonal"):
+        if self.init not in simulate.INIT_SCHEMES:
             raise ConfigError(f"unknown init scheme {self.init!r}")
         if self.activation not in simulate.ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
+        if self.loss_mode not in simulate.LOSS_MODES:
+            raise ConfigError(f"unknown loss mode {self.loss_mode!r}")
         if self.experiment in ("real-data", "nonlinear", "ingest") or self.dataset is not None:
             if self.dataset is None:
                 raise ConfigError("this experiment needs --dataset")
@@ -536,7 +538,7 @@ def _add_shared_flags(parser):
     parser.add_argument("--epochs", type=int)
     parser.add_argument("--hidden", type=int, help="hidden width")
     parser.add_argument("--init-scale", dest="init_scale", type=float)
-    parser.add_argument("--init", choices=["small_random", "orthogonal"])
+    parser.add_argument("--init", choices=simulate.INIT_SCHEMES)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--out", type=Path, help="output directory")
     parser.add_argument("--dataset", type=Path, help="dataset file path")
@@ -561,7 +563,7 @@ def _add_shared_flags(parser):
     parser.add_argument("--eps-points", dest="eps_points", type=int)
     parser.add_argument("--eigenvectors", action="store_const", const=True,
                         help="also write the eigenvector matrix CSV")
-    parser.add_argument("--loss-mode", dest="loss_mode", choices=["marginalized", "sampled"])
+    parser.add_argument("--loss-mode", dest="loss_mode", choices=simulate.LOSS_MODES)
     parser.add_argument("--noise-draws", dest="noise_draws", type=int)
 
 

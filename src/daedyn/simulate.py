@@ -24,6 +24,8 @@ log = logging.getLogger(__name__)
 
 DIVERGENCE_LIMIT = 1e12
 SPECTRUM_TOL = 1e-8     # max |S V - V diag(lam)| relative to the largest |lam|
+INIT_SCHEMES = ("small_random", "orthogonal")
+LOSS_MODES = ("marginalized", "sampled")
 
 
 def _identity(z):
@@ -107,15 +109,18 @@ class TrainingConfig:
             raise ValueError(f"learning rate must be > 0, got {self.learning_rate}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if not 0.0 < self.init_scale < DIVERGENCE_LIMIT:
+            raise ValueError(f"init scale must be > 0 and below the divergence limit "
+                             f"{DIVERGENCE_LIMIT:g}, got {self.init_scale}")
         if self.weight_decay < 0.0:
             raise ValueError(f"weight decay must be >= 0, got {self.weight_decay}")
-        if self.init not in ("small_random", "orthogonal"):
+        if self.init not in INIT_SCHEMES:
             raise ValueError(f"unknown init scheme {self.init!r}")
         if self.hidden_dim < 1:
             raise ValueError(f"hidden dim must be >= 1, got {self.hidden_dim}")
         if self.record_every < 1:
             raise ValueError(f"record cadence must be >= 1, got {self.record_every}")
-        if self.loss_mode not in ("marginalized", "sampled"):
+        if self.loss_mode not in LOSS_MODES:
             raise ValueError(f"unknown loss mode {self.loss_mode!r}")
         if self.noise_draws < 1:
             raise ValueError(f"noise draws must be >= 1, got {self.noise_draws}")
@@ -170,8 +175,6 @@ def run_scalar_gd(mode: ScalarMode, alpha, steps, record_every=1, gamma_eff=0.0,
                         "the run may oscillate or diverge", alpha, alpha_opt)
     lam, eps, coeff = mode.lam, mode.epsilon, 1.0 / mode.tau
     w1, w2 = float(mode.w1_0), float(mode.w2_0)
-    times = [0.0]
-    products = [w2 * w1]
     w1s = [w1]
     w2s = [w2]
     for step in range(1, steps + 1):
@@ -183,13 +186,14 @@ def run_scalar_gd(mode: ScalarMode, alpha, steps, record_every=1, gamma_eff=0.0,
         if not (abs(w1) < DIVERGENCE_LIMIT and abs(w2) < DIVERGENCE_LIMIT):
             raise DivergenceError(f"scalar run diverged at step {step}", step=step)
         if step % record_every == 0 or step == steps:
-            times.append(float(step))
-            products.append(w2 * w1)
             w1s.append(w1)
             w2s.append(w2)
-    traj = Trajectory(times=np.array(times), values=np.array(products),
-                      kind="simulated", mode_index=mode_index)
-    return ScalarRun(trajectory=traj, w1=np.array(w1s), w2=np.array(w2s))
+    times = np.arange(0, steps + 1, record_every)
+    if steps % record_every:
+        times = np.append(times, steps)
+    w1s, w2s = np.array(w1s), np.array(w2s)
+    traj = Trajectory(times=times, values=w2s * w1s, kind="simulated", mode_index=mode_index)
+    return ScalarRun(trajectory=traj, w1=w1s, w2=w2s)
 
 
 def init_orthogonal(d, h, spectrum: Spectrum, scale, seed) -> Autoencoder:

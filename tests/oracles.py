@@ -8,8 +8,9 @@ training of the marginalised linear autoencoder against plain pixel-space
 descent, and the eigenbasis mode estimator against the dense pixel-space
 cross-covariance. The Monte Carlo sampled loss is the reference for the
 noise-marginalised loss, and the projected diagonal reads per-mode values off
-a pair of pixel-space weights. The CSV readers turn the files the CLI writes
-back into arrays.
+a pair of pixel-space weights. The row-at-a-time csv.writer formatter is the
+reference for the block trajectory writer, and the CSV readers turn the files
+the CLI writes back into arrays.
 """
 
 import csv
@@ -261,6 +262,15 @@ def projected_diagonal(w1, w2, spectrum):
     else:
         off = 0.0
     return diag, off
+
+
+def write_trajectory_csv_rows(path, trajectories):
+    """The epoch,mode,kind,value schema through csv.writer, one (t, mode, kind, v) row at a time."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["epoch", "mode", "kind", "value"])
+        writer.writerows((t, traj.mode_index, traj.kind, v) for traj in trajectories
+                         for t, v in zip(traj.times.tolist(), traj.values.tolist()))
 
 
 def read_trajectory_csv(path):

@@ -11,6 +11,7 @@ from oracles import (
     read_trajectory_csv,
     solve_at_times,
     wdae_flow,
+    write_trajectory_csv_rows,
 )
 
 from daedyn import analytic
@@ -353,6 +354,30 @@ def test_trajectory_csv_round_trip(tmp_path):
     back = {(t.mode_index, t.kind): t for t in read_trajectory_csv(path)}
     assert np.array_equal(back[(1, "analytic_dae")].values, t1.values)
     assert np.array_equal(back[(2, "analytic_wdae")].values, t2.values)
+
+
+def test_trajectory_csv_matches_the_row_writer_across_blocks(tmp_path):
+    block = analytic.CSV_BLOCK_ROWS
+    special = [5e-324, -0.0, 1e-05, 1e16, 0.1 + 0.2]
+    rng = np.random.default_rng(3)
+    # distinct values in every row, so a dropped or repeated row changes the bytes
+    long_values = rng.standard_normal(2 * block + 7)
+    long_values[[0, block - 1, block, 2 * block, -1]] = special
+    grid = np.arange(2 * block + 7, dtype=np.float64) * 0.1
+    trajectories = [
+        Trajectory(times=grid, values=long_values, kind="simulated", mode_index=1),
+        Trajectory(times=grid[:block], values=rng.standard_normal(block),
+                   kind="analytic_dae", mode_index=2),
+        Trajectory(times=np.array([-0.0, 5e-324, 1e-05, 0.1 + 0.2, 1e16]),
+                   values=np.array(special), kind="simulated", mode_index=-1),
+        Trajectory(times=grid[:1], values=np.array([0.5]), kind="estimated", mode_index=3),
+    ]
+    path, reference = tmp_path / "blocks.csv", tmp_path / "rows.csv"
+    write_trajectory_csv(path, trajectories)
+    write_trajectory_csv_rows(reference, trajectories)
+    assert path.read_bytes() == reference.read_bytes()
+    assert path.read_bytes().count(b"\r\n") == 1 + sum(t.times.size for t in trajectories)
+    assert b"\r\n-0.0,-1,simulated,5e-324\r\n5e-324,-1,simulated,-0.0\r\n" in path.read_bytes()
 
 
 def test_write_csv_encoding(tmp_path):

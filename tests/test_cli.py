@@ -126,14 +126,29 @@ def test_cli_returns_io_error_exit_code(tmp_path, capsys):
     ["predict", "--lambda", ",", "--epochs", "5"],
     ["predict", "--epsilon", ",", "--epochs", "5"],
     ["real-data", "--dataset", "{cache}", "--modes", ",", "--hidden", "4", "--epochs", "5"],
+    ["real-data", "--dataset", "{cache}", "--init-scale", "1e200", "--hidden", "4",
+     "--modes", "1", "--epochs", "0"],
+    ["real-data", "--dataset", "{cache}", "--init-scale", "1e200", "--hidden", "4",
+     "--modes", "1", "--epochs", "3"],
+    ["real-data", "--dataset", "{cache}", "--init-scale", "1e13", "--hidden", "4",
+     "--modes", "1", "--epochs", "0"],
+    ["nonlinear", "--dataset", "{cache}", "--init-scale", "1e200", "--hidden", "4",
+     "--modes", "1", "--epochs", "0"],
+    ["predict", "--config", "{config}", "--epochs", "5"],
+    ["ingest", "--dataset", "{cache}", "--config", "{config}"],
 ], ids=["degenerate-predict", "overcomplete-orthogonal", "negative-paths", "zero-eps-points",
         "real-data-epsilon-list", "infinite-gamma", "ingest-without-dataset", "compare-gamma",
         "nonlinear-epsilon-list", "compare-zero-gamma", "simulate-lambda-list",
         "surface-lambda-list", "rates-lambda-list", "simulate-empty-lambda",
         "surface-empty-lambda", "rates-empty-lambda", "predict-empty-lambda",
-        "predict-empty-epsilon", "real-data-empty-modes"])
+        "predict-empty-epsilon", "real-data-empty-modes", "real-data-huge-init-0-epochs",
+        "real-data-huge-init-3-epochs", "real-data-init-past-limit", "nonlinear-huge-init",
+        "predict-config-loss-mode", "ingest-config-loss-mode"])
 def test_cli_invalid_inputs_exit_2_without_traceback(argv, tmp_path, d16_cache, capsys):
-    argv = [a.format(cache=d16_cache) for a in argv] + ["--out", str(tmp_path / "out")]
+    config = tmp_path / "loss_mode.cfg"
+    config.write_text("loss_mode=other\n")
+    argv = [a.format(cache=d16_cache, config=config) for a in argv] + [
+        "--out", str(tmp_path / "out")]
     assert main(argv) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:")

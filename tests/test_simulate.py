@@ -83,6 +83,17 @@ def test_scalar_gd_discrete_conservation_drift_halves_with_alpha():
     assert d2 <= 0.5 * d1 * 1.05  # tiny slack for rounding
 
 
+def test_scalar_gd_records_on_the_cadence_and_the_last_step():
+    mode = ScalarMode(lam=1.0, epsilon=0.5, tau=50.0, w1_0=0.2, w2_0=0.3)
+    run = run_scalar_gd(mode, 1.0, 25, 10)
+    assert run.trajectory.times.tolist() == [0.0, 10.0, 20.0, 25.0]
+    assert run.trajectory.values.tolist() == [w2 * w1 for w1, w2 in zip(run.w1.tolist(),
+                                                                          run.w2.tolist())]
+    assert run.trajectory.values[0] == 0.3 * 0.2
+    assert run_scalar_gd(mode, 1.0, 0, 10).trajectory.times.tolist() == [0.0]
+    assert run_scalar_gd(mode, 1.0, 30, 10).trajectory.times.tolist() == [0.0, 10.0, 20.0, 30.0]
+
+
 def test_scalar_gd_divergence_reports_step_index():
     mode = ScalarMode(lam=1.0, epsilon=0.0, tau=1e-4, w1_0=1.0, w2_0=3.0)
     with pytest.raises(DivergenceError) as info:
@@ -386,6 +397,12 @@ def test_linear_ae_rejects_a_spectrum_of_other_data(small_dataset):
     cfg = TrainingConfig(learning_rate=0.5, epochs=10, hidden_dim=2)
     with pytest.raises(ValueError, match="diagonalise"):
         run_linear_ae(ds, other, cfg)
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf, 1e12, 1e200])
+def test_training_config_rejects_an_init_scale_outside_the_divergence_limit(scale):
+    with pytest.raises(ValueError, match="init scale"):
+        TrainingConfig(learning_rate=0.5, epochs=0, init_scale=scale)
 
 
 def test_linear_ae_divergence_aborts_with_epoch(small_dataset):
