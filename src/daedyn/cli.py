@@ -13,7 +13,7 @@ import argparse
 import logging
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -39,43 +39,65 @@ NONLINEAR_PRESETS = {"identity": {"sigma2": 3.0}, "relu": {"sigma2": 3.0},
 W0_FLOOR = 1e-15
 
 
+# config files may use the flag spellings; normalise them to field names
+_KEY_ALIASES = {"lambda": "lambdas", "epsilon": "epsilons", "format": "fmt"}
+
+
+def _flag(name):
+    """The command-line spelling of config field `name`, without the leading dashes."""
+    return next((k for k, v in _KEY_ALIASES.items() if v == name), name).replace("_", "-")
+
+
+def _setting(default, help=None, choices=None, minimum=None):
+    """A setting's default, its flag's help text, and what validate accepts:
+    one of `choices`, or values (each item of a list) of at least `minimum`."""
+    return field(default=default, metadata={"help": help, "choices": choices, "min": minimum})
+
+
 @dataclass
 class ExperimentConfig:
-    """Resolved settings for one subcommand invocation."""
+    """Resolved settings for one subcommand invocation.
+
+    Every field but `experiment` is one setting, given as the flag
+    `--<_flag(name)>` or as a config-file key; values from either source go
+    through _coerce and validate alike.
+    """
 
     experiment: str
-    out: Path = Path("out")
-    seed: int = 0
-    lambdas: list[float] | None = None
-    epsilons: list[float] | None = None
-    sigma2: float | None = None
-    laplace_b: float | None = None
-    gamma: float | None = None
-    n: int = 100
-    alpha: float = 1.0
-    epochs: int = 1000
-    hidden: int = 32
-    init: str = "small_random"
+    lambdas: list[float] | None = _setting(None, "comma-separated eigenvalue grid")
+    epsilons: list[float] | None = _setting(None, "comma-separated effective noise grid",
+                                            minimum=0.0)
+    sigma2: float | None = _setting(None, "gaussian noise variance (per component)",
+                                    minimum=0.0)
+    laplace_b: float | None = _setting(None, "laplace noise scale", minimum=0.0)
+    gamma: float | None = _setting(None, "weight decay in user units", minimum=0.0)
+    n: int = _setting(100, "sample count / parse limit", minimum=1)
+    alpha: float = _setting(1.0, "learning rate")
+    epochs: int = _setting(1000, minimum=0)
+    hidden: int = _setting(32, "hidden width", minimum=1)
     init_scale: float = 1e-3
-    record_every: int = 10
-    modes: list[int] | None = None
-    dataset: Path | None = None
-    fmt: str | None = None
-    center: bool = False
-    scale: bool = False
-    activation: str = "relu"
-    w0: float = 1e-3
-    weight_ratio: float = 2.0
+    init: str = _setting("small_random", choices=simulate.INIT_SCHEMES)
+    seed: int = 0
+    out: Path = _setting(Path("out"), "output directory")
+    dataset: Path | None = _setting(None, "dataset file path")
+    fmt: str | None = _setting(None, choices=("idx", "cifar10", "cache"))
+    modes: list[int] | None = _setting(None, "comma-separated 1-based mode ranks", minimum=1)
+    record_every: int = _setting(10, minimum=1)
+    center: bool = _setting(False, "subtract per-feature means before the covariance")
+    scale: bool = _setting(False, "rescale by the global max absolute value")
+    w0: float = _setting(1e-3, "initial mapping value for analytic curves")
+    weight_ratio: float = _setting(2.0, "w2/w1 ratio fixing the conserved quantity")
     w1_0: float | None = None
     w2_0: float | None = None
+    activation: str = _setting("relu", choices=tuple(sorted(simulate.ACTIVATIONS)))
     grid_min: float = -1.5
     grid_max: float = 1.5
-    grid_points: int = 61
-    paths: int = 6
-    eps_points: int = 21
-    eps_max: float = 10.0
-    eigenvectors: bool = False
-    loss_mode: str = "marginalized"
+    grid_points: int = _setting(61, minimum=2)
+    paths: int = _setting(6, "descent paths on the surface", minimum=0)
+    eps_max: float = _setting(10.0, minimum=0.0)
+    eps_points: int = _setting(21, minimum=1)
+    eigenvectors: bool = _setting(False, "also write the eigenvector matrix CSV")
+    loss_mode: str = _setting("marginalized", choices=simulate.LOSS_MODES)
     noise_draws: int = 1
 
     @property
@@ -83,52 +105,29 @@ class ExperimentConfig:
         return self.n / self.alpha
 
     def validate(self):
-        for name, value in vars(self).items():
-            flag = next((k for k, v in _KEY_ALIASES.items() if v == name), name).replace("_", "-")
+        for setting in fields(self):
+            value, flag = getattr(self, setting.name), _flag(setting.name)
             values = value if isinstance(value, list) else [value]
             if not values:
                 raise ConfigError(f"{flag} needs at least one value")
+            if value is None:
+                continue
             if any(isinstance(v, float) and not math.isfinite(v) for v in values):
                 raise ConfigError(f"{flag} must be finite, got {value}")
-        if self.n < 1:
-            raise ConfigError(f"n must be >= 1, got {self.n}")
+            minimum, choices = setting.metadata.get("min"), setting.metadata.get("choices")
+            if minimum is not None and any(v < minimum for v in values):
+                raise ConfigError(f"{flag} must be >= {minimum}, got {value}")
+            if choices is not None and value not in choices:
+                raise ConfigError(f"unknown {flag} {value!r}; choose from {', '.join(choices)}")
         if self.alpha <= 0.0:
             raise ConfigError(f"alpha must be > 0, got {self.alpha}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.record_every < 1:
-            raise ConfigError(f"record-every must be >= 1, got {self.record_every}")
-        if self.hidden < 1:
-            raise ConfigError(f"hidden must be >= 1, got {self.hidden}")
-        if self.gamma is not None and self.gamma < 0.0:
-            raise ConfigError(f"gamma must be >= 0, got {self.gamma}")
-        if self.sigma2 is not None and self.sigma2 < 0.0:
-            raise ConfigError(f"sigma2 must be >= 0, got {self.sigma2}")
-        if self.laplace_b is not None and self.laplace_b < 0.0:
-            raise ConfigError(f"laplace-b must be >= 0, got {self.laplace_b}")
         if self.lambdas is not None and any(lam <= 0.0 for lam in self.lambdas):
             raise ConfigError(f"lambda grid must be positive, got {self.lambdas}")
-        if self.epsilons is not None and any(e < 0.0 for e in self.epsilons):
-            raise ConfigError(f"epsilon grid must be >= 0, got {self.epsilons}")
-        if self.init not in simulate.INIT_SCHEMES:
-            raise ConfigError(f"unknown init scheme {self.init!r}")
-        if self.activation not in simulate.ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}")
-        if self.loss_mode not in simulate.LOSS_MODES:
-            raise ConfigError(f"unknown loss mode {self.loss_mode!r}")
         if self.experiment in ("real-data", "nonlinear", "ingest") or self.dataset is not None:
             if self.dataset is None:
                 raise ConfigError("this experiment needs --dataset")
             if not Path(self.dataset).is_file():
                 raise ConfigError(f"dataset file not found: {self.dataset}")
-        if self.modes is not None and any(m < 1 for m in self.modes):
-            raise ConfigError(f"modes are 1-based ranks, got {self.modes}")
-        if self.grid_points < 2:
-            raise ConfigError(f"grid-points must be >= 2, got {self.grid_points}")
-        if self.paths < 0:
-            raise ConfigError(f"paths must be >= 0, got {self.paths}")
-        if self.eps_points < 1:
-            raise ConfigError(f"eps-points must be >= 1, got {self.eps_points}")
         spec_count = sum(x is not None for x in (self.sigma2, self.laplace_b)) \
             + (self.epsilons is not None)
         if spec_count > 1:
@@ -153,9 +152,6 @@ def _parse_config_file(path):
     return values
 
 
-# config files may use the flag spellings; normalise them to field names
-_KEY_ALIASES = {"lambda": "lambdas", "epsilon": "epsilons", "format": "fmt"}
-
 _FIELD_TYPES = get_type_hints(ExperimentConfig)
 
 
@@ -179,7 +175,7 @@ def _coerce(key, value):
             raise ValueError(f"not a boolean: {value!r}")
         return kind(value)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from exc
+        raise ConfigError(f"bad value for {_flag(key)}: {value!r} ({exc})") from exc
 
 
 def build_config(experiment, file_values, flag_values) -> ExperimentConfig:
@@ -245,13 +241,6 @@ def _initial_weights(cfg: ExperimentConfig):
     return float(np.sqrt(cfg.w0 / cfg.weight_ratio)), float(np.sqrt(cfg.w0 * cfg.weight_ratio))
 
 
-def _record_times(cfg: ExperimentConfig):
-    times = list(range(0, cfg.epochs + 1, cfg.record_every))
-    if times[-1] != cfg.epochs:
-        times.append(cfg.epochs)
-    return np.array(times, dtype=np.float64)
-
-
 def _load_dataset(cfg: ExperimentConfig) -> spectrum.Dataset:
     path = Path(cfg.dataset)
     fmt = cfg.fmt
@@ -267,10 +256,8 @@ def _load_dataset(cfg: ExperimentConfig) -> spectrum.Dataset:
         raw = data.load_idx(path, count_limit=cfg.n)
     elif fmt == "cifar10":
         raw = data.load_cifar10(path, count_limit=cfg.n)
-    elif fmt == "cache":
-        raw = data.load_matrix(path)[: cfg.n]
     else:
-        raise ConfigError(f"unknown dataset format {fmt!r}")
+        raw = data.load_matrix(path)[: cfg.n]
     return data.preprocess(raw, center=cfg.center, scale=cfg.scale)
 
 
@@ -279,7 +266,7 @@ def _theory_grid(cfg: ExperimentConfig):
 
     The WDAE decay is N * gamma when --gamma is given, else the cell's matched one.
     """
-    times = _record_times(cfg)
+    times = simulate.record_times(cfg.epochs, cfg.record_every)
     w1_0, w2_0 = _initial_weights(cfg)
     w0 = w2_0 * w1_0
     epsilons = _epsilons(cfg, cfg.n, DEFAULT_EPSILONS)
@@ -316,8 +303,8 @@ def cmd_surface(cfg: ExperimentConfig):
     lam = _single(cfg.lambdas, "lambda", DEFAULT_LAMBDAS[0])
     eps = _single(_epsilons(cfg, cfg.n), "epsilon", 0.0)
     gamma_eff = cfg.n * (cfg.gamma or 0.0)
-    if not (np.isfinite(cfg.grid_min) and np.isfinite(cfg.grid_max)) or cfg.grid_min >= cfg.grid_max:
-        raise ConfigError("surface grid bounds must be finite with min < max")
+    if cfg.grid_min >= cfg.grid_max:
+        raise ConfigError("surface grid bounds need grid-min < grid-max")
     axis = np.linspace(cfg.grid_min, cfg.grid_max, cfg.grid_points).tolist()
     surface_rows = []
     for w1 in axis:
@@ -490,7 +477,7 @@ def cmd_rates(cfg: ExperimentConfig):
     eps_grid = _epsilons(cfg, cfg.n, np.linspace(0.0, cfg.eps_max, cfg.eps_points).tolist())
     rows = []
     for eps in eps_grid:
-        gamma_eff = analytic.equivalent_decay(lam, eps) if lam + eps > 0.0 else 0.0
+        gamma_eff = analytic.equivalent_decay(lam, eps)
         rows.append((eps, gamma_eff, *analytic.optimal_rates(lam, eps, gamma_eff, cfg.tau)))
     analytic.write_csv(cfg.out / "rates.csv",
                        ["epsilon", "gamma_eff", "alpha_eps", "alpha_gamma", "ratio"], rows)
@@ -526,45 +513,18 @@ COMMANDS = {
 
 
 def _add_shared_flags(parser):
-    parser.add_argument("--config", type=Path, help="flat key=value config file")
-    parser.add_argument("--lambda", dest="lambdas", help="comma-separated eigenvalue grid")
-    parser.add_argument("--epsilon", dest="epsilons",
-                        help="comma-separated effective noise grid")
-    parser.add_argument("--sigma2", type=float, help="gaussian noise variance (per component)")
-    parser.add_argument("--laplace-b", dest="laplace_b", type=float, help="laplace noise scale")
-    parser.add_argument("--gamma", type=float, help="weight decay in user units")
-    parser.add_argument("--n", type=int, help="sample count / parse limit")
-    parser.add_argument("--alpha", type=float, help="learning rate")
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--hidden", type=int, help="hidden width")
-    parser.add_argument("--init-scale", dest="init_scale", type=float)
-    parser.add_argument("--init", choices=simulate.INIT_SCHEMES)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--out", type=Path, help="output directory")
-    parser.add_argument("--dataset", type=Path, help="dataset file path")
-    parser.add_argument("--format", dest="fmt", choices=["idx", "cifar10", "cache"])
-    parser.add_argument("--modes", help="comma-separated 1-based mode ranks")
-    parser.add_argument("--record-every", dest="record_every", type=int)
-    parser.add_argument("--center", action="store_const", const=True,
-                        help="subtract per-feature means before the covariance")
-    parser.add_argument("--scale", action="store_const", const=True,
-                        help="rescale by the global max absolute value")
-    parser.add_argument("--w0", type=float, help="initial mapping value for analytic curves")
-    parser.add_argument("--weight-ratio", dest="weight_ratio", type=float,
-                        help="w2/w1 ratio fixing the conserved quantity")
-    parser.add_argument("--w1-0", dest="w1_0", type=float)
-    parser.add_argument("--w2-0", dest="w2_0", type=float)
-    parser.add_argument("--activation", choices=sorted(simulate.ACTIVATIONS))
-    parser.add_argument("--grid-min", dest="grid_min", type=float)
-    parser.add_argument("--grid-max", dest="grid_max", type=float)
-    parser.add_argument("--grid-points", dest="grid_points", type=int)
-    parser.add_argument("--paths", type=int, help="descent paths on the surface")
-    parser.add_argument("--eps-max", dest="eps_max", type=float)
-    parser.add_argument("--eps-points", dest="eps_points", type=int)
-    parser.add_argument("--eigenvectors", action="store_const", const=True,
-                        help="also write the eigenvector matrix CSV")
-    parser.add_argument("--loss-mode", dest="loss_mode", choices=simulate.LOSS_MODES)
-    parser.add_argument("--noise-draws", dest="noise_draws", type=int)
+    """--config plus one flag per config field; every value reaches _coerce as given."""
+    parser.add_argument("--config", help="flat key=value config file")
+    for setting in fields(ExperimentConfig):
+        if setting.name == "experiment":
+            continue
+        flag, help_text = "--" + _flag(setting.name), setting.metadata.get("help")
+        if _FIELD_TYPES[setting.name] is bool:
+            parser.add_argument(flag, action="store_const", const=True, help=help_text)
+        else:
+            choices = setting.metadata.get("choices")
+            metavar = "{%s}" % ",".join(choices) if choices else setting.name.upper()
+            parser.add_argument(flag, help=help_text, metavar=metavar)
 
 
 def main(argv=None) -> int:

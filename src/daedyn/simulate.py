@@ -153,6 +153,12 @@ class Run:
                           mode_index=rank)
 
 
+def record_times(epochs, every):
+    """The epochs a run records: 0, every `every` epochs, and the last one."""
+    times = np.arange(0, epochs + 1, every, dtype=np.float64)
+    return times if epochs % every == 0 else np.append(times, float(epochs))
+
+
 def run_scalar_gd(mode: ScalarMode, alpha, steps, record_every=1, gamma_eff=0.0,
                   mode_index=1) -> ScalarRun:
     """Euler steps of the per-mode flow; one step is one epoch.
@@ -188,9 +194,7 @@ def run_scalar_gd(mode: ScalarMode, alpha, steps, record_every=1, gamma_eff=0.0,
         if step % record_every == 0 or step == steps:
             w1s.append(w1)
             w2s.append(w2)
-    times = np.arange(0, steps + 1, record_every)
-    if steps % record_every:
-        times = np.append(times, steps)
+    times = record_times(steps, record_every)
     w1s, w2s = np.array(w1s), np.array(w2s)
     traj = Trajectory(times=times, values=w2s * w1s, kind="simulated", mode_index=mode_index)
     return ScalarRun(trajectory=traj, w1=w1s, w2=w2s)
@@ -369,7 +373,7 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readou
     alpha = config.learning_rate
     gamma = config.weight_decay
     track_offdiag = d <= 64
-    times, modes, norms, losses = [], [], [], []
+    modes, norms, losses = [], [], []
     worst_off = 0.0 if track_offdiag else np.nan
 
     def loss_and_grads():
@@ -383,10 +387,9 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readou
             g2 = g2 + gamma * w2
         return loss, g1, g2
 
-    def record(epoch, loss):
+    def record(loss):
         nonlocal worst_off
         w1r, w2r = (w1, w2) if marginalized else rotate_weights(w1, w2, spectrum)
-        times.append(float(epoch))
         modes.append(readout(w1r, w2r))
         norms.append(float(np.sum(w1r * w1r) + np.sum(w2r * w2r)))
         losses.append(loss)
@@ -396,7 +399,7 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readou
             worst_off = max(worst_off, float(np.max(np.abs(m))))
 
     loss, g1, g2 = loss_and_grads()
-    record(0, loss)
+    record(loss)
     for epoch in range(1, config.epochs + 1):
         w1 -= alpha * g1
         w2 -= alpha * g2
@@ -405,11 +408,11 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readou
             raise DivergenceError(f"run diverged at epoch {epoch}", step=epoch)
         loss, g1, g2 = loss_and_grads()
         if epoch % config.record_every == 0 or epoch == config.epochs:
-            record(epoch, loss)
+            record(loss)
     if marginalized:
         v = spectrum.eigenvectors
         w1, w2 = w1 @ v.T, v @ w2
-    times = np.array(times)
+    times = record_times(config.epochs, config.record_every)
     return Run(times=times, modes=np.stack(modes, axis=0),
                norms=Trajectory(times=times, values=np.array(norms), kind="simulated",
                                 mode_index=-1),

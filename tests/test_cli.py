@@ -1,6 +1,7 @@
 """Command-line workflows: config precedence, CSV outputs, exit codes, determinism."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -136,6 +137,9 @@ def test_cli_returns_io_error_exit_code(tmp_path, capsys):
      "--modes", "1", "--epochs", "0"],
     ["predict", "--config", "{config}", "--epochs", "5"],
     ["ingest", "--dataset", "{cache}", "--config", "{config}"],
+    ["predict", "--config", "{png_config}", "--epochs", "5"],
+    ["predict", "--init", "bogus", "--epochs", "5"],
+    ["rates", "--eps-max", "-1"],
 ], ids=["degenerate-predict", "overcomplete-orthogonal", "negative-paths", "zero-eps-points",
         "real-data-epsilon-list", "infinite-gamma", "ingest-without-dataset", "compare-gamma",
         "nonlinear-epsilon-list", "compare-zero-gamma", "simulate-lambda-list",
@@ -143,11 +147,14 @@ def test_cli_returns_io_error_exit_code(tmp_path, capsys):
         "surface-empty-lambda", "rates-empty-lambda", "predict-empty-lambda",
         "predict-empty-epsilon", "real-data-empty-modes", "real-data-huge-init-0-epochs",
         "real-data-huge-init-3-epochs", "real-data-init-past-limit", "nonlinear-huge-init",
-        "predict-config-loss-mode", "ingest-config-loss-mode"])
+        "predict-config-loss-mode", "ingest-config-loss-mode", "predict-config-format",
+        "predict-bogus-init", "rates-negative-eps-max"])
 def test_cli_invalid_inputs_exit_2_without_traceback(argv, tmp_path, d16_cache, capsys):
     config = tmp_path / "loss_mode.cfg"
     config.write_text("loss_mode=other\n")
-    argv = [a.format(cache=d16_cache, config=config) for a in argv] + [
+    png_config = tmp_path / "format.cfg"
+    png_config.write_text("format=png\n")
+    argv = [a.format(cache=d16_cache, config=config, png_config=png_config) for a in argv] + [
         "--out", str(tmp_path / "out")]
     assert main(argv) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
@@ -287,6 +294,59 @@ def test_config_file_sets_every_field_with_its_type(noise, tmp_path):
     assert cfg.lambdas == [2.5, 1.0] and cfg.modes == [1, 2]
     assert cfg.center is True and cfg.scale is False and cfg.eigenvectors is True
     assert cfg.dataset == dataset and cfg.out == Path("results")
+
+
+# one valid and one malformed value per setting, as given after its flag or its `key=`;
+# True is a flag that takes no value, None a setting that has no malformed value
+SETTING_VALUES = {
+    "lambdas": ("2.5,1", "x"), "epsilons": ("0.5", "-1"), "sigma2": ("0.5", "abc"),
+    "laplace_b": ("0.5", "abc"), "gamma": ("0.25", "abc"), "n": ("50", "1.5"),
+    "alpha": ("0.5", "abc"), "epochs": ("7", "x"), "hidden": ("3", "0"),
+    "init_scale": ("0.01", "abc"), "init": ("orthogonal", "bogus"), "seed": ("4", "x"),
+    "out": ("results", None), "dataset": ("{dataset}", "{missing}"), "fmt": ("cache", "png"),
+    "modes": ("1,2", "a"), "record_every": ("2", "0"), "center": (True, "maybe"),
+    "scale": (True, "maybe"), "w0": ("0.02", "nan"), "weight_ratio": ("3", "inf"),
+    "w1_0": ("0.1", "abc"), "w2_0": ("0.2", "abc"), "activation": ("tanh", "sigmoid"),
+    "grid_min": ("-1", "abc"), "grid_max": ("1", "nan"), "grid_points": ("5", "1"),
+    "paths": ("2", "-1"), "eps_max": ("4", "-1"), "eps_points": ("3", "0"),
+    "eigenvectors": (True, "maybe"), "loss_mode": ("sampled", "other"),
+    "noise_draws": ("2", "x"),
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ExperimentConfig)
+                                  if f.name != "experiment"])
+def test_every_setting_is_one_flag_and_one_config_key(name, tmp_path, monkeypatch, capsys):
+    # a field with no entry above, or with no flag, fails here
+    valid, malformed = SETTING_VALUES[name]
+    dataset = tmp_path / "d.cache"
+    dataset.write_bytes(b"")
+    key = cli._flag(name)
+
+    def run(value, from_file):
+        value = value if value is True else value.format(
+            dataset=dataset, missing=tmp_path / "missing.cache")
+        if from_file:
+            cfg_file = tmp_path / "run.cfg"
+            cfg_file.write_text(f"{key}={'true' if value is True else value}\n")
+            argv = ["predict", "--config", str(cfg_file)]
+        else:
+            argv = ["predict", "--" + key] + ([] if value is True else [value])
+        seen = []
+        monkeypatch.setitem(cli.COMMANDS, "predict", lambda cfg: seen.append(cfg) or [])
+        return main(argv), seen, capsys.readouterr().err
+
+    (flag_code, flag_cfgs, _), (file_code, file_cfgs, _) = run(valid, False), run(valid, True)
+    assert flag_code == file_code == cli.EXIT_OK
+    assert flag_cfgs == file_cfgs
+    assert getattr(flag_cfgs[0], name) != getattr(ExperimentConfig("predict"), name)
+    if malformed is None:
+        return
+    # a flag that takes no value cannot carry a malformed one
+    sources = [True] if valid is True else [True, False]
+    for code, cfgs, err in (run(malformed, from_file) for from_file in sources):
+        assert code == cli.EXIT_CONFIG and not cfgs
+        assert err.startswith("config error:") and key in err, err
 
 
 def test_cli_returns_divergence_exit_code(tmp_path, capsys):

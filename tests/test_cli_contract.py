@@ -68,10 +68,7 @@ def inputs(d16_cache, tmp_path_factory):
 def _assert_exits_with_a_contract_code(argv):
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:   # argparse rejects a malformed flag with exit 2
-            code = exc.code
+        code = cli.main(argv)
     assert code in CONTRACT_CODES, (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue(), argv
 
