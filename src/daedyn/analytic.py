@@ -12,6 +12,7 @@ is measured in epochs against the constant tau = N / alpha.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -23,7 +24,7 @@ from .errors import DegenerateTrajectoryError, UnsupportedModeError
 
 C0_MIN = 1e-9          # below this the hyperbolic coordinates divide by ~0
 OVERFLOW_ARG = 700.0   # exp saturation horizon; beyond it w(t) is the fixed point
-CSV_BLOCK_ROWS = 1024  # trajectory rows formatted per write: bounds the text held at once
+CSV_BLOCK_ROWS = 1024  # float-table rows formatted per write: bounds the text held at once
 
 TRAJECTORY_KINDS = ("analytic_dae", "analytic_wdae", "simulated", "estimated")
 
@@ -316,18 +317,51 @@ def write_csv(path, header, rows):
         csv.writer(fh).writerows(rows)
 
 
+def _float_texts(values):
+    """repr of each float64 in values, as one list per CSV_BLOCK_ROWS rows. Each distinct
+    bit pattern in a block is formatted once; bits, not values, keep 0.0 and -0.0 apart."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    for start in range(0, values.size, CSV_BLOCK_ROWS):
+        block = values[start:start + CSV_BLOCK_ROWS]
+        _, first, inverse = np.unique(block.view(np.int64), return_index=True,
+                                      return_inverse=True)
+        texts = [repr(x) for x in block[first].tolist()]
+        yield list(map(texts.__getitem__, inverse.tolist()))
+
+
+def write_columns(path, header, tables):
+    """Tables of columns as CSV rows, with the bytes write_csv gives for the same rows.
+
+    A column is a str, the same field on every row, or float64 values, which
+    are formatted and written CSV_BLOCK_ROWS rows at a time. A table's first
+    float column is a grid (a trajectory file's epochs): its texts are kept,
+    one newline-joined string per block, and formatted again only when the
+    next table's grid differs in its bits.
+    """
+    grid_bits, grid_blocks = None, []
+    with _csv_file(path, header) as fh:
+        for table in tables:
+            at = next(i for i, column in enumerate(table) if not isinstance(column, str))
+            bits = np.ascontiguousarray(table[at], dtype=np.float64).view(np.int64)
+            if not np.array_equal(bits, grid_bits):
+                grid_bits = bits
+                # one string per block, not one per row: a 200 001-epoch grid kept as
+                # separate texts raised a command's peak RSS by a third
+                grid_blocks = ["\n".join(texts) for texts in _float_texts(bits.view(np.float64))]
+            columns = [itertools.repeat(itertools.repeat(column)) if isinstance(column, str)
+                       else _float_texts(column) for column in table]
+            columns[at] = (block.split("\n") for block in grid_blocks)
+            for block in zip(*columns):
+                fh.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
+
+
 def write_trajectory_csv(path, trajectories):
     """Shared plot-data schema: header epoch,mode,kind,value; one row per (t, mode).
 
     mode is the 1-based eigen-direction rank; -1 is reserved for weight-norm
-    series. The bytes are those write_csv gives for the same rows; each
-    trajectory is formatted and written CSV_BLOCK_ROWS rows at a time, so no
-    whole-series list is ever built.
+    series. Written by write_columns, so the epochs the trajectories share
+    are formatted once per file and each distinct value once per block.
     """
-    with _csv_file(path, ["epoch", "mode", "kind", "value"]) as fh:
-        for traj in trajectories:
-            middle = f",{traj.mode_index},{traj.kind},"
-            for start in range(0, traj.times.size, CSV_BLOCK_ROWS):
-                block = slice(start, start + CSV_BLOCK_ROWS)
-                fh.write("".join([f"{t!r}{middle}{v!r}\r\n" for t, v in
-                                  zip(traj.times[block].tolist(), traj.values[block].tolist())]))
+    write_columns(path, ["epoch", "mode", "kind", "value"],
+                  ([traj.times, f"{traj.mode_index},{traj.kind}", traj.values]
+                   for traj in trajectories))

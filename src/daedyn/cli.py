@@ -48,10 +48,12 @@ def _flag(name):
     return next((k for k, v in _KEY_ALIASES.items() if v == name), name).replace("_", "-")
 
 
-def _setting(default, help=None, choices=None, minimum=None):
-    """A setting's default, its flag's help text, and what validate accepts:
-    one of `choices`, or values (each item of a list) of at least `minimum`."""
-    return field(default=default, metadata={"help": help, "choices": choices, "min": minimum})
+def _setting(default, help=None, choices=None, minimum=None, positive=False):
+    """A setting's default, its flag's help text, and what validate accepts: one
+    of `choices`, or values (each item of a list) of at least `minimum`, and
+    above 0 if `positive`."""
+    return field(default=default, metadata={"help": help, "choices": choices, "min": minimum,
+                                            "positive": positive})
 
 
 @dataclass
@@ -64,7 +66,8 @@ class ExperimentConfig:
     """
 
     experiment: str
-    lambdas: list[float] | None = _setting(None, "comma-separated eigenvalue grid")
+    lambdas: list[float] | None = _setting(None, "comma-separated eigenvalue grid",
+                                           positive=True)
     epsilons: list[float] | None = _setting(None, "comma-separated effective noise grid",
                                             minimum=0.0)
     sigma2: float | None = _setting(None, "gaussian noise variance (per component)",
@@ -72,12 +75,12 @@ class ExperimentConfig:
     laplace_b: float | None = _setting(None, "laplace noise scale", minimum=0.0)
     gamma: float | None = _setting(None, "weight decay in user units", minimum=0.0)
     n: int = _setting(100, "sample count / parse limit", minimum=1)
-    alpha: float = _setting(1.0, "learning rate")
+    alpha: float = _setting(1.0, "learning rate", positive=True)
     epochs: int = _setting(1000, minimum=0)
     hidden: int = _setting(32, "hidden width", minimum=1)
-    init_scale: float = 1e-3
+    init_scale: float = _setting(1e-3, positive=True)
     init: str = _setting("small_random", choices=simulate.INIT_SCHEMES)
-    seed: int = 0
+    seed: int = _setting(0, minimum=0)
     out: Path = _setting(Path("out"), "output directory")
     dataset: Path | None = _setting(None, "dataset file path")
     fmt: str | None = _setting(None, choices=("idx", "cifar10", "cache"))
@@ -85,8 +88,9 @@ class ExperimentConfig:
     record_every: int = _setting(10, minimum=1)
     center: bool = _setting(False, "subtract per-feature means before the covariance")
     scale: bool = _setting(False, "rescale by the global max absolute value")
-    w0: float = _setting(1e-3, "initial mapping value for analytic curves")
-    weight_ratio: float = _setting(2.0, "w2/w1 ratio fixing the conserved quantity")
+    w0: float = _setting(1e-3, "initial mapping value for analytic curves", positive=True)
+    weight_ratio: float = _setting(2.0, "w2/w1 ratio fixing the conserved quantity",
+                                   positive=True)
     w1_0: float | None = None
     w2_0: float | None = None
     activation: str = _setting("relu", choices=tuple(sorted(simulate.ACTIVATIONS)))
@@ -98,7 +102,7 @@ class ExperimentConfig:
     eps_points: int = _setting(21, minimum=1)
     eigenvectors: bool = _setting(False, "also write the eigenvector matrix CSV")
     loss_mode: str = _setting("marginalized", choices=simulate.LOSS_MODES)
-    noise_draws: int = 1
+    noise_draws: int = _setting(1, minimum=1)
 
     @property
     def tau(self) -> float:
@@ -117,12 +121,10 @@ class ExperimentConfig:
             minimum, choices = setting.metadata.get("min"), setting.metadata.get("choices")
             if minimum is not None and any(v < minimum for v in values):
                 raise ConfigError(f"{flag} must be >= {minimum}, got {value}")
+            if setting.metadata.get("positive") and any(v <= 0.0 for v in values):
+                raise ConfigError(f"{flag} must be > 0, got {value}")
             if choices is not None and value not in choices:
                 raise ConfigError(f"unknown {flag} {value!r}; choose from {', '.join(choices)}")
-        if self.alpha <= 0.0:
-            raise ConfigError(f"alpha must be > 0, got {self.alpha}")
-        if self.lambdas is not None and any(lam <= 0.0 for lam in self.lambdas):
-            raise ConfigError(f"lambda grid must be positive, got {self.lambdas}")
         if self.experiment in ("real-data", "nonlinear", "ingest") or self.dataset is not None:
             if self.dataset is None:
                 raise ConfigError("this experiment needs --dataset")
@@ -236,8 +238,6 @@ def _initial_weights(cfg: ExperimentConfig):
         raise ConfigError("give both --w1-0 and --w2-0 or neither")
     if cfg.w1_0 is not None:
         return float(cfg.w1_0), float(cfg.w2_0)
-    if cfg.w0 <= 0.0 or cfg.weight_ratio <= 0.0:
-        raise ConfigError("w0 and weight-ratio must be > 0")
     return float(np.sqrt(cfg.w0 / cfg.weight_ratio)), float(np.sqrt(cfg.w0 * cfg.weight_ratio))
 
 
@@ -305,25 +305,23 @@ def cmd_surface(cfg: ExperimentConfig):
     gamma_eff = cfg.n * (cfg.gamma or 0.0)
     if cfg.grid_min >= cfg.grid_max:
         raise ConfigError("surface grid bounds need grid-min < grid-max")
-    axis = np.linspace(cfg.grid_min, cfg.grid_max, cfg.grid_points).tolist()
-    surface_rows = []
-    for w1 in axis:
-        for w2 in axis:
-            loss, _, _ = analytic.scalar_loss_and_grad(w1, w2, lam, eps, tau=1.0)
-            surface_rows.append((w1, w2, loss + 0.5 * gamma_eff * (w1 * w1 + w2 * w2)))
+    axis = np.linspace(cfg.grid_min, cfg.grid_max, cfg.grid_points)
+    # a Python-float loop: numpy's square differs from ** 2 in the last bits of some losses
+    loss = np.fromiter((analytic.scalar_loss_and_grad(w1, w2, lam, eps, tau=1.0)[0]
+                        + 0.5 * gamma_eff * (w1 * w1 + w2 * w2)
+                        for w1 in axis.tolist() for w2 in axis.tolist()), np.float64, axis.size ** 2)
     rng = np.random.default_rng(cfg.seed)
-    path_rows = []
-    for path_id in range(cfg.paths):
+    runs = []
+    for _ in range(cfg.paths):
         w1_0, w2_0 = rng.uniform(cfg.grid_min, cfg.grid_max, size=2)
         mode = analytic.ScalarMode(lam=lam, epsilon=eps, tau=cfg.tau, w1_0=w1_0, w2_0=w2_0)
-        run = simulate.run_scalar_gd(mode, cfg.alpha, cfg.epochs, cfg.record_every,
-                                     gamma_eff=gamma_eff)
-        path_rows += [(path_id, *row) for row in zip(
-            run.trajectory.times.tolist(), run.w1.tolist(), run.w2.tolist(),
-            run.trajectory.values.tolist())]
-    analytic.write_csv(cfg.out / "surface.csv", ["w1", "w2", "loss"], surface_rows)
-    analytic.write_csv(cfg.out / "surface_paths.csv", ["path", "epoch", "w1", "w2", "value"],
-                       path_rows)
+        runs.append(simulate.run_scalar_gd(mode, cfg.alpha, cfg.epochs, cfg.record_every,
+                                           gamma_eff=gamma_eff))
+    analytic.write_columns(cfg.out / "surface.csv", ["w1", "w2", "loss"],
+                           [[np.repeat(axis, axis.size), np.tile(axis, axis.size), loss]])
+    analytic.write_columns(cfg.out / "surface_paths.csv", ["path", "epoch", "w1", "w2", "value"],
+                           [[str(path_id), run.trajectory.times, run.w1, run.w2,
+                             run.trajectory.values] for path_id, run in enumerate(runs)])
     return [cfg.out / "surface.csv", cfg.out / "surface_paths.csv"]
 
 

@@ -8,9 +8,9 @@ training of the marginalised linear autoencoder against plain pixel-space
 descent, and the eigenbasis mode estimator against the dense pixel-space
 cross-covariance. The Monte Carlo sampled loss is the reference for the
 noise-marginalised loss, and the projected diagonal reads per-mode values off
-a pair of pixel-space weights. The row-at-a-time csv.writer formatter is the
-reference for the block trajectory writer, and the CSV readers turn the files
-the CLI writes back into arrays.
+a pair of pixel-space weights. The row-at-a-time csv.writer formatters are
+the references for the block writer of the trajectory and surface files, and
+the CSV readers turn the files the CLI writes back into arrays.
 """
 
 import csv
@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from daedyn import simulate
-from daedyn.analytic import Trajectory
+from daedyn.analytic import ScalarMode, Trajectory, scalar_loss_and_grad
 from daedyn.spectrum import Dataset, rotate_weights
 
 
@@ -271,6 +271,33 @@ def write_trajectory_csv_rows(path, trajectories):
         writer.writerow(["epoch", "mode", "kind", "value"])
         writer.writerows((t, traj.mode_index, traj.kind, v) for traj in trajectories
                          for t, v in zip(traj.times.tolist(), traj.values.tolist()))
+
+
+def write_surface_csv_rows(out, cfg, lam, eps, gamma_eff):
+    """The surface grid and descent paths as tuples through csv.writer, one row at a time."""
+    axis = np.linspace(cfg.grid_min, cfg.grid_max, cfg.grid_points).tolist()
+    surface_rows = []
+    for w1 in axis:
+        for w2 in axis:
+            loss, _, _ = scalar_loss_and_grad(w1, w2, lam, eps, tau=1.0)
+            surface_rows.append((w1, w2, loss + 0.5 * gamma_eff * (w1 * w1 + w2 * w2)))
+    rng = np.random.default_rng(cfg.seed)
+    path_rows = []
+    for path_id in range(cfg.paths):
+        w1_0, w2_0 = rng.uniform(cfg.grid_min, cfg.grid_max, size=2)
+        mode = ScalarMode(lam=lam, epsilon=eps, tau=cfg.tau, w1_0=w1_0, w2_0=w2_0)
+        run = simulate.run_scalar_gd(mode, cfg.alpha, cfg.epochs, cfg.record_every,
+                                     gamma_eff=gamma_eff)
+        path_rows += [(path_id, *row) for row in zip(
+            run.trajectory.times.tolist(), run.w1.tolist(), run.w2.tolist(),
+            run.trajectory.values.tolist())]
+    for name, header, rows in (("surface.csv", ["w1", "w2", "loss"], surface_rows),
+                               ("surface_paths.csv", ["path", "epoch", "w1", "w2", "value"],
+                                path_rows)):
+        with open(out / name, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
 
 
 def read_trajectory_csv(path):

@@ -380,6 +380,32 @@ def test_trajectory_csv_matches_the_row_writer_across_blocks(tmp_path):
     assert b"\r\n-0.0,-1,simulated,5e-324\r\n5e-324,-1,simulated,-0.0\r\n" in path.read_bytes()
 
 
+def test_trajectory_csv_formats_each_bit_pattern_and_epoch_grid_like_the_row_writer(tmp_path):
+    block = analytic.CSV_BLOCK_ROWS
+    grid = np.arange(2 * block + 5, dtype=np.float64)
+    # one plateau value across both block boundaries, signed zeros and extremes among it
+    values = np.full(grid.size, 1.0 / 3.0)
+    values[:4] = [0.0, -0.0, 5e-324, 1e16]
+    values[[block - 1, block + 1, -1]] = [-0.0, 0.0, -0.0]
+    trajectories = [
+        Trajectory(times=grid, values=values, kind="analytic_dae", mode_index=1),
+        Trajectory(times=grid, values=values[::-1], kind="analytic_wdae", mode_index=1),
+        Trajectory(times=grid + 0.5, values=values, kind="simulated", mode_index=2),
+        # equal by value to the next grid, but its -0.0 is written as such
+        Trajectory(times=np.array([-0.0, 5e-324, 1e16]), values=np.array([0.0, -0.0, 0.0]),
+                   kind="simulated", mode_index=-1),
+        Trajectory(times=np.array([0.0, 5e-324, 1e16]), values=np.array([-0.0, 0.0, 1e16]),
+                   kind="estimated", mode_index=3),
+        Trajectory(times=grid, values=values, kind="estimated", mode_index=4),
+    ]
+    path, reference = tmp_path / "memo.csv", tmp_path / "rows.csv"
+    write_trajectory_csv(path, trajectories)
+    write_trajectory_csv_rows(reference, trajectories)
+    assert path.read_bytes() == reference.read_bytes()
+    assert b"\r\n-0.0,-1,simulated,0.0\r\n5e-324,-1,simulated,-0.0\r\n" in path.read_bytes()
+    assert b"\r\n0.0,3,estimated,-0.0\r\n" in path.read_bytes()
+
+
 def test_write_csv_encoding(tmp_path):
     # commas, CRLF row ends, floats as repr(float(x)), None as an empty field
     values = np.array([1.0 / 3.0, -2.5e-300, 6.02214076e23])

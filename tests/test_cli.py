@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracles import read_trajectory_csv
+from oracles import read_trajectory_csv, write_surface_csv_rows
 
 from daedyn import analytic, cli, data, spectrum
 from daedyn.analytic import NoiseModel
@@ -140,6 +140,12 @@ def test_cli_returns_io_error_exit_code(tmp_path, capsys):
     ["predict", "--config", "{png_config}", "--epochs", "5"],
     ["predict", "--init", "bogus", "--epochs", "5"],
     ["rates", "--eps-max", "-1"],
+    ["predict", "--seed", "-1", "--epochs", "5"],
+    ["surface", "--seed", "-1", "--epochs", "5", "--grid-points", "3"],
+    ["predict", "--noise-draws", "0", "--epochs", "5"],
+    ["predict", "--init-scale", "-1", "--epochs", "5"],
+    ["surface", "--w0", "0", "--epochs", "5", "--grid-points", "3"],
+    ["rates", "--weight-ratio", "-2"],
 ], ids=["degenerate-predict", "overcomplete-orthogonal", "negative-paths", "zero-eps-points",
         "real-data-epsilon-list", "infinite-gamma", "ingest-without-dataset", "compare-gamma",
         "nonlinear-epsilon-list", "compare-zero-gamma", "simulate-lambda-list",
@@ -148,7 +154,9 @@ def test_cli_returns_io_error_exit_code(tmp_path, capsys):
         "predict-empty-epsilon", "real-data-empty-modes", "real-data-huge-init-0-epochs",
         "real-data-huge-init-3-epochs", "real-data-init-past-limit", "nonlinear-huge-init",
         "predict-config-loss-mode", "ingest-config-loss-mode", "predict-config-format",
-        "predict-bogus-init", "rates-negative-eps-max"])
+        "predict-bogus-init", "rates-negative-eps-max", "predict-negative-seed",
+        "surface-negative-seed", "predict-zero-noise-draws", "predict-negative-init-scale",
+        "surface-zero-w0", "rates-negative-weight-ratio"])
 def test_cli_invalid_inputs_exit_2_without_traceback(argv, tmp_path, d16_cache, capsys):
     config = tmp_path / "loss_mode.cfg"
     config.write_text("loss_mode=other\n")
@@ -463,6 +471,19 @@ def test_surface_minimum_sits_on_hyperbola_and_paths_reach_it(tmp_path):
         if origin:
             end_loss = 0.5 * (1 - float(row["value"])) ** 2 + 2.5 * float(row["value"]) ** 2
             assert float(origin[0]["loss"]) > end_loss
+
+
+@pytest.mark.parametrize("epochs", ["1000", "0"])
+def test_surface_csvs_match_the_row_writer(epochs, tmp_path):
+    # at 101 points some losses differ in the last bits if the grid is vectorised
+    flags = {"gamma": "0.1", "paths": "3", "epochs": epochs, "epsilons": "1",
+             "grid_points": "101"}
+    assert main(["surface", *(f"--{cli._flag(k)}={v}" for k, v in flags.items()),
+                 "--out", str(tmp_path / "cli")]) == cli.EXIT_OK
+    cfg = build_config("surface", {}, flags)
+    write_surface_csv_rows(tmp_path, cfg, cli.DEFAULT_LAMBDAS[0], 1.0, cfg.n * cfg.gamma)
+    for name in ("surface.csv", "surface_paths.csv"):
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
 
 def test_surface_zero_noise_minimum_on_unit_hyperbola(tmp_path):
