@@ -229,7 +229,24 @@ def init_small_random(d, h, scale, seed) -> Autoencoder:
                        w2=rng.uniform(-scale, scale, size=(d, h)))
 
 
-def marginalized_loss_and_grads(model: Autoencoder, dataset, epsilon_eff, cov=None):
+class Workspace(dict):
+    """Named float64 buffers that a run's steps write into, each made on first use.
+
+    Every step asks for the same names and shapes, so the gradients, the
+    update and the N x D corrupted batch are allocated once per run, not once
+    per step. A buffer exists only once a step has needed it, so noise-free
+    runs never hold an N x D corruption buffer. A buffer handed back by a
+    step is overwritten by the next one.
+    """
+
+    def __call__(self, name, shape):
+        buf = self.get(name)
+        if buf is None or buf.shape != shape:
+            buf = self[name] = np.empty(shape)
+        return buf
+
+
+def marginalized_loss_and_grads(model: Autoencoder, dataset, epsilon_eff, cov=None, ws=None):
     """Noise-marginalised loss and its exact full-batch gradients.
 
     loss = (1/2N) sum ||x_i - W2 W1 x_i||^2 + (s^2 / 2) tr(W2 W1 W1^T W2^T)
@@ -237,6 +254,8 @@ def marginalized_loss_and_grads(model: Autoencoder, dataset, epsilon_eff, cov=No
     avoid rebuilding it inside training loops. A 1-D cov is the eigenvalue
     vector of a diagonal covariance: the weights are then read in that
     eigenbasis, (W1 V, V^T W2), and a step costs O(H^2 D) instead of O(H D^2).
+    The gradients and the H x D temporaries are written into the Workspace
+    ws (a fresh one when None), so the returned gradients are its buffers.
     """
     x = dataset.samples if isinstance(dataset, Dataset) else np.asarray(dataset, dtype=np.float64)
     n = x.shape[0]
@@ -245,70 +264,113 @@ def marginalized_loss_and_grads(model: Autoencoder, dataset, epsilon_eff, cov=No
     if cov is None:
         cov = x.T @ x
         cov = 0.5 * (cov + cov.T)
+    ws = Workspace() if ws is None else ws
     w1, w2 = model.w1, model.w2
+    h, d = w1.shape
+    a, a_eps, w2t_cov = ws("a", (h, d)), ws("a_eps", (h, d)), ws("w2t_cov", (h, d))
     # the noise penalty enters only through S + eps I, which saves three products:
     # W1 S + eps W1 = W1 (S + eps I) and W1 S W1^T + eps W1 W1^T = W1 (S + eps I) W1^T
     if cov.ndim == 1:
-        a = w1 * cov                  # W1 S, H x D
-        a_eps = w1 * (cov + epsilon_eff)
-        w2t_cov = w2.T * cov          # W2^T S
+        np.multiply(w1, cov, out=a)                   # W1 S
+        np.multiply(w1, cov + epsilon_eff, out=a_eps)
+        np.multiply(w2.T, cov, out=w2t_cov)           # W2^T S
         trace = np.sum(cov)
     else:
-        a = w1 @ cov
-        a_eps = a + epsilon_eff * w1
-        w2t_cov = w2.T @ cov
+        np.matmul(w1, cov, out=a)
+        np.multiply(w1, epsilon_eff, out=a_eps)
+        a_eps += a
+        np.matmul(w2.T, cov, out=w2t_cov)
         trace = np.trace(cov)
     b = w2.T @ w2                     # H x H
     q = a_eps @ w1.T                  # W1 (S + eps I) W1^T, H x H
-    loss = 0.5 / n * (trace - 2.0 * np.sum(w2 * a.T) + np.sum(q * b))
-    grad1 = b @ a_eps
+    cross = np.multiply(w2, a.T, out=ws("cross", (d, h)))
+    loss = 0.5 / n * (trace - 2.0 * np.sum(cross) + np.sum(q * b))
+    grad1 = np.matmul(b, a_eps, out=ws("g1", (h, d)))
     grad1 -= w2t_cov
     grad1 /= n
-    grad2 = w2 @ q
+    grad2 = np.matmul(w2, q, out=ws("g2", (d, h)))
     grad2 -= a.T
     grad2 /= n
     return loss, grad1, grad2
 
 
-def _draw_noise(rng, noise: NoiseModel, shape):
+def _draw_noise(rng, noise: NoiseModel, shape, ws=None):
+    # Gaussian noise is drawn into the workspace's "noise" buffer: standard_normal
+    # scaled in place is bit for bit rng.normal(0, sigma) and leaves rng in the same
+    # state. numpy's Laplace draw has no out=, so it always returns a new array.
     if noise.kind == "none":
         return None
     if noise.kind == "gaussian":
-        return rng.normal(0.0, np.sqrt(noise.variance), size=shape)
+        out = np.empty(shape) if ws is None else ws("noise", shape)
+        rng.standard_normal(out=out)
+        out *= np.sqrt(noise.variance)
+        return out
     return rng.laplace(0.0, noise.scale, size=shape)
 
 
-def backprop_grads(model: Autoencoder, batch, corrupted_batch):
+def backprop_grads(model: Autoencoder, batch, corrupted_batch, x_sq=None, out=None):
     """Loss and full-batch gradients of (1/2N) sum ||x_i - W2 phi(W1 x_tilde_i)||^2.
 
     Returns (loss, grad1, grad2), the same shape as marginalized_loss_and_grads.
+    It works in Gram form and never forms the N x D residual R = A W2^T - X,
+    where Z = X_tilde W1^T and A = phi(Z):
+      grad2 = R^T A / N = (W2 (A^T A) - X^T A) / N,
+      delta = (R W2) * phi'(Z) = (A (W2^T W2) - X W2) * phi'(Z),
+      grad1 = delta^T X_tilde / N,
+      loss  = (sum((W2^T W2) * (A^T A)) - 2 sum(W2 * X^T A) + ||X||^2) / 2N.
+    A step is four N x D x H products (Z, X W2, A^T X, delta^T X_tilde) plus
+    O((N + D) H^2). x_sq is ||X||^2 when the caller already has it; out is a
+    pair of (H x D, D x H) arrays that receive the gradients.
     """
     x = np.asarray(batch, dtype=np.float64)
     x_tilde = np.asarray(corrupted_batch, dtype=np.float64)
     if x.shape != x_tilde.shape:
         raise ValueError("clean and corrupted batches must have the same shape")
     phi, dphi = ACTIVATIONS[model.activation]
+    w1, w2 = model.w1, model.w2
     n = x.shape[0]
-    z = x_tilde @ model.w1.T
+    grad1, grad2 = (np.empty(w1.shape), np.empty(w2.shape)) if out is None else out
+    if x_sq is None:
+        x_sq = float(np.vdot(x, x))
+    z = x_tilde @ w1.T
     a = phi(z)
-    res = a @ model.w2.T - x
-    grad2 = res.T @ a / n
-    grad1 = ((res @ model.w2) * dphi(z)).T @ x_tilde / n
-    loss = 0.5 / n * float(np.vdot(res, res))
+    b = w2.T @ w2                     # H x H
+    c = a.T @ a                       # H x H
+    atx = a.T @ x                     # (X^T A)^T: BLAS runs this orientation faster
+    delta = a @ b
+    delta -= x @ w2
+    delta *= dphi(z)
+    np.matmul(delta.T, x_tilde, out=grad1)
+    grad1 /= n
+    np.matmul(w2, c, out=grad2)
+    grad2 -= atx.T
+    grad2 /= n
+    loss = 0.5 / n * (float(np.sum(b * c)) - 2.0 * float(np.sum(w2.T * atx)) + x_sq)
     return loss, grad1, grad2
 
 
-def _sampled_grads(model: Autoencoder, x, noise: NoiseModel, draws, rng):
-    # backprop loss and gradients averaged over `draws` fresh corruptions of x
+def _sampled_grads(model: Autoencoder, x, noise: NoiseModel, draws, rng, ws=None, x_sq=None):
+    # backprop loss and gradients averaged over `draws` fresh corruptions of x, each
+    # corrupted batch built in the workspace's noise buffer; the first draw's
+    # gradients land in "g1"/"g2", later ones in "d1"/"d2", and each is divided by
+    # draws before it is summed in
     if noise.kind == "none":
         draws = 1       # every draw would be the clean batch
-    loss, g1, g2 = 0.0, 0.0, 0.0
-    for _ in range(draws):
-        e = _draw_noise(rng, noise, x.shape)
-        dl, d1, d2 = backprop_grads(model, x, x if e is None else x + e)
+    ws = Workspace() if ws is None else ws
+    g1, g2 = ws("g1", model.w1.shape), ws("g2", model.w2.shape)
+    loss = 0.0
+    for k in range(draws):
+        e = _draw_noise(rng, noise, x.shape, ws)
+        x_tilde = x if e is None else np.add(e, x, out=e)
+        out = (g1, g2) if k == 0 else (ws("d1", g1.shape), ws("d2", g2.shape))
+        dl, d1, d2 = backprop_grads(model, x, x_tilde, x_sq, out)
         loss += dl / draws
-        g1 = g1 + d1 / draws
-        g2 = g2 + d2 / draws
+        if draws > 1:
+            d1 /= draws
+            d2 /= draws
+            if k > 0:
+                g1 += d1
+                g2 += d2
     return loss, g1, g2
 
 
@@ -339,7 +401,14 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readou
     O(H^2 D); the spectrum must then diagonalise the dataset's covariance
     (checked once, ValueError otherwise). Otherwise every step backpropagates
     through config.noise_draws fresh corruptions drawn from the seeded stream,
-    in pixel space. The divergence check reads the iterated weights.
+    in pixel space, in the Gram form of backprop_grads with ||X||^2 formed
+    once per run. The divergence check reads the iterated weights and fails
+    on a NaN or an infinity in either matrix.
+
+    The run owns one Workspace that every step writes into: the gradients,
+    the decay terms, the update W -= alpha * g (g scaled in place) and, on a
+    noisy leg only, the N x D corrupted batch. A step thus allocates no N x D
+    array beyond a Laplace draw, which numpy cannot write in place.
 
     The run is recorded at epoch 0, every record_every epochs and at the final
     epoch: the objective, the weight norm, the worst rotated off-diagonal of
@@ -372,23 +441,27 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readou
     rng = np.random.default_rng(config.seed)
     alpha = config.learning_rate
     gamma = config.weight_decay
+    ws = Workspace()
+    x_sq = None if marginalized else float(np.vdot(x, x))
     track_offdiag = d <= 64
     modes, norms, losses = [], [], []
     worst_off = 0.0 if track_offdiag else np.nan
 
     def loss_and_grads():
         if marginalized:
-            loss, g1, g2 = marginalized_loss_and_grads(model, x, eps_eff, cov=lams)
+            loss, g1, g2 = marginalized_loss_and_grads(model, x, eps_eff, cov=lams, ws=ws)
         else:
-            loss, g1, g2 = _sampled_grads(model, x, config.noise, config.noise_draws, rng)
+            loss, g1, g2 = _sampled_grads(model, x, config.noise, config.noise_draws, rng,
+                                          ws, x_sq)
         if gamma > 0.0:
-            loss = loss + 0.5 * gamma * (np.sum(w1 * w1) + np.sum(w2 * w2))
-            g1 = g1 + gamma * w1
-            g2 = g2 + gamma * w2
+            g1 += np.multiply(w1, gamma, out=ws("decay1", w1.shape))
+            g2 += np.multiply(w2, gamma, out=ws("decay2", w2.shape))
         return loss, g1, g2
 
     def record(loss):
         nonlocal worst_off
+        if gamma > 0.0:     # the decay penalty joins the loss only where it is recorded
+            loss = loss + 0.5 * gamma * (np.sum(w1 * w1) + np.sum(w2 * w2))
         w1r, w2r = (w1, w2) if marginalized else rotate_weights(w1, w2, spectrum)
         modes.append(readout(w1r, w2r))
         norms.append(float(np.sum(w1r * w1r) + np.sum(w2r * w2r)))
@@ -401,10 +474,14 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readou
     loss, g1, g2 = loss_and_grads()
     record(loss)
     for epoch in range(1, config.epochs + 1):
-        w1 -= alpha * g1
-        w2 -= alpha * g2
-        peak = max(np.max(np.abs(w1)), np.max(np.abs(w2)))
-        if not np.isfinite(peak) or peak > DIVERGENCE_LIMIT:
+        g1 *= alpha
+        g2 *= alpha
+        w1 -= g1
+        w2 -= g2
+        # every comparison with NaN is false, and max/min propagate it, so a NaN
+        # or an infinity in either matrix fails this check
+        if not all(w.max() <= DIVERGENCE_LIMIT and w.min() >= -DIVERGENCE_LIMIT
+                   for w in (w1, w2)):
             raise DivergenceError(f"run diverged at epoch {epoch}", step=epoch)
         loss, g1, g2 = loss_and_grads()
         if epoch % config.record_every == 0 or epoch == config.epochs:

@@ -6,7 +6,8 @@ gradients against central finite differences, the LAPACK-backed
 eigendecomposition against cyclic Jacobi rotations, the eigenbasis
 training of the marginalised linear autoencoder against plain pixel-space
 descent, and the eigenbasis mode estimator against the dense pixel-space
-cross-covariance. The Monte Carlo sampled loss is the reference for the
+cross-covariance. The explicit-residual backprop is the reference for the
+Gram-form backprop step, the Monte Carlo sampled loss for the
 noise-marginalised loss, and the projected diagonal reads per-mode values off
 a pair of pixel-space weights. The row-at-a-time csv.writer formatters are
 the references for the block writer of the trajectory and surface files, and
@@ -216,6 +217,24 @@ def cross_covariance_mode_ratios(x, w1, w2, phi, v, lams, floor_factor=1e-8):
     ratios = np.full(lams.shape, np.nan)
     ratios[retained] = diag[retained] / lams[retained]
     return ratios
+
+
+def backprop_residual(model, batch, corrupted_batch):
+    """Loss and gradients of (1/2N) sum ||x_i - W2 phi(W1 x_tilde_i)||^2 through the N x D residual.
+
+    Forms R = phi(X_tilde W1^T) W2^T - X explicitly: five N x D x H products.
+    """
+    x = np.asarray(batch, dtype=np.float64)
+    x_tilde = np.asarray(corrupted_batch, dtype=np.float64)
+    phi, dphi = simulate.ACTIVATIONS[model.activation]
+    n = x.shape[0]
+    z = x_tilde @ model.w1.T
+    a = phi(z)
+    res = a @ model.w2.T - x
+    grad2 = res.T @ a / n
+    grad1 = ((res @ model.w2) * dphi(z)).T @ x_tilde / n
+    loss = 0.5 / n * float(np.vdot(res, res))
+    return loss, grad1, grad2
 
 
 def sampled_loss(model, dataset, noise, draws, seed, with_std=False):

@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from oracles import central_difference_grad, cross_covariance_mode_ratios, projected_diagonal
+from oracles import (
+    backprop_residual,
+    central_difference_grad,
+    cross_covariance_mode_ratios,
+    projected_diagonal,
+)
 
+from daedyn import simulate
 from daedyn.analytic import NoiseModel
 from daedyn.data import synthetic_dataset
 from daedyn.nonlinear import estimate_identity_map, reconstruct, train_nonlinear
@@ -192,6 +198,50 @@ def test_backprop_relu_matches_finite_differences_away_from_kink():
     scale = max(np.max(np.abs(n1)), np.max(np.abs(n2)))
     assert np.max(np.abs(g1 - n1)) <= 1e-5 * scale
     assert np.max(np.abs(g2 - n2)) <= 1e-5 * scale
+
+
+def _agree(got, want, rel=1e-12):
+    loss, g1, g2 = got
+    want_loss, want1, want2 = want
+    assert loss == pytest.approx(want_loss, rel=rel)
+    assert np.max(np.abs(g1 - want1)) <= rel * np.max(np.abs(want1))
+    assert np.max(np.abs(g2 - want2)) <= rel * np.max(np.abs(want2))
+
+
+@pytest.mark.parametrize("corrupted", [False, True], ids=["clean", "corrupted"])
+@pytest.mark.parametrize("activation", ["identity", "relu", "tanh"])
+def test_gram_form_backprop_matches_the_residual_oracle(activation, corrupted, toy_dataset):
+    ds, _ = toy_dataset
+    rng = np.random.default_rng(21)
+    model = Autoencoder(rng.standard_normal((3, 5)) * 0.5, rng.standard_normal((5, 3)) * 0.5,
+                        activation)
+    x = ds.samples
+    x_tilde = x + rng.normal(0.0, 0.3, size=x.shape) if corrupted else x
+    want = backprop_residual(model, x, x_tilde)
+    _agree(backprop_grads(model, x, x_tilde), want)
+    # the caller's ||X||^2 and gradient buffers give the same step
+    out = (np.empty((3, 5)), np.empty((5, 3)))
+    got = backprop_grads(model, x, x_tilde, float(np.sum(x * x)), out)
+    assert got[1] is out[0] and got[2] is out[1]
+    _agree(got, want)
+
+
+@pytest.mark.parametrize("activation", ["identity", "relu", "tanh"])
+def test_sampled_step_over_three_draws_matches_the_residual_oracle(activation, toy_dataset):
+    ds, _ = toy_dataset
+    rng = np.random.default_rng(22)
+    model = Autoencoder(rng.standard_normal((3, 5)) * 0.5, rng.standard_normal((5, 3)) * 0.5,
+                        activation)
+    x, noise = ds.samples, NoiseModel.gaussian(0.09)
+    oracle_rng = np.random.default_rng(5)
+    sigma = np.sqrt(noise.variance)
+    steps = [backprop_residual(model, x, x + oracle_rng.normal(0.0, sigma, size=x.shape))
+             for _ in range(3)]
+    want = tuple(sum(step[i] for step in steps) / 3 for i in range(3))
+    ws = simulate.Workspace()
+    _agree(simulate._sampled_grads(model, x, noise, 3, np.random.default_rng(5), ws), want)
+    # a second step in the same workspace overwrites the buffers, not adds to them
+    _agree(simulate._sampled_grads(model, x, noise, 3, np.random.default_rng(5), ws), want)
 
 
 def test_relu_derivative_at_zero_is_zero():

@@ -268,6 +268,62 @@ def test_noise_free_sampled_step_backpropagates_once(small_dataset, monkeypatch)
     assert loss == pytest.approx(marginalized_loss_and_grads(model, ds, 0.0)[0], rel=1e-12)
 
 
+def test_gaussian_draw_into_the_workspace_is_bitwise_rng_normal():
+    sigma = math.sqrt(0.7)
+    ref, rng = np.random.default_rng(8), np.random.default_rng(8)
+    ws = simulate.Workspace()
+    got = simulate._draw_noise(rng, NoiseModel.gaussian(0.7), (40, 6), ws)
+    assert got is ws["noise"]
+    want = ref.normal(0.0, sigma, size=(40, 6))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # the generator is left in the same state: the next draws agree too
+    assert np.array_equal(rng.normal(0.0, 1.0, size=9), ref.normal(0.0, 1.0, size=9))
+    # without a workspace (the sampled-loss oracle's call) a new array comes back
+    batch = simulate._draw_noise(rng, NoiseModel.gaussian(0.7), (3, 40, 6))
+    assert batch is not ws["noise"]
+    want = ref.normal(0.0, sigma, size=(3, 40, 6))
+    assert np.array_equal(batch.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("noise", [NoiseModel.gaussian(0.7), NoiseModel.laplace(0.4)],
+                         ids=["gaussian", "laplace"])
+def test_sampled_step_corrupts_bitwise_like_adding_a_fresh_draw(noise, small_dataset, monkeypatch):
+    ds, _ = small_dataset
+    x = ds.samples
+    seen = []
+    backprop = simulate.backprop_grads
+    monkeypatch.setattr(simulate, "backprop_grads",
+                        lambda *a: seen.append(a[2].copy()) or backprop(*a))
+    model = init_small_random(8, 4, 0.5, seed=1)
+    simulate._sampled_grads(model, x, noise, 2, np.random.default_rng(4), simulate.Workspace())
+    ref = np.random.default_rng(4)
+    for corrupted in seen:
+        if noise.kind == "gaussian":
+            want = x + ref.normal(0.0, math.sqrt(noise.variance), size=x.shape)
+        else:
+            want = x + ref.laplace(0.0, noise.scale, size=x.shape)
+        assert np.array_equal(corrupted.view(np.int64), want.view(np.int64))
+    assert len(seen) == 2
+
+
+def test_a_nan_in_w2_alone_stops_the_run_at_that_epoch(small_dataset, monkeypatch):
+    ds, spec = small_dataset
+    calls = []
+
+    def grads(model, *args):
+        calls.append(None)
+        g1, g2 = np.zeros_like(model.w1), np.zeros_like(model.w2)
+        if len(calls) == 4:     # the gradient for the update of epoch 4
+            g2[2, 1] = np.nan
+        return 0.0, g1, g2
+
+    monkeypatch.setattr(simulate, "_sampled_grads", grads)
+    cfg = TrainingConfig(learning_rate=0.1, epochs=10, loss_mode="sampled", hidden_dim=2)
+    with pytest.raises(DivergenceError) as info:
+        run_linear_ae(ds, spec, cfg)
+    assert info.value.step == 4
+
+
 # --- full-matrix runs ----------------------------------------------------------
 
 def test_linear_ae_learns_identity_without_regularisation():
