@@ -545,6 +545,10 @@ def main(argv=None) -> int:
     except ValueError as exc:   # ConfigError and every invalid input the library rejects
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except ArithmeticError as exc:  # Python's float ** and / raise where numpy returns inf
+        print(f"config error: the inputs overflow float arithmetic "
+              f"({type(exc).__name__}: {exc})", file=sys.stderr)
+        return EXIT_CONFIG
     for path in outputs:
         print(f"wrote {path}")
     return EXIT_OK

@@ -159,8 +159,7 @@ def record_times(epochs, every):
     return times if epochs % every == 0 else np.append(times, float(epochs))
 
 
-def run_scalar_gd(mode: ScalarMode, alpha, steps, record_every=1, gamma_eff=0.0,
-                  mode_index=1) -> ScalarRun:
+def run_scalar_gd(mode: ScalarMode, alpha, steps, record_every=1, gamma_eff=0.0) -> ScalarRun:
     """Euler steps of the per-mode flow; one step is one epoch.
 
     Updates w1 += (1/tau) [w2 lam (1 - w2 w1) - eps w2^2 w1 - gamma_eff w1]
@@ -196,7 +195,7 @@ def run_scalar_gd(mode: ScalarMode, alpha, steps, record_every=1, gamma_eff=0.0,
             w2s.append(w2)
     times = record_times(steps, record_every)
     w1s, w2s = np.array(w1s), np.array(w2s)
-    traj = Trajectory(times=times, values=w2s * w1s, kind="simulated", mode_index=mode_index)
+    traj = Trajectory(times=times, values=w2s * w1s, kind="simulated", mode_index=1)
     return ScalarRun(trajectory=traj, w1=w1s, w2=w2s)
 
 
@@ -246,45 +245,34 @@ class Workspace(dict):
         return buf
 
 
-def marginalized_loss_and_grads(model: Autoencoder, dataset, epsilon_eff, cov=None, ws=None):
-    """Noise-marginalised loss and its exact full-batch gradients.
+def marginalized_loss_and_grads(model: Autoencoder, lams, n, epsilon_eff, ws=None):
+    """Noise-marginalised loss and its exact full-batch gradients, in the covariance eigenbasis.
 
-    loss = (1/2N) sum ||x_i - W2 W1 x_i||^2 + (s^2 / 2) tr(W2 W1 W1^T W2^T)
-    with N s^2 = epsilon_eff. Pass the precomputed unnormalised covariance to
-    avoid rebuilding it inside training loops. A 1-D cov is the eigenvalue
-    vector of a diagonal covariance: the weights are then read in that
-    eigenbasis, (W1 V, V^T W2), and a step costs O(H^2 D) instead of O(H D^2).
-    The gradients and the H x D temporaries are written into the Workspace
-    ws (a fresh one when None), so the returned gradients are its buffers.
+    model holds the eigenbasis weights (W1 V, V^T W2), and lams the eigenvalues
+    of the unnormalised covariance S = X^T X = V diag(lams) V^T of n samples.
+    The loss is
+    (1/2n) tr((I - W2 W1) S (I - W2 W1)^T) + (epsilon_eff / 2n) tr(W2 W1 W1^T W2^T),
+    and the gradients come back in the same basis, (dL/dW1 V, V^T dL/dW2), at
+    O(H^2 D) per call. The gradients and the H x D temporaries are written
+    into the Workspace ws (a fresh one when None), so the returned gradients
+    are its buffers.
     """
-    x = dataset.samples if isinstance(dataset, Dataset) else np.asarray(dataset, dtype=np.float64)
-    n = x.shape[0]
     if epsilon_eff < 0.0:
         raise ValueError(f"effective noise must be >= 0, got {epsilon_eff}")
-    if cov is None:
-        cov = x.T @ x
-        cov = 0.5 * (cov + cov.T)
     ws = Workspace() if ws is None else ws
     w1, w2 = model.w1, model.w2
     h, d = w1.shape
     a, a_eps, w2t_cov = ws("a", (h, d)), ws("a_eps", (h, d)), ws("w2t_cov", (h, d))
+    # in this basis S = diag(lams), so products with it are row or column scalings;
     # the noise penalty enters only through S + eps I, which saves three products:
     # W1 S + eps W1 = W1 (S + eps I) and W1 S W1^T + eps W1 W1^T = W1 (S + eps I) W1^T
-    if cov.ndim == 1:
-        np.multiply(w1, cov, out=a)                   # W1 S
-        np.multiply(w1, cov + epsilon_eff, out=a_eps)
-        np.multiply(w2.T, cov, out=w2t_cov)           # W2^T S
-        trace = np.sum(cov)
-    else:
-        np.matmul(w1, cov, out=a)
-        np.multiply(w1, epsilon_eff, out=a_eps)
-        a_eps += a
-        np.matmul(w2.T, cov, out=w2t_cov)
-        trace = np.trace(cov)
+    np.multiply(w1, lams, out=a)                      # W1 S
+    np.multiply(w1, lams + epsilon_eff, out=a_eps)
+    np.multiply(w2.T, lams, out=w2t_cov)              # W2^T S
     b = w2.T @ w2                     # H x H
     q = a_eps @ w1.T                  # W1 (S + eps I) W1^T, H x H
     cross = np.multiply(w2, a.T, out=ws("cross", (d, h)))
-    loss = 0.5 / n * (trace - 2.0 * np.sum(cross) + np.sum(q * b))
+    loss = 0.5 / n * (np.sum(lams) - 2.0 * np.sum(cross) + np.sum(q * b))
     grad1 = np.matmul(b, a_eps, out=ws("g1", (h, d)))
     grad1 -= w2t_cov
     grad1 /= n
@@ -397,9 +385,10 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readou
     config.weight_decay * W, the penalty being part of the objective), update,
     divergence check. marginalized=True takes the closed-form noise
     expectation of the linear objective and iterates in the covariance
-    eigenbasis, on (W1 V, V^T W2) against diag(lam), where every step costs
-    O(H^2 D); the spectrum must then diagonalise the dataset's covariance
-    (checked once, ValueError otherwise). Otherwise every step backpropagates
+    eigenbasis, on (W1 V, V^T W2) against diag(lam): every step passes
+    marginalized_loss_and_grads the eigenvalues and N, and costs O(H^2 D).
+    The spectrum must then diagonalise the dataset's covariance (checked
+    once, ValueError otherwise). Otherwise every step backpropagates
     through config.noise_draws fresh corruptions drawn from the seeded stream,
     in pixel space, in the Gram form of backprop_grads with ||X||^2 formed
     once per run. The divergence check reads the iterated weights and fails
@@ -449,7 +438,7 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readou
 
     def loss_and_grads():
         if marginalized:
-            loss, g1, g2 = marginalized_loss_and_grads(model, x, eps_eff, cov=lams, ws=ws)
+            loss, g1, g2 = marginalized_loss_and_grads(model, lams, n, eps_eff, ws)
         else:
             loss, g1, g2 = _sampled_grads(model, x, config.noise, config.noise_draws, rng,
                                           ws, x_sq)

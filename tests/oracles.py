@@ -3,15 +3,18 @@
 These deliberately avoid the package's closed-form code paths: trajectories
 are checked against adaptive Runge-Kutta integration of the underlying flow,
 gradients against central finite differences, the LAPACK-backed
-eigendecomposition against cyclic Jacobi rotations, the eigenbasis
-training of the marginalised linear autoencoder against plain pixel-space
-descent, and the eigenbasis mode estimator against the dense pixel-space
-cross-covariance. The explicit-residual backprop is the reference for the
-Gram-form backprop step, the Monte Carlo sampled loss for the
-noise-marginalised loss, and the projected diagonal reads per-mode values off
-a pair of pixel-space weights. The row-at-a-time csv.writer formatters are
-the references for the block writer of the trajectory and surface files, and
-the CSV readers turn the files the CLI writes back into arrays.
+eigendecomposition against cyclic Jacobi rotations, and the eigenbasis mode
+estimator against the dense pixel-space cross-covariance. The pixel-space
+form of the noise-marginalised objective, against the dense S = X^T X, lives
+only here: it is the reference for the eigenbasis loss and gradients the
+package trains on, and plain pixel-space descent on it is the reference for
+the eigenbasis training of the marginalised linear autoencoder. The
+explicit-residual backprop is the reference for the Gram-form backprop step,
+the Monte Carlo sampled loss for the noise-marginalised loss, and the
+projected diagonal reads per-mode values off a pair of pixel-space weights.
+The row-at-a-time csv.writer formatters are the references for the block
+writer of the trajectory and surface files, and the CSV readers turn the
+files the CLI writes back into arrays.
 """
 
 import csv
@@ -167,19 +170,35 @@ def jacobi_eigh(a, max_sweeps=60):
     return np.diag(a).copy(), v
 
 
-def marginalized_descent_pixel_space(x, w1, w2, eps_eff, alpha, epochs, record_every, v,
-                                     gamma=0.0):
-    """Marginalised linear-autoencoder descent in pixel space, against the dense S = X^T X.
+def marginalized_pixel_space(x, w1, w2, eps_eff):
+    """Loss and gradients of the noise-marginalised linear objective in pixel space.
 
-    Each epoch steps W <- W - alpha * grad on
-    (1/2N) tr((I - W2 W1) S (I - W2 W1)^T) + (eps/2N) tr(W2 W1 W1^T W2^T)
-    + (gamma/2) (||W1||^2 + ||W2||^2), at O(H D^2) per step. Records at epoch 0,
-    every record_every epochs and the last epoch. Returns (epochs, rows of
-    diag(V^T W2 W1 V), ||W1||^2 + ||W2||^2, final W1, final W2).
+    loss = (1/2N) tr((I - W2 W1) S (I - W2 W1)^T) + (eps/2N) tr(W2 W1 W1^T W2^T)
+    against the dense S = X^T X, with the gradients with respect to the
+    pixel-space weights themselves; O(N D^2 + D^3) per call.
     """
-    n = x.shape[0]
+    n, d = x.shape
     s = x.T @ x
     s = 0.5 * (s + s.T)
+    m = w2 @ w1
+    r = np.eye(d) - m
+    loss = 0.5 / n * (float(np.sum(r * (r @ s))) + eps_eff * float(np.sum(m * m)))
+    a = w1 @ s
+    b = w2.T @ w2
+    g1 = -(w2.T @ s - b @ a - eps_eff * (b @ w1)) / n
+    g2 = -(a.T - w2 @ (a @ w1.T) - eps_eff * (w2 @ (w1 @ w1.T))) / n
+    return loss, g1, g2
+
+
+def marginalized_descent_pixel_space(x, w1, w2, eps_eff, alpha, epochs, record_every, v,
+                                     gamma=0.0):
+    """Marginalised linear-autoencoder descent in pixel space, stepping on marginalized_pixel_space.
+
+    Each epoch steps W <- W - alpha * grad on the marginalised objective plus
+    (gamma/2) (||W1||^2 + ||W2||^2). Records at epoch 0, every record_every
+    epochs and the last epoch. Returns (epochs, rows of diag(V^T W2 W1 V),
+    ||W1||^2 + ||W2||^2, final W1, final W2).
+    """
     w1 = np.array(w1, dtype=np.float64)
     w2 = np.array(w2, dtype=np.float64)
     times, diags, norms = [], [], []
@@ -191,12 +210,9 @@ def marginalized_descent_pixel_space(x, w1, w2, eps_eff, alpha, epochs, record_e
 
     record(0)
     for epoch in range(1, epochs + 1):
-        a = w1 @ s
-        b = w2.T @ w2
-        g1 = -(w2.T @ s - b @ a - eps_eff * (b @ w1)) / n + gamma * w1
-        g2 = -(a.T - w2 @ (a @ w1.T) - eps_eff * (w2 @ (w1 @ w1.T))) / n + gamma * w2
-        w1 -= alpha * g1
-        w2 -= alpha * g2
+        _, g1, g2 = marginalized_pixel_space(x, w1, w2, eps_eff)
+        w1 -= alpha * (g1 + gamma * w1)
+        w2 -= alpha * (g2 + gamma * w2)
         if epoch % record_every == 0 or epoch == epochs:
             record(epoch)
     return np.array(times), np.array(diags), np.array(norms), w1, w2

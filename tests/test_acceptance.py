@@ -37,7 +37,7 @@ from daedyn.simulate import (
     run_linear_ae,
     run_scalar_gd,
 )
-from daedyn.spectrum import covariance, eigendecompose
+from daedyn.spectrum import covariance, eigendecompose, rotate_weights
 
 
 def test_criterion_01_fixed_points():
@@ -130,16 +130,21 @@ def test_criterion_05_marginalization():
         model = Autoencoder(w1=rng.standard_normal((h, d)) * 0.5,
                          w2=rng.standard_normal((d, h)) * 0.5)
         eps_eff = n * sigma2
-        exact, g1, g2 = marginalized_loss_and_grads(model, x, eps_eff)
+        spec = eigendecompose(covariance(x))
+        v = spec.eigenvectors
+
+        def marginalized(w1, w2):
+            # the eigenbasis objective at the rotated weights of (w1, w2)
+            return marginalized_loss_and_grads(Autoencoder(*rotate_weights(w1, w2, spec)),
+                                               spec.eigenvalues, n, eps_eff)
+
+        exact, g1r, g2r = marginalized(model.w1, model.w2)
+        g1, g2 = g1r @ v.T, v @ g2r     # back to pixel space
         estimate, std = sampled_loss(model, x, NoiseModel.gaussian(sigma2),
                                      100_000, seed=case, with_std=True)
         assert abs(estimate - exact) <= 3.0 * std / np.sqrt(100_000)
-        num1 = central_difference_grad(
-            lambda v: marginalized_loss_and_grads(Autoencoder(w1=v, w2=model.w2), x, eps_eff)[0],
-            model.w1.copy())
-        num2 = central_difference_grad(
-            lambda v: marginalized_loss_and_grads(Autoencoder(w1=model.w1, w2=v), x, eps_eff)[0],
-            model.w2.copy())
+        num1 = central_difference_grad(lambda w: marginalized(w, model.w2)[0], model.w1.copy())
+        num2 = central_difference_grad(lambda w: marginalized(model.w1, w)[0], model.w2.copy())
         scale = max(np.max(np.abs(num1)), np.max(np.abs(num2)))
         assert np.max(np.abs(g1 - num1)) <= 1e-5 * scale
         assert np.max(np.abs(g2 - num2)) <= 1e-5 * scale

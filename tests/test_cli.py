@@ -146,6 +146,10 @@ def test_cli_returns_io_error_exit_code(tmp_path, capsys):
     ["predict", "--init-scale", "-1", "--epochs", "5"],
     ["surface", "--w0", "0", "--epochs", "5", "--grid-points", "3"],
     ["rates", "--weight-ratio", "-2"],
+    ["predict", "--laplace-b", "1e200", "--epochs", "5"],
+    ["simulate", "--w1-0", "1e200", "--w2-0", "1e200", "--epochs", "5"],
+    ["surface", "--grid-max", "1e200", "--paths", "0", "--grid-points", "3", "--epochs", "5"],
+    ["rates", "--lambda", "1.7e308"],
 ], ids=["degenerate-predict", "overcomplete-orthogonal", "negative-paths", "zero-eps-points",
         "real-data-epsilon-list", "infinite-gamma", "ingest-without-dataset", "compare-gamma",
         "nonlinear-epsilon-list", "compare-zero-gamma", "simulate-lambda-list",
@@ -156,7 +160,8 @@ def test_cli_returns_io_error_exit_code(tmp_path, capsys):
         "predict-config-loss-mode", "ingest-config-loss-mode", "predict-config-format",
         "predict-bogus-init", "rates-negative-eps-max", "predict-negative-seed",
         "surface-negative-seed", "predict-zero-noise-draws", "predict-negative-init-scale",
-        "surface-zero-w0", "rates-negative-weight-ratio"])
+        "surface-zero-w0", "rates-negative-weight-ratio", "predict-overflowing-laplace-b",
+        "simulate-overflowing-init", "surface-overflowing-grid", "rates-overflowing-lambda"])
 def test_cli_invalid_inputs_exit_2_without_traceback(argv, tmp_path, d16_cache, capsys):
     config = tmp_path / "loss_mode.cfg"
     config.write_text("loss_mode=other\n")

@@ -21,10 +21,10 @@ CONTRACT_CODES = {cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_DIVERGENCE, cli.EXIT_IO
 
 # None marks a flag that takes no value; --epochs stays small so a run is quick
 FLAG_VALUES = {
-    "--lambda": ["1", "2.5,0.5", "0", "-1", "nan", "x", ","],
+    "--lambda": ["1", "2.5,0.5", "0", "-1", "nan", "x", ",", "1.7e308"],
     "--epsilon": ["0", "1", "1,50", "-1", "inf", ","],
     "--sigma2": ["0", "0.5", "-1", "nan"],
-    "--laplace-b": ["0.1", "-1"],
+    "--laplace-b": ["0.1", "-1", "1e200"],
     "--gamma": ["0", "0.01", "-1", "inf"],
     "--n": ["0", "1", "32", "1000"],
     "--alpha": ["0.01", "1", "1e9", "0", "nan"],
@@ -44,7 +44,7 @@ FLAG_VALUES = {
     "--w2-0": ["0.1", "0"],
     "--activation": ["relu", "tanh", "identity", "sigmoid"],
     "--grid-min": ["-1", "nan", "2"],
-    "--grid-max": ["1", "inf", "-2"],
+    "--grid-max": ["1", "inf", "-2", "1e200"],
     "--grid-points": ["1", "2", "5"],
     "--paths": ["-1", "0", "2"],
     "--eps-max": ["10", "0", "-1", "inf", "nan"],

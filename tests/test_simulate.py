@@ -9,6 +9,7 @@ import pytest
 from oracles import (
     central_difference_grad,
     marginalized_descent_pixel_space,
+    marginalized_pixel_space,
     projected_diagonal,
     sampled_loss,
 )
@@ -153,18 +154,31 @@ def test_init_small_random_requires_positive_scale():
 
 # --- losses -------------------------------------------------------------------
 
+def marginalized_at_pixel_weights(model, x, spec, eps_eff):
+    """The eigenbasis objective at the rotated weights of a pixel-space model.
+
+    Returns the loss and the gradients rotated back to pixel space,
+    (g1 V^T, V g2).
+    """
+    v = spec.eigenvectors
+    w1r, w2r = rotate_weights(model.w1, model.w2, spec)
+    loss, g1, g2 = marginalized_loss_and_grads(Autoencoder(w1=w1r, w2=w2r), spec.eigenvalues,
+                                               x.shape[0], eps_eff)
+    return loss, g1 @ v.T, v @ g2
+
+
 def test_marginalized_loss_zero_for_perfect_reconstruction(small_dataset):
-    ds, _ = small_dataset
+    ds, spec = small_dataset
     model = Autoencoder(w1=np.eye(8), w2=np.eye(8))
-    loss, g1, g2 = marginalized_loss_and_grads(model, ds, 0.0)
+    loss, g1, g2 = marginalized_at_pixel_weights(model, ds.samples, spec, 0.0)
     assert abs(loss) <= 1e-12
     assert np.max(np.abs(g1)) <= 1e-12 and np.max(np.abs(g2)) <= 1e-12
 
 
 def test_marginalized_loss_at_zero_weights_is_energy(small_dataset):
-    ds, _ = small_dataset
+    ds, spec = small_dataset
     model = Autoencoder(w1=np.zeros((4, 8)), w2=np.zeros((8, 4)))
-    loss, g1, g2 = marginalized_loss_and_grads(model, ds, 1.0)
+    loss, g1, g2 = marginalized_at_pixel_weights(model, ds.samples, spec, 1.0)
     expected = 0.5 / ds.n * np.sum(ds.samples ** 2)
     assert loss == pytest.approx(expected, rel=1e-12)
     assert not g1.any() and not g2.any()
@@ -173,14 +187,15 @@ def test_marginalized_loss_at_zero_weights_is_energy(small_dataset):
 def test_marginalized_gradients_match_finite_differences():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((12, 5))
+    spec = eigendecompose(covariance(x))
     eps_eff = 3.0
     w1 = rng.standard_normal((3, 5)) * 0.4
     w2 = rng.standard_normal((5, 3)) * 0.4
 
     def loss_of(w1v, w2v):
-        return marginalized_loss_and_grads(Autoencoder(w1=w1v, w2=w2v), x, eps_eff)[0]
+        return marginalized_at_pixel_weights(Autoencoder(w1=w1v, w2=w2v), x, spec, eps_eff)[0]
 
-    _, g1, g2 = marginalized_loss_and_grads(Autoencoder(w1=w1, w2=w2), x, eps_eff)
+    _, g1, g2 = marginalized_at_pixel_weights(Autoencoder(w1=w1, w2=w2), x, spec, eps_eff)
     n1 = central_difference_grad(lambda v: loss_of(v, w2), w1.copy())
     n2 = central_difference_grad(lambda v: loss_of(w1, v), w2.copy())
     scale = max(np.max(np.abs(n1)), np.max(np.abs(n2)))
@@ -193,8 +208,8 @@ def test_marginalized_diagonal_form_matches_pixel_space_on_rotated_weights(small
     v = spec.eigenvectors
     model = init_small_random(8, 4, 0.5, seed=6)
     rotated = Autoencoder(w1=model.w1 @ v, w2=v.T @ model.w2)
-    loss, g1, g2 = marginalized_loss_and_grads(model, ds, 2.0, cov=covariance(ds))
-    loss_r, g1_r, g2_r = marginalized_loss_and_grads(rotated, ds, 2.0, cov=spec.eigenvalues)
+    loss, g1, g2 = marginalized_pixel_space(ds.samples, model.w1, model.w2, 2.0)
+    loss_r, g1_r, g2_r = marginalized_loss_and_grads(rotated, spec.eigenvalues, ds.n, 2.0)
     assert loss_r == pytest.approx(loss, rel=1e-12)
     assert np.max(np.abs(g1_r - g1 @ v)) <= 1e-12 * np.max(np.abs(g1))
     assert np.max(np.abs(g2_r - v.T @ g2)) <= 1e-12 * np.max(np.abs(g2))
@@ -202,16 +217,16 @@ def test_marginalized_diagonal_form_matches_pixel_space_on_rotated_weights(small
 
 def test_marginalized_diagonal_form_gradients_match_finite_differences():
     rng = np.random.default_rng(7)
-    x = rng.standard_normal((12, 5))      # only N enters the diagonal form
+    n = 12                                # only N enters the diagonal form
     lams = np.sort(rng.uniform(0.5, 20.0, size=5))[::-1]
     eps_eff = 3.0
     w1 = rng.standard_normal((3, 5)) * 0.4
     w2 = rng.standard_normal((5, 3)) * 0.4
 
     def loss_of(w1v, w2v):
-        return marginalized_loss_and_grads(Autoencoder(w1=w1v, w2=w2v), x, eps_eff, cov=lams)[0]
+        return marginalized_loss_and_grads(Autoencoder(w1=w1v, w2=w2v), lams, n, eps_eff)[0]
 
-    _, g1, g2 = marginalized_loss_and_grads(Autoencoder(w1=w1, w2=w2), x, eps_eff, cov=lams)
+    _, g1, g2 = marginalized_loss_and_grads(Autoencoder(w1=w1, w2=w2), lams, n, eps_eff)
     n1 = central_difference_grad(lambda v: loss_of(v, w2), w1.copy())
     n2 = central_difference_grad(lambda v: loss_of(w1, v), w2.copy())
     scale = max(np.max(np.abs(n1)), np.max(np.abs(n2)))
@@ -220,17 +235,17 @@ def test_marginalized_diagonal_form_gradients_match_finite_differences():
 
 
 def test_sampled_loss_without_noise_equals_marginalized(small_dataset):
-    ds, _ = small_dataset
+    ds, spec = small_dataset
     model = init_small_random(8, 4, 0.5, seed=1)
-    exact, _, _ = marginalized_loss_and_grads(model, ds, 0.0)
+    exact, _, _ = marginalized_at_pixel_weights(model, ds.samples, spec, 0.0)
     assert sampled_loss(model, ds, NoiseModel.none(), 5, seed=0) == pytest.approx(exact, rel=1e-12)
 
 
 def test_sampled_loss_converges_to_marginalized(small_dataset):
-    ds, _ = small_dataset
+    ds, spec = small_dataset
     model = init_small_random(8, 4, 0.5, seed=1)
     sigma2 = 0.25
-    exact, _, _ = marginalized_loss_and_grads(model, ds, ds.n * sigma2)
+    exact, _, _ = marginalized_at_pixel_weights(model, ds.samples, spec, ds.n * sigma2)
     estimate = sampled_loss(model, ds, NoiseModel.gaussian(sigma2), 10_000, seed=8)
     assert abs(estimate - exact) / exact <= 0.01
 
@@ -247,17 +262,17 @@ def test_sampled_loss_variance_scales_inversely_with_draws(small_dataset):
 
 def test_sampled_loss_laplace_matches_its_effective_strength(small_dataset):
     # the 2Nb^2 conversion is what makes the marginalized penalty match
-    ds, _ = small_dataset
+    ds, spec = small_dataset
     model = init_small_random(8, 4, 0.5, seed=2)
     b = 0.3
     eps_eff = analytic.epsilon_from_noise(NoiseModel.laplace(b), ds.n)
-    exact, _, _ = marginalized_loss_and_grads(model, ds, eps_eff)
+    exact, _, _ = marginalized_at_pixel_weights(model, ds.samples, spec, eps_eff)
     estimate = sampled_loss(model, ds, NoiseModel.laplace(b), 20_000, seed=3)
     assert abs(estimate - exact) / exact <= 0.01
 
 
 def test_noise_free_sampled_step_backpropagates_once(small_dataset, monkeypatch):
-    ds, _ = small_dataset
+    ds, spec = small_dataset
     calls = []
     backprop = simulate.backprop_grads
     monkeypatch.setattr(simulate, "backprop_grads", lambda *a: calls.append(a) or backprop(*a))
@@ -265,7 +280,8 @@ def test_noise_free_sampled_step_backpropagates_once(small_dataset, monkeypatch)
     loss, _, _ = simulate._sampled_grads(model, ds.samples, NoiseModel.none(), 3,
                                          np.random.default_rng(0))
     assert len(calls) == 1
-    assert loss == pytest.approx(marginalized_loss_and_grads(model, ds, 0.0)[0], rel=1e-12)
+    exact, _, _ = marginalized_at_pixel_weights(model, ds.samples, spec, 0.0)
+    assert loss == pytest.approx(exact, rel=1e-12)
 
 
 def test_gaussian_draw_into_the_workspace_is_bitwise_rng_normal():
@@ -400,10 +416,20 @@ def test_linear_ae_sampled_mode_without_noise_matches_marginalized(small_dataset
     assert np.max(np.abs(marg.modes - samp.modes)) <= 1e-12
 
 
-@pytest.mark.parametrize("gamma", [0.0, 1e-3], ids=["no-decay", "decay"])
-@pytest.mark.parametrize("init", ["small_random", "orthogonal"])
-def test_linear_ae_matches_pixel_space_descent_oracle(small_dataset, init, gamma):
-    ds, spec = small_dataset
+@pytest.fixture(scope="module")
+def rank_deficient_dataset():
+    # N = 5 < D = 8: three eigenvalues at round-off, one of them clamped to 0
+    ds = synthetic_dataset(SPECTRUM_8, 5, seed=3)
+    return ds, eigendecompose(covariance(ds))
+
+
+@pytest.mark.parametrize("data, init, gamma", [
+    pytest.param(data, init, gamma, id=f"{init}-{decay}{suffix}")
+    for data, suffix in (("small_dataset", ""), ("rank_deficient_dataset", "-rank-deficient"))
+    for init in ("small_random", "orthogonal")
+    for gamma, decay in ((0.0, "no-decay"), (1e-3, "decay"))])
+def test_linear_ae_matches_pixel_space_descent_oracle(data, init, gamma, request):
+    ds, spec = request.getfixturevalue(data)
     sigma2 = 0.5 / ds.n
     cfg = TrainingConfig(learning_rate=0.5, epochs=1500, noise=NoiseModel.gaussian(sigma2),
                          weight_decay=gamma, init=init, init_scale=0.05, seed=4, hidden_dim=4,
