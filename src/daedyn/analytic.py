@@ -11,10 +11,8 @@ is measured in epochs against the constant tau = N / alpha.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -168,7 +166,11 @@ def dae_trajectory(mode: ScalarMode, t):
     beta = c0 * (1.0 + eps / lam)
     zeta = math.sqrt(beta * beta + 4.0)
     delta = math.tanh(mode.theta0 / 2.0)
-    arg = zeta * lam * t_arr / tau
+    # zeta * lam * t / tau in that order, its bytes unchanged; an inf rate times t = 0 is NaN
+    rate = zeta * lam
+    if not math.isfinite(rate):
+        raise OverflowError(f"the closed form's rate zeta * lambda overflows at lambda={lam:g}")
+    arg = rate * t_arr / tau
     u = np.exp(-arg)
     num = (u - 1.0) * (4.0 - 2.0 * beta * delta) - 2.0 * (u + 1.0) * zeta * delta
     den = (u - 1.0) * (2.0 * beta + 4.0 * delta) - 2.0 * (u + 1.0) * zeta
@@ -293,63 +295,52 @@ def first_crossing_time(times, values, threshold):
     return float(np.asarray(times, dtype=np.float64)[hits[0]])
 
 
-@contextmanager
-def _csv_file(path, header):
-    """Create the parent directory, open path for writing and write the header row."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        if header is not None:
-            csv.writer(fh).writerow(header)
-        yield fh
-
-
-def write_csv(path, header, rows):
-    """CSV table emitter: commas, CRLF row ends, None as an empty field.
-
-    Fields are written with str(), for a Python float its shortest round-trip
-    repr, so output is byte-reproducible. Pass Python scalars (``.tolist()``
-    for arrays): str of a numpy float32 is its own shortest repr, not the
-    float64 value. A header of None writes no header row. The parent
-    directory is created.
-    """
-    with _csv_file(path, header) as fh:
-        csv.writer(fh).writerows(rows)
-
-
-def _float_texts(values):
-    """repr of each float64 in values, as one list per CSV_BLOCK_ROWS rows. Each distinct
-    bit pattern in a block is formatted once; bits, not values, keep 0.0 and -0.0 apart."""
-    values = np.ascontiguousarray(values, dtype=np.float64)
+def _column_texts(values):
+    """CSV field of each value, as one list per CSV_BLOCK_ROWS rows: str of an int64, repr of a
+    float64 and the empty field for NaN. Each distinct bit pattern in a block is formatted once;
+    bits, not values, keep 0.0 and -0.0 apart."""
     for start in range(0, values.size, CSV_BLOCK_ROWS):
         block = values[start:start + CSV_BLOCK_ROWS]
         _, first, inverse = np.unique(block.view(np.int64), return_index=True,
                                       return_inverse=True)
-        texts = [repr(x) for x in block[first].tolist()]
+        texts = ["" if x != x else repr(x) for x in block[first].tolist()]
         yield list(map(texts.__getitem__, inverse.tolist()))
 
 
-def write_columns(path, header, tables):
-    """Tables of columns as CSV rows, with the bytes write_csv gives for the same rows.
+def _column(values):
+    """values as a contiguous int64 array if they are integers, else as float64."""
+    values = np.asarray(values)
+    return np.ascontiguousarray(values, np.int64 if values.dtype.kind in "iu" else np.float64)
 
-    A column is a str, the same field on every row, or float64 values, which
-    are formatted and written CSV_BLOCK_ROWS rows at a time. A table's first
-    float column is a grid (a trajectory file's epochs): its texts are kept,
-    one newline-joined string per block, and formatted again only when the
-    next table's grid differs in its bits.
+
+def write_columns(path, header, tables):
+    """The one CSV emitter: tables of columns as rows of commas, each ending in CRLF.
+
+    A column is a str, the same field on every row, or int64 or float64 values.
+    Integers are written with str, floats as their shortest round-trip repr and NaN as an
+    empty field, so output is byte-reproducible; values are formatted and written
+    CSV_BLOCK_ROWS rows at a time. A table's first non-str column is a grid (a trajectory
+    file's epochs): its texts are kept, one newline-joined string per block, and formatted
+    again only when the next table's grid differs in dtype or bits. A header of None
+    writes no header row. The parent directory is created.
     """
-    grid_bits, grid_blocks = None, []
-    with _csv_file(path, header) as fh:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    grid, grid_blocks = None, []
+    with open(path, "w", newline="") as fh:
+        if header is not None:
+            fh.write(",".join(header) + "\r\n")
         for table in tables:
-            at = next(i for i, column in enumerate(table) if not isinstance(column, str))
-            bits = np.ascontiguousarray(table[at], dtype=np.float64).view(np.int64)
-            if not np.array_equal(bits, grid_bits):
-                grid_bits = bits
+            columns = [column if isinstance(column, str) else _column(column) for column in table]
+            at = next(i for i, column in enumerate(columns) if not isinstance(column, str))
+            if (grid is None or grid.dtype != columns[at].dtype
+                    or not np.array_equal(grid.view(np.int64), columns[at].view(np.int64))):
+                grid = columns[at]
                 # one string per block, not one per row: a 200 001-epoch grid kept as
                 # separate texts raised a command's peak RSS by a third
-                grid_blocks = ["\n".join(texts) for texts in _float_texts(bits.view(np.float64))]
+                grid_blocks = ["\n".join(texts) for texts in _column_texts(grid)]
             columns = [itertools.repeat(itertools.repeat(column)) if isinstance(column, str)
-                       else _float_texts(column) for column in table]
+                       else _column_texts(column) for column in columns]
             columns[at] = (block.split("\n") for block in grid_blocks)
             for block in zip(*columns):
                 fh.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")

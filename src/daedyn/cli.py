@@ -292,9 +292,9 @@ def cmd_predict(cfg: ExperimentConfig):
                analytic.wdae_fixed_point(lam, gamma_eff))
               for mode_index, lam, eps, gamma_eff, _, _ in cells]
     analytic.write_trajectory_csv(cfg.out / "predict.csv", trajectories)
-    analytic.write_csv(cfg.out / "predict_legend.csv",
-                       ["mode", "lambda", "epsilon", "gamma_eff", "fixed_point_dae",
-                        "fixed_point_wdae"], legend)
+    analytic.write_columns(cfg.out / "predict_legend.csv",
+                           ["mode", "lambda", "epsilon", "gamma_eff", "fixed_point_dae",
+                            "fixed_point_wdae"], [list(zip(*legend))])
     return [cfg.out / "predict.csv", cfg.out / "predict_legend.csv"]
 
 
@@ -363,14 +363,17 @@ def cmd_compare(cfg: ExperimentConfig):
     summary = []
     for mode_index, lam, eps, gamma_eff, dae, wdae in cells:
         target = 0.5 * analytic.dae_fixed_point(lam, eps)
+        rises = (analytic.first_crossing_time(times, series.values, target)
+                 for series in (dae, wdae))
+        # a curve that never reaches half is NaN here, which the writer leaves empty
         summary.append((mode_index, lam, eps, gamma_eff,
                         float(dae.values[-1]), float(wdae.values[-1]),
-                        analytic.first_crossing_time(times, dae.values, target),
-                        analytic.first_crossing_time(times, wdae.values, target)))
+                        *(math.nan if rise is None else rise for rise in rises)))
     analytic.write_trajectory_csv(cfg.out / "compare.csv", trajectories)
-    analytic.write_csv(cfg.out / "compare_summary.csv",
-                       ["mode", "lambda", "epsilon", "gamma_eff", "plateau_dae", "plateau_wdae",
-                        "half_rise_dae", "half_rise_wdae"], summary)
+    analytic.write_columns(cfg.out / "compare_summary.csv",
+                           ["mode", "lambda", "epsilon", "gamma_eff", "plateau_dae",
+                            "plateau_wdae", "half_rise_dae", "half_rise_wdae"],
+                           [list(zip(*summary))])
     return [cfg.out / "compare.csv", cfg.out / "compare_summary.csv"]
 
 
@@ -477,8 +480,9 @@ def cmd_rates(cfg: ExperimentConfig):
     for eps in eps_grid:
         gamma_eff = analytic.equivalent_decay(lam, eps)
         rows.append((eps, gamma_eff, *analytic.optimal_rates(lam, eps, gamma_eff, cfg.tau)))
-    analytic.write_csv(cfg.out / "rates.csv",
-                       ["epsilon", "gamma_eff", "alpha_eps", "alpha_gamma", "ratio"], rows)
+    analytic.write_columns(cfg.out / "rates.csv",
+                           ["epsilon", "gamma_eff", "alpha_eps", "alpha_gamma", "ratio"],
+                           [list(zip(*rows))])
     return [cfg.out / "rates.csv"]
 
 

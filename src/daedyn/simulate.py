@@ -163,9 +163,11 @@ def run_scalar_gd(mode: ScalarMode, alpha, steps, record_every=1, gamma_eff=0.0)
     """Euler steps of the per-mode flow; one step is one epoch.
 
     Updates w1 += (1/tau) [w2 lam (1 - w2 w1) - eps w2^2 w1 - gamma_eff w1]
-    and symmetrically for w2. Warns (does not reject) when alpha is at or
-    above the stability-optimal rate. Aborts with the step index when |w1| or
-    |w2| crosses the divergence threshold.
+    and symmetrically for w2. The step is alpha / N with N = alpha * tau, so
+    alpha is compared with the stability-optimal rate N / (2 lam + 3 eps) of
+    that N: it warns (does not reject) when tau <= 2 lam + 3 eps, whatever
+    alpha is. Aborts with the step index when |w1| or |w2| crosses the
+    divergence threshold.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
@@ -174,7 +176,7 @@ def run_scalar_gd(mode: ScalarMode, alpha, steps, record_every=1, gamma_eff=0.0)
     if gamma_eff < 0.0:
         raise ValueError(f"effective decay must be >= 0, got {gamma_eff}")
     if mode.lam > 0.0:
-        alpha_opt, _, _ = optimal_rates(mode.lam, mode.epsilon, gamma_eff, mode.tau)
+        alpha_opt, _, _ = optimal_rates(mode.lam, mode.epsilon, gamma_eff, alpha * mode.tau)
         if alpha >= alpha_opt:
             log.warning("alpha=%g is at or above the optimal stable rate %g; "
                         "the run may oscillate or diverge", alpha, alpha_opt)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import write_csv
+from .analytic import write_columns
 from .errors import NotSymmetricError
 
 log = logging.getLogger(__name__)
@@ -155,6 +155,7 @@ def write_spectrum_csv(spectrum, path, eigenvectors_path=None):
     Eigenvectors go to a separate headerless D x D CSV when a path is given
     (column j of the file is eigenvector j).
     """
-    write_csv(path, ["index", "eigenvalue"], enumerate(spectrum.eigenvalues.tolist(), start=1))
+    write_columns(path, ["index", "eigenvalue"],
+                  [[np.arange(1, spectrum.eigenvalues.size + 1), spectrum.eigenvalues]])
     if eigenvectors_path is not None:
-        write_csv(eigenvectors_path, None, spectrum.eigenvectors.tolist())
+        write_columns(eigenvectors_path, None, [list(spectrum.eigenvectors.T)])

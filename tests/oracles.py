@@ -13,8 +13,8 @@ explicit-residual backprop is the reference for the Gram-form backprop step,
 the Monte Carlo sampled loss for the noise-marginalised loss, and the
 projected diagonal reads per-mode values off a pair of pixel-space weights.
 The row-at-a-time csv.writer formatters are the references for the block
-writer of the trajectory and surface files, and the CSV readers turn the
-files the CLI writes back into arrays.
+writer that emits every CSV, and the CSV readers turn the files the CLI
+writes back into arrays.
 """
 
 import csv
@@ -299,13 +299,24 @@ def projected_diagonal(w1, w2, spectrum):
     return diag, off
 
 
-def write_trajectory_csv_rows(path, trajectories):
-    """The epoch,mode,kind,value schema through csv.writer, one (t, mode, kind, v) row at a time."""
+def write_csv_rows(path, header, rows):
+    """A header row (none for None) and rows through csv.writer, one row at a time.
+
+    Fields are written with str, for a Python float its shortest round-trip
+    repr, and None is an empty field: the reference for the block writer.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "mode", "kind", "value"])
-        writer.writerows((t, traj.mode_index, traj.kind, v) for traj in trajectories
-                         for t, v in zip(traj.times.tolist(), traj.values.tolist()))
+        if header is not None:
+            writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_trajectory_csv_rows(path, trajectories):
+    """The epoch,mode,kind,value schema through csv.writer, one (t, mode, kind, v) row at a time."""
+    write_csv_rows(path, ["epoch", "mode", "kind", "value"],
+                   ((t, traj.mode_index, traj.kind, v) for traj in trajectories
+                    for t, v in zip(traj.times.tolist(), traj.values.tolist())))
 
 
 def write_surface_csv_rows(out, cfg, lam, eps, gamma_eff):
@@ -326,13 +337,8 @@ def write_surface_csv_rows(out, cfg, lam, eps, gamma_eff):
         path_rows += [(path_id, *row) for row in zip(
             run.trajectory.times.tolist(), run.w1.tolist(), run.w2.tolist(),
             run.trajectory.values.tolist())]
-    for name, header, rows in (("surface.csv", ["w1", "w2", "loss"], surface_rows),
-                               ("surface_paths.csv", ["path", "epoch", "w1", "w2", "value"],
-                                path_rows)):
-        with open(out / name, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+    write_csv_rows(out / "surface.csv", ["w1", "w2", "loss"], surface_rows)
+    write_csv_rows(out / "surface_paths.csv", ["path", "epoch", "w1", "w2", "value"], path_rows)
 
 
 def read_trajectory_csv(path):

@@ -47,7 +47,7 @@ def test_criterion_01_fixed_points():
     tau = n / alpha
     for eps, wstar in ((0.0, 1.0), (1.0, 0.5), (5.0, 1.0 / 6.0)):
         mode = ScalarMode(lam=1.0, epsilon=eps, tau=tau, w1_0=0.1, w2_0=0.2)
-        alpha_opt, _, _ = optimal_rates(1.0, eps, 0.0, tau)
+        alpha_opt, _, _ = optimal_rates(1.0, eps, 0.0, alpha * tau)   # N / (2 lam + 3 eps)
         assert alpha <= 0.1 * alpha_opt
         run = run_scalar_gd(mode, alpha, 12_000, 20)
         assert abs(run.trajectory.values[-1] - wstar) <= 1e-3

@@ -1,5 +1,6 @@
 """Closed-form trajectories, fixed points, equivalence map and optimal rates."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from oracles import (
     read_trajectory_csv,
     solve_at_times,
     wdae_flow,
+    write_csv_rows,
     write_trajectory_csv_rows,
 )
 
@@ -28,7 +30,7 @@ from daedyn.analytic import (
     scalar_loss_and_grad,
     wdae_fixed_point,
     wdae_trajectory,
-    write_csv,
+    write_columns,
     write_trajectory_csv,
 )
 from daedyn.errors import DegenerateTrajectoryError, UnsupportedModeError
@@ -123,6 +125,13 @@ def test_dae_trajectory_rejects_zero_eigenvalue():
     mode = ScalarMode(lam=0.0, epsilon=1.0, tau=10.0, w1_0=0.1, w2_0=0.3)
     with pytest.raises(UnsupportedModeError, match="fallback"):
         dae_trajectory(mode, 1.0)
+
+
+def test_dae_trajectory_rejects_an_overflowing_rate_before_numpy_sees_it():
+    # inf * 0.0 at t = 0 would be NaN with a RuntimeWarning, which the suite makes an error
+    mode = ScalarMode(lam=1.7e308, epsilon=1.0, tau=10.0, w1_0=0.1, w2_0=0.3)
+    with pytest.raises(OverflowError, match="overflows"):
+        dae_trajectory(mode, np.array([0.0, 1.0]))
 
 
 def test_dae_trajectory_rejects_degenerate_conserved_quantity():
@@ -406,25 +415,50 @@ def test_trajectory_csv_formats_each_bit_pattern_and_epoch_grid_like_the_row_wri
     assert b"\r\n0.0,3,estimated,-0.0\r\n" in path.read_bytes()
 
 
-def test_write_csv_encoding(tmp_path):
-    # commas, CRLF row ends, floats as repr(float(x)), None as an empty field
-    values = np.array([1.0 / 3.0, -2.5e-300, 6.02214076e23])
-    rows = [[1, "analytic_dae", None, -0.0],
-            [5e-324, 1e-05, 1e16, 0.1 + 0.2],
-            values.tolist(),
-            [-1, np.arange(3)[2].item(), np.float64(0.7).item(), None]]
+def _column_rows(columns):
+    """Rows of Python scalars for the row writer: NaN as None, which it leaves empty."""
+    columns = [itertools.repeat(c) if isinstance(c, str) else np.asarray(c).tolist()
+               for c in columns]
+    return [[None if isinstance(x, float) and math.isnan(x) else x for x in row]
+            for row in zip(*columns)]
 
-    def field(x):
-        if x is None:
-            return ""
-        return repr(float(x)) if isinstance(x, float) else str(x)
 
-    path = tmp_path / "new" / "dir" / "table.csv"
-    write_csv(path, ["a", "b", "c", "d"], rows)
-    expected = "".join(",".join(map(field, row)) + "\r\n" for row in [["a", "b", "c", "d"], *rows])
-    assert path.read_bytes() == expected.encode()
-    write_csv(path, None, rows[1:2])
-    assert path.read_bytes() == b"5e-324,1e-05,1e+16,0.30000000000000004\r\n"
+def test_write_columns_matches_the_row_writer_across_blocks(tmp_path):
+    # an int64 first column over three blocks; NaN, signed zeros and extremes among the floats
+    rows = 2 * analytic.CSV_BLOCK_ROWS + 7
+    index = np.arange(1, rows + 1, dtype=np.int64)
+    values = np.full(rows, 1.0 / 3.0)
+    values[:8] = [-0.0, 5e-324, 1e16, 0.1 + 0.2, math.nan, 0.0, 1e-05, 6.02214076e23]
+    values[[analytic.CSV_BLOCK_ROWS, -1]] = [math.nan, -2.5e-300]
+    columns = [index, "analytic_dae", values, values[::-1].copy(), -index]
+    path, reference = tmp_path / "new" / "dir" / "table.csv", tmp_path / "rows.csv"
+    write_columns(path, ["index", "kind", "a", "b", "c"], [columns])
+    write_csv_rows(reference, ["index", "kind", "a", "b", "c"], _column_rows(columns))
+    assert path.read_bytes() == reference.read_bytes()
+    assert path.read_bytes().startswith(b"index,kind,a,b,c\r\n1,analytic_dae,-0.0,-2.5e-300,-1\r\n")
+    assert b"\r\n5,analytic_dae,,0.3333333333333333,-5\r\n" in path.read_bytes()
+
+
+def test_write_columns_encoding(tmp_path):
+    # no header row for None; NaN is an empty field; an int32 column is written as ints
+    path = tmp_path / "table.csv"
+    write_columns(path, None, [[np.array([1, -2], dtype=np.int32),
+                                np.array([5e-324, math.nan]), np.array([1e16, 0.1 + 0.2])]])
+    assert path.read_bytes() == b"1,5e-324,1e+16\r\n-2,,0.30000000000000004\r\n"
+
+
+def test_write_columns_keeps_an_int_grid_apart_from_a_float_one(tmp_path):
+    # int64 0, 1 and float64 0.0, 5e-324 share their bits; each table's grid keeps its own texts
+    path = tmp_path / "grids.csv"
+    half = np.array([0.5, 0.5])
+    tables = [[np.array([0, 1]), half], [np.array([0.0, 5e-324]), half],
+              [np.array([0, 1]), np.array([-0.0, 0.0])]]
+    write_columns(path, ["t", "v"], tables)
+    reference = tmp_path / "rows.csv"
+    write_csv_rows(reference, ["t", "v"], [row for table in tables for row in _column_rows(table)])
+    assert path.read_bytes() == reference.read_bytes()
+    assert path.read_bytes() == (b"t,v\r\n0,0.5\r\n1,0.5\r\n0.0,0.5\r\n5e-324,0.5\r\n"
+                                 b"0,-0.0\r\n1,0.0\r\n")
 
 
 def test_first_crossing_time():

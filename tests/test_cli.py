@@ -439,6 +439,15 @@ def test_compare_summary_orders_half_rise(tmp_path):
         assert float(row["half_rise_dae"]) <= float(row["half_rise_wdae"])
 
 
+def test_compare_summary_leaves_half_rise_empty_when_never_reached(tmp_path):
+    out = tmp_path / "out"
+    assert main(["compare", "--lambda", "1", "--epsilon", "0.5,2", "--epochs", "0",
+                 "--out", str(out)]) == 0
+    lines = (out / "compare_summary.csv").read_bytes().split(b"\r\n")
+    assert lines[0].endswith(b",half_rise_dae,half_rise_wdae") and lines[-1] == b""
+    assert len(lines) == 4 and all(line.endswith(b",,") for line in lines[1:3])
+
+
 def test_rates_grid_reference_values(tmp_path):
     out = tmp_path / "out"
     assert main(["rates", "--lambda", "1.0", "--epsilon", "0,1,2,5",

@@ -103,10 +103,20 @@ def test_scalar_gd_divergence_reports_step_index():
 
 
 def test_scalar_gd_warns_above_optimal_rate(caplog):
-    mode = ScalarMode(lam=1.0, epsilon=1.0, tau=10.0, w1_0=0.1, w2_0=0.2)
+    # the step 1/tau = 1/4 is above the optimum 1/(2 lam + 3 eps) = 1/5
+    mode = ScalarMode(lam=1.0, epsilon=1.0, tau=4.0, w1_0=0.1, w2_0=0.2)
     with caplog.at_level(logging.WARNING):
         run_scalar_gd(mode, 5.0, 10, 1)
     assert any("optimal" in rec.message for rec in caplog.records)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 5.0])
+def test_scalar_gd_optimal_rate_warning_follows_the_step_not_alpha(alpha, caplog):
+    # the step 1/tau = 1/10 is half the optimum whatever alpha the run quotes
+    mode = ScalarMode(lam=1.0, epsilon=1.0, tau=10.0, w1_0=0.1, w2_0=0.2)
+    with caplog.at_level(logging.WARNING):
+        run_scalar_gd(mode, alpha, 10, 1)
+    assert not any("optimal" in rec.message for rec in caplog.records)
 
 
 def test_scalar_gd_weight_decay_settles_on_decayed_fixed_point():
