@@ -3,6 +3,8 @@
 Learning decouples per eigen-direction of the input covariance into scalar
 dynamics for w = w2 * w1. This module holds the exact trajectory solutions,
 their fixed points, the noise/decay equivalence map, and optimal-rate ratios.
+A start's c0 picks its form: the hyperbolic one above C0_MIN, and at or below
+it the equal-weights logistic, which covers noise, decay or both.
 
 Conventions: noise enters through the effective strength eps (N * component
 variance), weight decay through gamma_eff (N * user-facing penalty), and time
@@ -149,16 +151,15 @@ def dae_trajectory(mode: ScalarMode, t):
     Internally everything is scaled by 1/E so no exponent ever overflows;
     zeta^2 - beta^2 is replaced by the identity value 4. Past the exp
     saturation horizon the fixed point lambda / (lambda + eps) is returned
-    directly (the trajectory is within ~1e-300 of it).
+    directly (the trajectory is within ~1e-300 of it). At c0 <= C0_MIN, where
+    these coordinates divide by ~0, the equal-weights wdae_trajectory takes over.
     """
     if mode.lam <= 0.0:
         raise UnsupportedModeError(
             "closed form requires lambda > 0; modes with zero eigenvalue only "
             "decay and need the numeric simulator fallback")
     if mode.c0 <= C0_MIN:
-        raise DegenerateTrajectoryError(
-            f"c0 = {mode.c0:.3e} <= {C0_MIN}; hyperbolic coordinates are "
-            "unusable, use the numeric simulator fallback")
+        return wdae_trajectory(mode.lam, 0.0, mode.tau, mode.w0, t, mode.epsilon)
     t_arr = np.asarray(t, dtype=np.float64)
     if np.any(t_arr < 0.0):
         raise ValueError("epochs must be >= 0")
@@ -180,36 +181,43 @@ def dae_trajectory(mode: ScalarMode, t):
     return w if w.ndim else float(w)
 
 
-def wdae_trajectory(lam, gamma_eff, tau, w0, t):
-    """Exact mapped value under weight decay, from equal initial weights w1 = w2.
+def wdae_trajectory(lam, gamma_eff, tau, w0, t, epsilon=0.0):
+    """Exact mapped value from equal initial weights w1 = w2, under decay, noise or both.
 
-    Implements w(t) = xi E / (E - 1 + xi / w0) with xi = 1 - gamma_eff / lambda
-    and E = exp(2 xi lambda t / tau); the lambda factor in the exponent comes
-    from integrating the underlying flow and is required for the solution to
-    satisfy it at every eigenvalue, not just lambda = 1. For xi < 0 the same
+    From w1 = w2 the flow stays balanced and the product obeys one logistic,
+    dw/dt = (2 w / tau)(lambda - gamma_eff - (lambda + eps) w). With
+    xi = 1 - gamma_eff / lambda, kappa = xi lambda / (lambda + eps) and
+    E = exp(2 xi lambda t / tau) it is w(t) = kappa E / (E - 1 + kappa / w0);
+    kappa is the fixed point and equals xi without noise. For xi < 0 the same
     expression decays to zero; xi = 0 degenerates to the algebraic decay
-    w0 / (1 + 2 lambda w0 t / tau).
+    w0 / (1 + 2 (lambda + eps) w0 t / tau).
     """
     if lam <= 0.0:
         raise UnsupportedModeError("closed form requires lambda > 0")
-    if gamma_eff < 0.0:
-        raise ValueError(f"effective decay must be >= 0, got {gamma_eff}")
+    if gamma_eff < 0.0 or epsilon < 0.0:
+        raise ValueError(f"effective decay and noise must be >= 0, got {gamma_eff}, {epsilon}")
     if tau <= 0.0:
         raise ValueError(f"time constant must be > 0, got {tau}")
     if w0 <= 0.0:
-        raise ValueError(f"initial product must be > 0 (formula divides by it), got {w0}")
+        raise DegenerateTrajectoryError(f"the equal-weights form divides by w1*w2, so it needs a "
+                                        f"positive initial product, got {w0:g}")
     t_arr = np.asarray(t, dtype=np.float64)
     if np.any(t_arr < 0.0):
         raise ValueError("epochs must be >= 0")
     xi = 1.0 - gamma_eff / lam
+    kappa = xi * (lam / (lam + epsilon))
+    # each branch's rate in the order that keeps its bytes; an inf rate times t = 0 is NaN
+    rate = 2.0 * xi * lam if xi != 0.0 else 2.0 * (lam + epsilon) * w0
+    if not math.isfinite(rate):
+        raise OverflowError(f"the closed form's rate overflows at lambda={lam:g}, eps={epsilon:g}")
     if xi > 0.0:
-        u = np.exp(-2.0 * xi * lam * t_arr / tau)   # 1/E, stays in (0, 1]
-        w = xi / (1.0 - u + u * (xi / w0))
+        u = np.exp(-rate * t_arr / tau)   # 1/E, stays in (0, 1]
+        w = kappa / (1.0 - u + u * (kappa / w0))
     elif xi < 0.0:
-        e = np.exp(2.0 * xi * lam * t_arr / tau)    # decays from 1 toward 0
-        w = xi * e / (e - 1.0 + xi / w0)
+        e = np.exp(rate * t_arr / tau)    # decays from 1 toward 0
+        w = kappa * e / (e - 1.0 + kappa / w0)
     else:
-        w = w0 / (1.0 + 2.0 * lam * w0 * t_arr / tau)
+        w = w0 / (1.0 + rate * t_arr / tau)
     return w if w.ndim else float(w)
 
 
@@ -279,10 +287,10 @@ def dae_series(mode, times, mode_index=1) -> Trajectory:
                       kind="analytic_dae", mode_index=mode_index)
 
 
-def wdae_series(lam, gamma_eff, tau, w0, times, mode_index=1) -> Trajectory:
+def wdae_series(lam, gamma_eff, tau, w0, times, mode_index=1, epsilon=0.0) -> Trajectory:
     """Trajectory wrapper around wdae_trajectory on a time grid."""
     return Trajectory(times=np.asarray(times, dtype=np.float64),
-                      values=wdae_trajectory(lam, gamma_eff, tau, w0, times),
+                      values=wdae_trajectory(lam, gamma_eff, tau, w0, times, epsilon),
                       kind="analytic_wdae", mode_index=mode_index)
 
 

@@ -334,22 +334,17 @@ def cmd_simulate(cfg: ExperimentConfig):
     mode = analytic.ScalarMode(lam=lam, epsilon=eps, tau=cfg.tau, w1_0=w1_0, w2_0=w2_0)
     run = simulate.run_scalar_gd(mode, cfg.alpha, cfg.epochs, cfg.record_every,
                                  gamma_eff=gamma_eff)
-    trajectories = [run.trajectory]
-    if gamma_eff == 0.0:
-        try:
-            trajectories.append(analytic.dae_series(mode, run.trajectory.times))
-        except DegenerateTrajectoryError:
-            log.warning("initial weights are degenerate for the closed form; "
-                        "emitting the simulated curve only")
-    elif eps > 0.0:
-        log.warning("no closed form with both noise and decay; "
+    trajectories, times = [run.trajectory], run.trajectory.times
+    if eps > 0.0 and gamma_eff > 0.0 and mode.c0 > analytic.C0_MIN:
+        log.warning("no closed form with both noise and decay from unequal initial weights; "
                     "emitting the simulated curve only")
-    elif mode.w0 <= 0.0:
-        log.warning("the decay closed form needs a positive initial product w1*w2, got %g; "
-                    "emitting the simulated curve only", mode.w0)
     else:
-        trajectories.append(analytic.wdae_series(lam, gamma_eff, cfg.tau, mode.w0,
-                                                 run.trajectory.times))
+        try:   # with decay the equal-weights form; without, dae_series falls back to it
+            trajectories.append(analytic.wdae_series(lam, gamma_eff, cfg.tau, mode.w0, times,
+                                                     epsilon=eps) if gamma_eff > 0.0
+                                else analytic.dae_series(mode, times))
+        except DegenerateTrajectoryError as exc:
+            log.warning("no closed form: %s; emitting the simulated curve only", exc)
     analytic.write_trajectory_csv(cfg.out / "simulate.csv", trajectories)
     return [cfg.out / "simulate.csv"]
 
@@ -381,25 +376,19 @@ def predictions_for_run(run: simulate.Run, spec: spectrum.Spectrum, eps_eff,
                         gamma_eff, tau, mode_ranks):
     """Analytic per-mode series matched to a linear run's recorded epochs.
 
-    Scalar initial conditions are measured from the run's initial weights;
-    modes whose closed form is unavailable (zero eigenvalue or degenerate
-    conserved quantity) are skipped with a warning.
+    Scalar initial conditions are measured from the run's initial weights; modes
+    without a closed form (zero eigenvalue, or c0 = 0 with w0 <= 0, as past the
+    hidden width) are skipped with a warning.
     """
     times = run.times
     measured = simulate.modes_from_linear_ae(run.init_model, spec, eps_eff, tau)
     out = []
     for rank in mode_ranks:
         mode = measured[rank - 1]
-        if gamma_eff > 0.0:
-            w0 = max(abs(mode.w0), W0_FLOOR)
-            if mode.lam <= 0.0:
-                log.warning("mode %d has zero eigenvalue; no decay prediction", rank)
-                continue
-            out.append(analytic.wdae_series(mode.lam, gamma_eff, tau, w0, times,
-                                            mode_index=rank))
-            continue
         try:
-            out.append(analytic.dae_series(mode, times, mode_index=rank))
+            out.append(analytic.wdae_series(mode.lam, gamma_eff, tau, max(abs(mode.w0), W0_FLOOR),
+                                            times, mode_index=rank) if gamma_eff > 0.0
+                       else analytic.dae_series(mode, times, mode_index=rank))
         except (DegenerateTrajectoryError, analytic.UnsupportedModeError) as exc:
             log.warning("no closed form for mode %d: %s", rank, exc)
     return out
@@ -479,7 +468,8 @@ def cmd_rates(cfg: ExperimentConfig):
     rows = []
     for eps in eps_grid:
         gamma_eff = analytic.equivalent_decay(lam, eps)
-        rows.append((eps, gamma_eff, *analytic.optimal_rates(lam, eps, gamma_eff, cfg.tau)))
+        # step units N, not tau = N / alpha: the rates read in the units of --alpha
+        rows.append((eps, gamma_eff, *analytic.optimal_rates(lam, eps, gamma_eff, cfg.n)))
     analytic.write_columns(cfg.out / "rates.csv",
                            ["epsilon", "gamma_eff", "alpha_eps", "alpha_gamma", "ratio"],
                            [list(zip(*rows))])

@@ -26,7 +26,7 @@ class UnsupportedModeError(ValueError):
 
 
 class DegenerateTrajectoryError(ValueError):
-    """Hyperbolic parametrization unusable because c0 is (numerically) zero."""
+    """No closed form covers the start: an equal-weights start with w1 * w2 <= 0."""
 
 
 class NotSymmetricError(ValueError):

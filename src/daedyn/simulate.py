@@ -514,8 +514,8 @@ def modes_from_linear_ae(model: Autoencoder, spectrum: Spectrum, epsilon, tau):
     against the growing directions of all higher-eigenvalue modes before its
     amplitude is read off. For exactly decoupled (rotation-aligned) weights
     the rows are already orthogonal and this reduces to the plain per-mode
-    scalar pair; modes past the hidden width come out degenerate (c0 = 0), as
-    they should, since the network cannot learn them.
+    scalar pair; modes past the hidden width come out degenerate (c0 = 0,
+    w0 <= 0), as they should, since the network cannot learn them.
     """
     w1r, w2r = rotate_weights(model.w1, model.w2, spectrum)
     grow = 0.5 * (w1r.T + w2r)      # rows are p_j = (u_j + v_j) / 2
@@ -528,9 +528,9 @@ def modes_from_linear_ae(model: Autoencoder, spectrum: Spectrum, epsilon, tau):
         p = grow[j].copy()
         if basis.shape[0]:
             p -= basis.T @ (basis @ p)
-        a = float(p @ p)
+        a = float(p @ p) if basis.shape[0] < h else 0.0   # full basis: degenerate, not round-off
         norm = math.sqrt(a)
-        if norm > 0.0 and basis.shape[0] < h:
+        if norm > 0.0:
             basis = np.vstack([basis, p / norm])
         modes.append(ScalarMode.from_product(
             lam=float(lam), epsilon=epsilon, tau=tau,

@@ -1,7 +1,9 @@
 """Independent numeric oracles used by the test suite.
 
 These deliberately avoid the package's closed-form code paths: trajectories
-are checked against adaptive Runge-Kutta integration of the underlying flow,
+are checked against adaptive Runge-Kutta integration of the underlying flow
+(one per-mode flow with noise and decay) and, at zero noise, the
+equal-weights form against its decay-only three-branch formula bit for bit;
 gradients against central finite differences, the LAPACK-backed
 eigendecomposition against cyclic Jacobi rotations, and the eigenbasis mode
 estimator against the dense pixel-space cross-covariance. The pixel-space
@@ -77,32 +79,36 @@ def solve_at_times(f, y0, times, tol=1e-10):
     return out
 
 
-def dae_flow(lam, eps, tau):
-    """Right-hand side of the coupled noisy per-mode flow, y = (w1, w2)."""
+def mode_flow(lam, eps, gamma_eff, tau):
+    """Right-hand side of the coupled per-mode flow, y = (w1, w2), with effective
+    noise eps and effective decay gamma_eff; either may be 0."""
 
     def f(_t, y):
         w1, w2 = y
         w = w2 * w1
         return np.array([
-            (w2 * lam * (1.0 - w) - eps * w2 * w2 * w1) / tau,
-            (w1 * lam * (1.0 - w) - eps * w1 * w1 * w2) / tau,
+            (w2 * lam * (1.0 - w) - eps * w2 * w2 * w1 - gamma_eff * w1) / tau,
+            (w1 * lam * (1.0 - w) - eps * w1 * w1 * w2 - gamma_eff * w2) / tau,
         ])
 
     return f
 
 
-def wdae_flow(lam, gamma_eff, tau):
-    """Right-hand side of the coupled weight-decayed per-mode flow."""
-
-    def f(_t, y):
-        w1, w2 = y
-        w = w2 * w1
-        return np.array([
-            (w2 * lam * (1.0 - w) - gamma_eff * w1) / tau,
-            (w1 * lam * (1.0 - w) - gamma_eff * w2) / tau,
-        ])
-
-    return f
+def wdae_trajectory_decay_only(lam, gamma_eff, tau, w0, t):
+    """The decay-only equal-weights closed form as three branches in xi = 1 - gamma_eff / lam,
+    w(t) = xi E / (E - 1 + xi / w0) with E = exp(2 xi lam t / tau): the reference that the
+    noise-aware form must reproduce bit for bit at eps = 0."""
+    t_arr = np.asarray(t, dtype=np.float64)
+    xi = 1.0 - gamma_eff / lam
+    if xi > 0.0:
+        u = np.exp(-2.0 * xi * lam * t_arr / tau)
+        w = xi / (1.0 - u + u * (xi / w0))
+    elif xi < 0.0:
+        e = np.exp(2.0 * xi * lam * t_arr / tau)
+        w = xi * e / (e - 1.0 + xi / w0)
+    else:
+        w = w0 / (1.0 + 2.0 * lam * w0 * t_arr / tau)
+    return w
 
 
 def central_difference_grad(f, x, h=1e-6):

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import central_difference_grad, dae_flow, sampled_loss, solve_at_times, wdae_flow
+from oracles import central_difference_grad, mode_flow, sampled_loss, solve_at_times
 
 from daedyn import analytic, data, nonlinear, simulate, spectrum
 from daedyn.analytic import (
@@ -72,7 +72,7 @@ def test_criterion_02_dae_closed_form_vs_ode_oracle():
         mode = ScalarMode(lam=lam, epsilon=eps, tau=tau, w1_0=w1_0, w2_0=w2_0)
         times = np.linspace(0.05, 4.0, 20) * tau / lam
         predicted = dae_trajectory(mode, times)
-        rows = solve_at_times(dae_flow(lam, eps, tau), [w1_0, w2_0], times, tol=1e-11)
+        rows = solve_at_times(mode_flow(lam, eps, 0.0, tau), [w1_0, w2_0], times, tol=1e-11)
         oracle = rows[:, 0] * rows[:, 1]
         assert np.allclose(predicted, oracle, rtol=1e-6, atol=1e-9)
     assert time.perf_counter() - start < 5.0
@@ -89,7 +89,25 @@ def test_criterion_03_wdae_closed_form_vs_ode_oracle():
         s = np.sqrt(w0)
         times = np.linspace(0.05, 4.0, 20) * tau / lam
         predicted = wdae_trajectory(lam, gamma_eff, tau, w0, times)
-        rows = solve_at_times(wdae_flow(lam, gamma_eff, tau), [s, s], times, tol=1e-11)
+        rows = solve_at_times(mode_flow(lam, 0.0, gamma_eff, tau), [s, s], times, tol=1e-11)
+        oracle = rows[:, 0] * rows[:, 1]
+        assert np.allclose(predicted, oracle, rtol=1e-6, atol=1e-9)
+
+
+def test_equal_weights_closed_form_with_noise_and_decay_vs_ode_oracle():
+    """Fifty seeded modes with noise and decay from equal small weights match RK4 within 1e-6."""
+    rng = np.random.default_rng(44)
+    for i in range(50):
+        lam = rng.uniform(0.3, 3.0)
+        eps = rng.uniform(0.05, 5.0)
+        # xi > 0, xi = 0 exactly and xi < 0 in turn
+        gamma_eff = (rng.uniform(0.0, 0.95) * lam, lam, rng.uniform(1.05, 1.8) * lam)[i % 3]
+        tau = rng.uniform(50.0, 500.0)
+        w0 = rng.uniform(1e-4, 1e-2)
+        s = np.sqrt(w0)
+        times = np.linspace(0.05, 4.0, 20) * tau / lam
+        predicted = wdae_trajectory(lam, gamma_eff, tau, w0, times, eps)
+        rows = solve_at_times(mode_flow(lam, eps, gamma_eff, tau), [s, s], times, tol=1e-11)
         oracle = rows[:, 0] * rows[:, 1]
         assert np.allclose(predicted, oracle, rtol=1e-6, atol=1e-9)
 

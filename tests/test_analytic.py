@@ -8,10 +8,10 @@ import pytest
 
 from oracles import (
     central_difference_grad,
-    dae_flow,
+    mode_flow,
     read_trajectory_csv,
     solve_at_times,
-    wdae_flow,
+    wdae_trajectory_decay_only,
     write_csv_rows,
     write_trajectory_csv_rows,
 )
@@ -105,7 +105,7 @@ def test_dae_trajectory_beyond_overflow_horizon_is_exact_fixed_point():
 def test_dae_trajectory_matches_rk4_oracle_reference_case():
     lam, eps, tau = 1.0, 0.3, 100.0
     mode = ScalarMode(lam=lam, epsilon=eps, tau=tau, w1_0=0.3, w2_0=0.5)
-    sol = solve_at_times(dae_flow(lam, eps, tau), [0.3, 0.5], [50.0], tol=1e-12)
+    sol = solve_at_times(mode_flow(lam, eps, 0.0, tau), [0.3, 0.5], [50.0], tol=1e-12)
     oracle = sol[0, 0] * sol[0, 1]
     assert dae_trajectory(mode, 50.0) == pytest.approx(oracle, rel=1e-6)
 
@@ -116,7 +116,7 @@ def test_dae_trajectory_matches_rk4_on_both_branches(w1_0, w2_0):
     lam, eps, tau = 1.4, 0.8, 120.0
     mode = ScalarMode(lam=lam, epsilon=eps, tau=tau, w1_0=w1_0, w2_0=w2_0)
     times = np.linspace(5.0, 500.0, 15)
-    sol = solve_at_times(dae_flow(lam, eps, tau), [w1_0, w2_0], times, tol=1e-12)
+    sol = solve_at_times(mode_flow(lam, eps, 0.0, tau), [w1_0, w2_0], times, tol=1e-12)
     oracle = sol[:, 0] * sol[:, 1]
     assert np.allclose(dae_trajectory(mode, times), oracle, rtol=1e-6, atol=1e-9)
 
@@ -134,9 +134,22 @@ def test_dae_trajectory_rejects_an_overflowing_rate_before_numpy_sees_it():
         dae_trajectory(mode, np.array([0.0, 1.0]))
 
 
-def test_dae_trajectory_rejects_degenerate_conserved_quantity():
-    mode = ScalarMode(lam=1.0, epsilon=1.0, tau=10.0, w1_0=0.1, w2_0=0.1)
-    with pytest.raises(DegenerateTrajectoryError, match="fallback"):
+@pytest.mark.parametrize("w1_0,w2_0", [(0.1, 0.1), (-0.1, -0.1), (0.1, 0.1 + 1e-12)],
+                         ids=["equal", "equal-negative", "c0-below-floor"])
+def test_dae_trajectory_falls_back_to_the_equal_weights_form(w1_0, w2_0):
+    mode = ScalarMode(lam=1.0, epsilon=1.0, tau=10.0, w1_0=w1_0, w2_0=w2_0)
+    assert mode.c0 <= analytic.C0_MIN and mode.w0 > 0.0
+    times = np.linspace(0.0, 200.0, 41)
+    assert np.array_equal(dae_trajectory(mode, times),
+                          wdae_trajectory(1.0, 0.0, 10.0, mode.w0, times, 1.0))
+    assert dae_trajectory(mode, 50.0) == wdae_trajectory(1.0, 0.0, 10.0, mode.w0, 50.0, 1.0)
+
+
+@pytest.mark.parametrize("w1_0,w2_0", [(0.1, -0.1), (0.0, 0.0)], ids=["opposite", "zero"])
+def test_dae_trajectory_rejects_an_equal_weights_start_without_a_positive_product(w1_0, w2_0):
+    mode = ScalarMode(lam=1.0, epsilon=1.0, tau=10.0, w1_0=w1_0, w2_0=w2_0)
+    assert mode.c0 <= analytic.C0_MIN and mode.w0 <= 0.0
+    with pytest.raises(DegenerateTrajectoryError, match="positive initial product"):
         dae_trajectory(mode, 1.0)
 
 
@@ -179,7 +192,7 @@ def test_wdae_trajectory_unregularized_plateaus_at_one():
 def test_wdae_trajectory_matches_rk4_oracle_reference_case():
     lam, g, tau, w0 = 1.0, 0.5, 200.0, 1e-3
     s = math.sqrt(w0)
-    sol = solve_at_times(wdae_flow(lam, g, tau), [s, s], [400.0], tol=1e-12)
+    sol = solve_at_times(mode_flow(lam, 0.0, g, tau), [s, s], [400.0], tol=1e-12)
     oracle = sol[0, 0] * sol[0, 1]
     assert wdae_trajectory(lam, g, tau, w0, 400.0) == pytest.approx(oracle, rel=1e-6)
 
@@ -191,7 +204,7 @@ def test_wdae_trajectory_overdecayed_branch_decays_to_zero():
     assert np.all(np.diff(values) <= 1e-15)
     assert values[-1] == pytest.approx(0.0, abs=1e-8)
     s = math.sqrt(w0)
-    sol = solve_at_times(wdae_flow(lam, g, tau), [s, s], times[1:], tol=1e-12)
+    sol = solve_at_times(mode_flow(lam, 0.0, g, tau), [s, s], times[1:], tol=1e-12)
     assert np.allclose(values[1:], sol[:, 0] * sol[:, 1], rtol=1e-6, atol=1e-9)
 
 
@@ -202,8 +215,41 @@ def test_wdae_trajectory_critical_decay_algebraic_branch():
     times = np.linspace(0.0, 800.0, 30)
     values = wdae_trajectory(lam, g, tau, w0, times)
     s = math.sqrt(w0)
-    sol = solve_at_times(wdae_flow(lam, g, tau), [s, s], times[1:], tol=1e-12)
+    sol = solve_at_times(mode_flow(lam, 0.0, g, tau), [s, s], times[1:], tol=1e-12)
     assert np.allclose(values[1:], sol[:, 0] * sol[:, 1], rtol=1e-6, atol=1e-12)
+
+
+def test_wdae_trajectory_without_noise_is_the_decay_only_form_bit_for_bit():
+    times = np.arange(16_001, dtype=np.float64)
+    for lam, tau, w0 in itertools.product((0.05, 0.5, 1.0, 2.5, 7.0), (10.0, 200.0),
+                                          (1e-3, 0.3)):
+        for gamma_eff in (0.3 * lam, lam, 1.7 * lam):   # xi > 0, xi = 0, xi < 0
+            reference = wdae_trajectory_decay_only(lam, gamma_eff, tau, w0, times)
+            for values in (wdae_trajectory(lam, gamma_eff, tau, w0, times),
+                           wdae_trajectory(lam, gamma_eff, tau, w0, times, 0.0)):
+                assert values.tobytes() == reference.tobytes(), (lam, gamma_eff, tau, w0)
+
+
+def test_wdae_trajectory_with_noise_solves_the_balanced_logistic():
+    # dw/dt = (2 w / tau)(lam - gamma - (lam + eps) w), central-differenced on every branch
+    tau, w0, h = 150.0, 2e-3, 1e-3
+    times = np.linspace(1.0, 900.0, 60)
+    for lam, gamma_eff, eps in ((1.0, 0.3, 0.5), (1.0, 1.0, 0.5), (1.0, 1.6, 0.5)):
+        w = wdae_trajectory(lam, gamma_eff, tau, w0, times, eps)
+        dw = (wdae_trajectory(lam, gamma_eff, tau, w0, times + h, eps)
+              - wdae_trajectory(lam, gamma_eff, tau, w0, times - h, eps)) / (2 * h)
+        rhs = 2.0 * w / tau * (lam - gamma_eff - (lam + eps) * w)
+        assert np.max(np.abs(dw - rhs)) <= 1e-6 * np.max(np.abs(rhs)), (gamma_eff, eps)
+    plateau = wdae_trajectory(2.0, 0.5, tau, w0, 1e6, 1.0)
+    assert plateau == pytest.approx((1.0 - 0.5 / 2.0) * 2.0 / 3.0, rel=1e-12)
+
+
+def test_wdae_trajectory_rejects_an_overflowing_rate_before_numpy_sees_it():
+    for gamma_eff in (0.0, 1.7e308):   # xi = 1 and xi = 0
+        with pytest.raises(OverflowError, match="overflows"):
+            wdae_trajectory(1.7e308, gamma_eff, 10.0, 1e-2, np.array([0.0, 1.0]), 1.0)
+    with pytest.raises(ValueError, match="noise"):
+        wdae_trajectory(1.0, 0.1, 100.0, 1e-3, 1.0, -0.5)
 
 
 def test_wdae_trajectory_rejects_nonpositive_w0():
@@ -236,7 +282,7 @@ def test_wdae_fixed_points():
 
 def test_wdae_overdecay_clamps_to_simulated_zero_attractor():
     # the clamped analytic value matches where the flow actually settles
-    sol = solve_at_times(wdae_flow(1.0, 2.0, 50.0), [0.1, 0.1], [4000.0], tol=1e-12)
+    sol = solve_at_times(mode_flow(1.0, 0.0, 2.0, 50.0), [0.1, 0.1], [4000.0], tol=1e-12)
     assert abs(sol[0, 0] * sol[0, 1]) < 1e-12
     assert wdae_fixed_point(1.0, 2.0) == 0.0
 
@@ -331,7 +377,7 @@ def test_flow_conserves_quantity_hit_by_closed_form():
     # along the exact flow that the closed form solves
     lam, eps, tau = 1.0, 0.7, 80.0
     w1_0, w2_0 = 0.15, 0.45
-    rows = solve_at_times(dae_flow(lam, eps, tau), [w1_0, w2_0],
+    rows = solve_at_times(mode_flow(lam, eps, 0.0, tau), [w1_0, w2_0],
                           np.linspace(10.0, 800.0, 9), tol=1e-12)
     c = rows[:, 1] ** 2 - rows[:, 0] ** 2
     assert np.max(np.abs(c - (w2_0 ** 2 - w1_0 ** 2))) <= 1e-9

@@ -105,7 +105,6 @@ def test_cli_returns_io_error_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["predict", "--w1-0", "0.1", "--w2-0", "0.1"],
     ["real-data", "--dataset", "{cache}", "--init", "orthogonal", "--hidden", "40",
      "--modes", "1,2", "--epochs", "5"],
     ["surface", "--paths", "-3"],
@@ -150,7 +149,7 @@ def test_cli_returns_io_error_exit_code(tmp_path, capsys):
     ["simulate", "--w1-0", "1e200", "--w2-0", "1e200", "--epochs", "5"],
     ["surface", "--grid-max", "1e200", "--paths", "0", "--grid-points", "3", "--epochs", "5"],
     ["rates", "--lambda", "1.7e308"],
-], ids=["degenerate-predict", "overcomplete-orthogonal", "negative-paths", "zero-eps-points",
+], ids=["overcomplete-orthogonal", "negative-paths", "zero-eps-points",
         "real-data-epsilon-list", "infinite-gamma", "ingest-without-dataset", "compare-gamma",
         "nonlinear-epsilon-list", "compare-zero-gamma", "simulate-lambda-list",
         "surface-lambda-list", "rates-lambda-list", "simulate-empty-lambda",
@@ -173,6 +172,46 @@ def test_cli_invalid_inputs_exit_2_without_traceback(argv, tmp_path, d16_cache, 
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("predict", ["--w1-0", "0.1", "--w2-0", "0.1"]),
+    ("compare", ["--weight-ratio", "1"]),
+], ids=["predict-equal-weights", "compare-weight-ratio-1"])
+def test_theory_grid_from_equal_weights_writes_every_closed_form(command, flags, tmp_path):
+    assert main([command, "--epochs", "500", *flags, "--out", str(tmp_path)]) == cli.EXIT_OK
+    series = _series(tmp_path / f"{command}.csv")
+    cells = len(cli.DEFAULT_LAMBDAS) * len(cli.DEFAULT_EPSILONS)
+    for kind in ("analytic_dae", "analytic_wdae"):
+        assert sorted(rank for rank, k in series if k == kind) == list(range(1, cells + 1))
+
+
+def test_real_data_orthogonal_init_gets_the_equal_weights_closed_form(tmp_path, d16_cache):
+    hidden, sigma2 = 8, 0.01
+    assert main(["real-data", "--dataset", str(d16_cache), "--init", "orthogonal",
+                 "--sigma2", str(sigma2), "--hidden", str(hidden), "--modes", "1,2,4,8,12",
+                 "--alpha", "1", "--epochs", "300", "--out", str(tmp_path)]) == cli.EXIT_OK
+    series = _series(tmp_path / "real_data.csv")
+    lams = [float(row["eigenvalue"]) for row in _rows(tmp_path / "spectrum.csv")]
+    eps_eff = 64 * sigma2
+    for rank in (1, 2, 4, 8):
+        sim, predicted = series[(rank, "simulated")], series[(rank, "analytic_dae")]
+        assert np.array_equal(sim.times, predicted.times)
+        wstar = analytic.dae_fixed_point(lams[rank - 1], eps_eff)
+        rms = np.sqrt(np.mean((sim.values - predicted.values) ** 2))
+        assert rms <= 0.05 * wstar, (rank, rms, wstar)   # criterion 07's bound
+    # a rank past the hidden width cannot be learned and gets no closed form
+    assert (12, "simulated") in series and (12, "analytic_dae") not in series
+
+
+def test_rates_are_stated_in_the_units_of_alpha(tmp_path):
+    for alpha in ("1", "10"):
+        assert main(["rates", "--lambda", "1", "--n", "100", "--alpha", alpha,
+                     "--out", str(tmp_path / alpha)]) == cli.EXIT_OK
+    rates = (tmp_path / "10" / "rates.csv").read_bytes()
+    assert rates == (tmp_path / "1" / "rates.csv").read_bytes()
+    first = _rows(tmp_path / "10" / "rates.csv")[0]
+    assert float(first["epsilon"]) == 0.0 and float(first["alpha_eps"]) == 100 / 2.0
 
 
 @pytest.mark.parametrize("noise", [["--sigma2", "0.5"], ["--epsilon", "1"],
@@ -625,7 +664,10 @@ def test_nonlinear_leaves_out_modes_past_the_data_rank(tmp_path):
     (["--gamma", "0.01"], None),
     (["--epsilon", "1", "--gamma", "0.01"], "both noise and decay"),
     (["--gamma", "0.01", "--w1-0", "-0.1", "--w2-0", "0.1"], "positive initial product"),
-], ids=["noise", "decay", "noise-and-decay", "negative-product"])
+    (["--epsilon", "1", "--gamma", "0.003", "--weight-ratio", "1"], None),
+    (["--epsilon", "1", "--w1-0", "0.03", "--w2-0", "0.03"], None),
+], ids=["noise", "decay", "noise-and-decay", "negative-product", "balanced-noise-and-decay",
+        "balanced-noise"])
 def test_simulate_says_when_it_drops_the_analytic_overlay(flags, reason, tmp_path, caplog):
     with caplog.at_level("WARNING", logger="daedyn.cli"):
         assert main(["simulate", "--epochs", "50", *flags, "--out", str(tmp_path)]) == 0

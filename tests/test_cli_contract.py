@@ -39,7 +39,7 @@ FLAG_VALUES = {
     "--scale": [None],
     "--eigenvectors": [None],
     "--w0": ["1e-3", "0", "-1", "nan"],
-    "--weight-ratio": ["2", "0", "inf"],
+    "--weight-ratio": ["2", "1", "0", "inf"],
     "--w1-0": ["0.1", "0", "-0.5"],
     "--w2-0": ["0.1", "0"],
     "--activation": ["relu", "tanh", "identity", "sigmoid"],

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from oracles import dae_flow, integrate_adaptive_rk4, solve_at_times
+from oracles import integrate_adaptive_rk4, mode_flow, solve_at_times
 
 
 def test_adaptive_rk4_exponential_decay():
@@ -17,7 +17,7 @@ def test_adaptive_rk4_harmonic_oscillator():
 
 
 def test_solve_at_times_is_consistent_with_single_shot():
-    f = dae_flow(1.0, 0.5, 100.0)
+    f = mode_flow(1.0, 0.5, 0.0, 100.0)
     times = np.array([10.0, 50.0, 200.0])
     rows = solve_at_times(f, [0.1, 0.3], times, tol=1e-11)
     direct = integrate_adaptive_rk4(f, 0.0, np.array([0.1, 0.3]), 200.0, tol=1e-11)
@@ -26,7 +26,7 @@ def test_solve_at_times_is_consistent_with_single_shot():
 
 def test_flow_conserves_weight_difference():
     # the exact continuous flow keeps w2^2 - w1^2 constant
-    f = dae_flow(1.3, 0.7, 150.0)
+    f = mode_flow(1.3, 0.7, 0.0, 150.0)
     w1, w2 = 0.25, 0.6
     rows = solve_at_times(f, [w1, w2], np.linspace(5.0, 600.0, 12), tol=1e-12)
     drift = rows[:, 1] ** 2 - rows[:, 0] ** 2 - (w2 ** 2 - w1 ** 2)
