@@ -204,12 +204,23 @@ def build_config(experiment, file_values, flag_values) -> ExperimentConfig:
     return cfg
 
 
+def _effective_noise(cfg: ExperimentConfig, noise: NoiseModel, n):
+    """epsilon_from_noise(noise, n), refused with the spec's flag unless it is finite."""
+    try:
+        eps = analytic.epsilon_from_noise(noise, n)
+    except OverflowError:
+        eps = math.inf
+    if not math.isfinite(eps):
+        flag = next(f for f in ("laplace_b", "sigma2", "epsilons") if getattr(cfg, f) is not None)
+        raise ConfigError(f"--{_flag(flag)} {getattr(cfg, flag)} gives an effective noise that "
+                          f"overflows float arithmetic at N={n}")
+    return eps
+
+
 def _epsilons(cfg: ExperimentConfig, n, default=None):
     """Effective noise levels from whichever noise spec was given, else default."""
-    if cfg.sigma2 is not None:
-        return [analytic.epsilon_from_noise(NoiseModel.gaussian(cfg.sigma2), n)]
-    if cfg.laplace_b is not None:
-        return [analytic.epsilon_from_noise(NoiseModel.laplace(cfg.laplace_b), n)]
+    if cfg.sigma2 is not None or cfg.laplace_b is not None:
+        return [_effective_noise(cfg, _noise_model(cfg, n), n)]
     return cfg.epsilons if cfg.epsilons is not None else default
 
 
@@ -402,7 +413,7 @@ def _training_inputs(cfg: ExperimentConfig):
     if any(m > dataset.d for m in modes):
         raise ConfigError(f"mode ranks {modes} exceed input dimension {dataset.d}")
     noise = _noise_model(cfg, dataset.n)
-    return dataset, spec, modes, noise, analytic.epsilon_from_noise(noise, dataset.n)
+    return dataset, spec, modes, noise, _effective_noise(cfg, noise, dataset.n)
 
 
 def _training_config(cfg: ExperimentConfig, noise, weight_decay) -> simulate.TrainingConfig:

@@ -26,14 +26,11 @@ DIVERGENCE_LIMIT = 1e12
 SPECTRUM_TOL = 1e-8     # max |S V - V diag(lam)| relative to the largest |lam|
 INIT_SCHEMES = ("small_random", "orthogonal")
 LOSS_MODES = ("marginalized", "sampled")
+LAPLACE_BLOCK = 16_384  # values per Laplace-draw pass: a block and its temporary fit in cache
 
 
 def _identity(z):
     return z
-
-
-def _identity_grad(z):
-    return np.ones_like(z)
 
 
 def _relu(z):
@@ -50,8 +47,9 @@ def _tanh_grad(z):
     return 1.0 - t * t
 
 
+# (phi, phi'); the identity's derivative is None, so backprop skips a multiply by ones
 ACTIVATIONS = {
-    "identity": (_identity, _identity_grad),
+    "identity": (_identity, None),
     "relu": (_relu, _relu_grad),
     "tanh": (np.tanh, _tanh_grad),
 }
@@ -285,17 +283,42 @@ def marginalized_loss_and_grads(model: Autoencoder, lams, n, epsilon_eff, ws=Non
 
 
 def _draw_noise(rng, noise: NoiseModel, shape, ws=None):
-    # Gaussian noise is drawn into the workspace's "noise" buffer: standard_normal
-    # scaled in place is bit for bit rng.normal(0, sigma) and leaves rng in the same
-    # state. numpy's Laplace draw has no out=, so it always returns a new array.
+    # The draw is written into the workspace's "noise" buffer (a new array without a
+    # workspace) and leaves rng in the state rng.normal or rng.laplace would.
+    # standard_normal scaled in place is bit for bit rng.normal(0, sigma).
     if noise.kind == "none":
         return None
+    out = np.empty(shape) if ws is None else ws("noise", shape)
     if noise.kind == "gaussian":
-        out = np.empty(shape) if ws is None else ws("noise", shape)
         rng.standard_normal(out=out)
         out *= np.sqrt(noise.variance)
         return out
-    return rng.laplace(0.0, noise.scale, size=shape)
+    # Laplace: numpy's random_laplace, vectorised over LAPLACE_BLOCK values at a time.
+    # From the same uniform U it takes b log(U + U) below 1/2 and -b log(2 - U - U)
+    # from 1/2 up; v = min(U + U, 2 - U - U) is that log's argument on either branch,
+    # and the exact 2U - 1 carries the sign (+0.0 at U = 1/2, as in numpy). Only
+    # numpy's vector log differs from libm's, by at most 2 ulp. numpy redraws a zero
+    # uniform, which shifts the stream, so a zero replays the draw through rng.laplace.
+    flat, b = out.reshape(-1), noise.scale
+    state = rng.bit_generator.state
+    tmp = np.empty(min(flat.size, LAPLACE_BLOCK))
+    for start in range(0, flat.size, LAPLACE_BLOCK):
+        u = flat[start:start + LAPLACE_BLOCK]
+        v = tmp[:u.size]
+        rng.random(out=u)
+        if not u.all():     # checked before the log, which warns on log(0)
+            rng.bit_generator.state = state
+            out[...] = rng.laplace(0.0, b, size=shape)
+            return out
+        np.subtract(2.0, u, out=v)
+        v -= u                          # 2 - U - U, rounded as numpy rounds it
+        u += u
+        np.minimum(u, v, out=v)
+        u -= 1.0
+        np.log(v, out=v)
+        v *= b
+        np.copysign(v, u, out=u)
+    return out
 
 
 def backprop_grads(model: Autoencoder, batch, corrupted_batch, x_sq=None, out=None):
@@ -329,7 +352,8 @@ def backprop_grads(model: Autoencoder, batch, corrupted_batch, x_sq=None, out=No
     atx = a.T @ x                     # (X^T A)^T: BLAS runs this orientation faster
     delta = a @ b
     delta -= x @ w2
-    delta *= dphi(z)
+    if dphi is not None:
+        delta *= dphi(z)
     np.matmul(delta.T, x_tilde, out=grad1)
     grad1 /= n
     np.matmul(w2, c, out=grad2)
@@ -398,8 +422,8 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readou
 
     The run owns one Workspace that every step writes into: the gradients,
     the decay terms, the update W -= alpha * g (g scaled in place) and, on a
-    noisy leg only, the N x D corrupted batch. A step thus allocates no N x D
-    array beyond a Laplace draw, which numpy cannot write in place.
+    noisy leg only, the N x D corrupted batch, into which the noise is drawn. A
+    step thus allocates no N x D array.
 
     The run is recorded at epoch 0, every record_every epochs and at the final
     epoch: the objective, the weight norm, the worst rotated off-diagonal of

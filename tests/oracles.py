@@ -254,7 +254,8 @@ def backprop_residual(model, batch, corrupted_batch):
     a = phi(z)
     res = a @ model.w2.T - x
     grad2 = res.T @ a / n
-    grad1 = ((res @ model.w2) * dphi(z)).T @ x_tilde / n
+    delta = res @ model.w2 if dphi is None else (res @ model.w2) * dphi(z)
+    grad1 = delta.T @ x_tilde / n
     loss = 0.5 / n * float(np.vdot(res, res))
     return loss, grad1, grad2
 

@@ -146,6 +146,9 @@ def test_cli_returns_io_error_exit_code(tmp_path, capsys):
     ["surface", "--w0", "0", "--epochs", "5", "--grid-points", "3"],
     ["rates", "--weight-ratio", "-2"],
     ["predict", "--laplace-b", "1e200", "--epochs", "5"],
+    ["predict", "--sigma2", "1e307", "--epochs", "5"],
+    ["real-data", "--dataset", "{cache}", "--laplace-b", "1e200", "--hidden", "4",
+     "--modes", "1", "--epochs", "0"],
     ["simulate", "--w1-0", "1e200", "--w2-0", "1e200", "--epochs", "5"],
     ["surface", "--grid-max", "1e200", "--paths", "0", "--grid-points", "3", "--epochs", "5"],
     ["rates", "--lambda", "1.7e308"],
@@ -160,6 +163,7 @@ def test_cli_returns_io_error_exit_code(tmp_path, capsys):
         "predict-bogus-init", "rates-negative-eps-max", "predict-negative-seed",
         "surface-negative-seed", "predict-zero-noise-draws", "predict-negative-init-scale",
         "surface-zero-w0", "rates-negative-weight-ratio", "predict-overflowing-laplace-b",
+        "predict-overflowing-sigma2", "real-data-overflowing-laplace-b",
         "simulate-overflowing-init", "surface-overflowing-grid", "rates-overflowing-lambda"])
 def test_cli_invalid_inputs_exit_2_without_traceback(argv, tmp_path, d16_cache, capsys):
     config = tmp_path / "loss_mode.cfg"
@@ -172,6 +176,10 @@ def test_cli_invalid_inputs_exit_2_without_traceback(argv, tmp_path, d16_cache, 
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "Traceback" not in err
+    # a noise spec that overflows is refused by its own flag's name
+    for flag in ("--laplace-b", "--sigma2"):
+        if flag in argv:
+            assert flag in err
 
 
 @pytest.mark.parametrize("command, flags", [

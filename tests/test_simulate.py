@@ -2,6 +2,7 @@
 
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,9 +312,91 @@ def test_gaussian_draw_into_the_workspace_is_bitwise_rng_normal():
     assert np.array_equal(batch.view(np.int64), want.view(np.int64))
 
 
+@pytest.mark.parametrize("shape, with_ws", [((40, 6), True), ((300, 100), True),
+                                            ((3, 70, 100), False)],
+                         ids=["below-one-block", "not-a-block-multiple", "3d-without-workspace"])
+@pytest.mark.parametrize("b", [1e-3, 0.4, 7.3, 1e5])
+def test_laplace_draw_is_rng_laplace_within_two_ulp(b, shape, with_ws):
+    ref, rng = np.random.default_rng(11), np.random.default_rng(11)
+    ws = simulate.Workspace() if with_ws else None
+    got = simulate._draw_noise(rng, NoiseModel.laplace(b), shape, ws)
+    if with_ws:
+        assert got is ws["noise"]
+    want = ref.laplace(0.0, b, size=shape)
+    assert got.shape == want.shape
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    # with equal signs, the difference of the bit patterns counts ulps
+    assert np.abs(got.view(np.int64) - want.view(np.int64)).max() <= 2
+    # the same uniforms were taken: the generator is left in the same state
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+class _ZeroUniform:
+    """A generator whose `call`-th uniform block holds a 0.0 at flat index `at`."""
+
+    def __init__(self, rng, call, at):
+        self._rng, self._call, self._at = rng, call, at
+        self.bit_generator = rng.bit_generator
+
+    def random(self, out):
+        self._rng.random(out=out)
+        self._call -= 1
+        if self._call == 0:
+            out.reshape(-1)[self._at] = 0.0
+        return out
+
+    def laplace(self, loc, scale, size):
+        return self._rng.laplace(loc, scale, size=size)
+
+
+@pytest.mark.parametrize("call", [1, 2], ids=["first-block", "second-block"])
+def test_a_zero_uniform_replays_the_draw_through_rng_laplace(call):
+    # numpy redraws a zero uniform; the draw must then be rng.laplace bit for bit
+    shape = (3, simulate.LAPLACE_BLOCK // 2)      # three blocks
+    ref = np.random.default_rng(5)
+    rng = _ZeroUniform(np.random.default_rng(5), call, at=17)
+    ws = simulate.Workspace()
+    got = simulate._draw_noise(rng, NoiseModel.laplace(0.3), shape, ws)
+    assert got is ws["noise"]
+    want = ref.laplace(0.0, 0.3, size=shape)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_laplace_draw_has_the_laplace_moments():
+    # mean 0, E|X| = b and E X^2 = 2 b^2, each within 5 standard errors over 10^6 draws;
+    # |X| is exponential with mean b (variance b^2), and Var(X^2) = 24 b^4 - 4 b^4
+    b, n = 0.7, 1_000_000
+    x = simulate._draw_noise(np.random.default_rng(2), NoiseModel.laplace(b), (1000, 1000))
+    se = 1.0 / math.sqrt(n)
+    assert abs(x.mean()) <= 5 * math.sqrt(2.0) * b * se
+    assert abs(np.abs(x).mean() - b) <= 5 * b * se
+    assert abs(np.mean(x * x) - 2.0 * b * b) <= 5 * math.sqrt(20.0) * b * b * se
+
+
+def test_laplace_step_holds_one_n_by_d_buffer_and_draws_without_another():
+    x = np.random.default_rng(0).standard_normal((500, 100))     # three draw blocks
+    model = init_small_random(100, 4, 0.5, seed=1)
+    ws = simulate.Workspace()
+    noise = NoiseModel.laplace(0.2)
+    simulate._sampled_grads(model, x, noise, 1, np.random.default_rng(4), ws)
+    assert sum(buf.size >= x.size for buf in ws.values()) == 1
+    # a later draw into that buffer allocates no more than a block-sized temporary
+    tracemalloc.start()
+    try:
+        simulate._draw_noise(np.random.default_rng(5), noise, x.shape, ws)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes // 2
+
+
 @pytest.mark.parametrize("noise", [NoiseModel.gaussian(0.7), NoiseModel.laplace(0.4)],
                          ids=["gaussian", "laplace"])
 def test_sampled_step_corrupts_bitwise_like_adding_a_fresh_draw(noise, small_dataset, monkeypatch):
+    # Gaussian corruption is x + rng.normal bit for bit. The Laplace draw is within
+    # 2 ulp of rng.laplace, so its corrupted batch is x + rng.laplace up to those 2 ulp
+    # plus the rounding of the two adds; both leave the generator in the same state.
     ds, _ = small_dataset
     x = ds.samples
     seen = []
@@ -321,15 +404,21 @@ def test_sampled_step_corrupts_bitwise_like_adding_a_fresh_draw(noise, small_dat
     monkeypatch.setattr(simulate, "backprop_grads",
                         lambda *a: seen.append(a[2].copy()) or backprop(*a))
     model = init_small_random(8, 4, 0.5, seed=1)
-    simulate._sampled_grads(model, x, noise, 2, np.random.default_rng(4), simulate.Workspace())
+    rng = np.random.default_rng(4)
+    simulate._sampled_grads(model, x, noise, 2, rng, simulate.Workspace())
     ref = np.random.default_rng(4)
     for corrupted in seen:
         if noise.kind == "gaussian":
             want = x + ref.normal(0.0, math.sqrt(noise.variance), size=x.shape)
+            assert np.array_equal(corrupted.view(np.int64), want.view(np.int64))
         else:
-            want = x + ref.laplace(0.0, noise.scale, size=x.shape)
-        assert np.array_equal(corrupted.view(np.int64), want.view(np.int64))
+            e = ref.laplace(0.0, noise.scale, size=x.shape)
+            want = x + e
+            tol = (2.0 * np.spacing(np.abs(e))
+                   + np.spacing(np.maximum(np.abs(want), np.abs(corrupted))))
+            assert np.all(np.abs(corrupted - want) <= tol)
     assert len(seen) == 2
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_a_nan_in_w2_alone_stops_the_run_at_that_epoch(small_dataset, monkeypatch):
