@@ -3,8 +3,9 @@
 Learning decouples per eigen-direction of the input covariance into scalar
 dynamics for w = w2 * w1. This module holds the exact trajectory solutions,
 their fixed points, the noise/decay equivalence map, and optimal-rate ratios.
-A start's c0 picks its form: the hyperbolic one above C0_MIN, and at or below
-it the equal-weights logistic, which covers noise, decay or both.
+dae_trajectory is the one rule that picks a mode's form: at c0 <= C0_MIN the
+equal-weights logistic, which covers noise, decay or both; above it the
+hyperbolic one, which has no decay.
 
 Conventions: noise enters through the effective strength eps (N * component
 variance), weight decay through gamma_eff (N * user-facing penalty), and time
@@ -71,11 +72,11 @@ def epsilon_from_noise(model: NoiseModel, n: int) -> float:
 
 @dataclass(frozen=True)
 class ScalarMode:
-    """One eigen-direction's dynamics state.
+    """One eigen-direction's flow: eigenvalue, noise, decay, time constant and start.
 
-    c0 is the conserved |w2^2 - w1^2| of the exact flow and theta0 the initial
-    hyperbolic angle; both sign branches of the conserved quantity collapse to
-    the same product trajectory, so only c0 and the signed product enter.
+    c0 is the start's |w2^2 - w1^2|, conserved without decay, and theta0 its
+    hyperbolic angle; both sign branches of c0 collapse to the same product
+    trajectory, so only c0 and the signed product enter.
     """
 
     lam: float
@@ -83,6 +84,7 @@ class ScalarMode:
     tau: float
     w1_0: float
     w2_0: float
+    gamma_eff: float = 0.0
     c0: float = field(init=False)
     theta0: float = field(init=False)
 
@@ -91,6 +93,8 @@ class ScalarMode:
             raise ValueError(f"eigenvalue must be >= 0, got {self.lam}")
         if self.epsilon < 0.0:
             raise ValueError(f"effective noise must be >= 0, got {self.epsilon}")
+        if self.gamma_eff < 0.0:
+            raise ValueError(f"effective decay must be >= 0, got {self.gamma_eff}")
         if self.tau <= 0.0:
             raise ValueError(f"time constant must be > 0, got {self.tau}")
         c0 = abs(self.w2_0 ** 2 - self.w1_0 ** 2)
@@ -137,10 +141,12 @@ class Trajectory:
 
 
 def dae_trajectory(mode: ScalarMode, t):
-    """Exact mapped value w(t) for a noisy mode; accepts scalar or array epochs.
+    """Exact mapped value w(t) of a mode's own start; accepts scalar or array epochs.
 
-    Solves the hyperbolic-angle form of the per-mode flow with
-    beta = c0 (1 + eps / lambda), zeta = sqrt(beta^2 + 4),
+    The one rule for which form applies: at c0 <= C0_MIN the equal-weights
+    wdae_trajectory, under noise, decay or both; above it decay has no closed
+    form (DegenerateTrajectoryError), and without decay the hyperbolic-angle
+    form with beta = c0 (1 + eps / lambda), zeta = sqrt(beta^2 + 4),
     delta = tanh(theta0 / 2) and E = exp(zeta lambda t / tau):
 
         theta_t = 2 atanh[ ((1 - E)(zeta^2 - beta^2 - 2 beta delta)
@@ -151,15 +157,17 @@ def dae_trajectory(mode: ScalarMode, t):
     Internally everything is scaled by 1/E so no exponent ever overflows;
     zeta^2 - beta^2 is replaced by the identity value 4. Past the exp
     saturation horizon the fixed point lambda / (lambda + eps) is returned
-    directly (the trajectory is within ~1e-300 of it). At c0 <= C0_MIN, where
-    these coordinates divide by ~0, the equal-weights wdae_trajectory takes over.
+    directly (the trajectory is within ~1e-300 of it).
     """
     if mode.lam <= 0.0:
         raise UnsupportedModeError(
             "closed form requires lambda > 0; modes with zero eigenvalue only "
             "decay and need the numeric simulator fallback")
     if mode.c0 <= C0_MIN:
-        return wdae_trajectory(mode.lam, 0.0, mode.tau, mode.w0, t, mode.epsilon)
+        return wdae_trajectory(mode.lam, mode.gamma_eff, mode.tau, mode.w0, t, mode.epsilon)
+    if mode.gamma_eff > 0.0:
+        raise DegenerateTrajectoryError(f"the flow does not conserve w2^2 - w1^2 under decay "
+                                        f"from unequal initial weights (c0={mode.c0:g})")
     t_arr = np.asarray(t, dtype=np.float64)
     if np.any(t_arr < 0.0):
         raise ValueError("epochs must be >= 0")
@@ -281,10 +289,11 @@ def scalar_loss_and_grad(w1, w2, lam, epsilon, tau):
 
 
 def dae_series(mode, times, mode_index=1) -> Trajectory:
-    """Trajectory wrapper around dae_trajectory on a time grid."""
+    """Trajectory wrapper around dae_trajectory on a time grid; analytic_wdae under decay."""
     return Trajectory(times=np.asarray(times, dtype=np.float64),
                       values=dae_trajectory(mode, times),
-                      kind="analytic_dae", mode_index=mode_index)
+                      kind="analytic_wdae" if mode.gamma_eff > 0.0 else "analytic_dae",
+                      mode_index=mode_index)
 
 
 def wdae_series(lam, gamma_eff, tau, w0, times, mode_index=1, epsilon=0.0) -> Trajectory:

@@ -13,7 +13,7 @@ import argparse
 import logging
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -36,7 +36,6 @@ DEFAULT_MODES = {"real-data": [1, 4, 8, 16, 32], "nonlinear": [1, 2, 3, 4]}
 # `nonlinear` defaults per activation; build_config fills in only unset keys
 NONLINEAR_PRESETS = {"identity": {"sigma2": 3.0}, "relu": {"sigma2": 3.0},
                      "tanh": {"record_every": 100, "sigma2": 2.0}}
-W0_FLOOR = 1e-15
 
 
 # config files may use the flag spellings; normalise them to field names
@@ -325,9 +324,9 @@ def cmd_surface(cfg: ExperimentConfig):
     runs = []
     for _ in range(cfg.paths):
         w1_0, w2_0 = rng.uniform(cfg.grid_min, cfg.grid_max, size=2)
-        mode = analytic.ScalarMode(lam=lam, epsilon=eps, tau=cfg.tau, w1_0=w1_0, w2_0=w2_0)
-        runs.append(simulate.run_scalar_gd(mode, cfg.alpha, cfg.epochs, cfg.record_every,
-                                           gamma_eff=gamma_eff))
+        mode = analytic.ScalarMode(lam=lam, epsilon=eps, tau=cfg.tau, w1_0=w1_0, w2_0=w2_0,
+                                   gamma_eff=gamma_eff)
+        runs.append(simulate.run_scalar_gd(mode, cfg.alpha, cfg.epochs, cfg.record_every))
     analytic.write_columns(cfg.out / "surface.csv", ["w1", "w2", "loss"],
                            [[np.repeat(axis, axis.size), np.tile(axis, axis.size), loss]])
     analytic.write_columns(cfg.out / "surface_paths.csv", ["path", "epoch", "w1", "w2", "value"],
@@ -337,25 +336,18 @@ def cmd_surface(cfg: ExperimentConfig):
 
 
 def cmd_simulate(cfg: ExperimentConfig):
-    """One scalar gradient-descent run with the analytic overlay when available."""
+    """One scalar gradient-descent run with the analytic overlay when its start has one."""
     lam = _single(cfg.lambdas, "lambda", DEFAULT_LAMBDAS[0])
     eps = _single(_epsilons(cfg, cfg.n), "epsilon", 0.0)
-    gamma_eff = cfg.n * (cfg.gamma or 0.0)
     w1_0, w2_0 = _initial_weights(cfg)
-    mode = analytic.ScalarMode(lam=lam, epsilon=eps, tau=cfg.tau, w1_0=w1_0, w2_0=w2_0)
-    run = simulate.run_scalar_gd(mode, cfg.alpha, cfg.epochs, cfg.record_every,
-                                 gamma_eff=gamma_eff)
-    trajectories, times = [run.trajectory], run.trajectory.times
-    if eps > 0.0 and gamma_eff > 0.0 and mode.c0 > analytic.C0_MIN:
-        log.warning("no closed form with both noise and decay from unequal initial weights; "
-                    "emitting the simulated curve only")
-    else:
-        try:   # with decay the equal-weights form; without, dae_series falls back to it
-            trajectories.append(analytic.wdae_series(lam, gamma_eff, cfg.tau, mode.w0, times,
-                                                     epsilon=eps) if gamma_eff > 0.0
-                                else analytic.dae_series(mode, times))
-        except DegenerateTrajectoryError as exc:
-            log.warning("no closed form: %s; emitting the simulated curve only", exc)
+    mode = analytic.ScalarMode(lam=lam, epsilon=eps, tau=cfg.tau, w1_0=w1_0, w2_0=w2_0,
+                               gamma_eff=cfg.n * (cfg.gamma or 0.0))
+    run = simulate.run_scalar_gd(mode, cfg.alpha, cfg.epochs, cfg.record_every)
+    trajectories = [run.trajectory]
+    try:
+        trajectories.append(analytic.dae_series(mode, run.trajectory.times))
+    except DegenerateTrajectoryError as exc:
+        log.warning("no closed form: %s; emitting the simulated curve only", exc)
     analytic.write_trajectory_csv(cfg.out / "simulate.csv", trajectories)
     return [cfg.out / "simulate.csv"]
 
@@ -387,19 +379,17 @@ def predictions_for_run(run: simulate.Run, spec: spectrum.Spectrum, eps_eff,
                         gamma_eff, tau, mode_ranks):
     """Analytic per-mode series matched to a linear run's recorded epochs.
 
-    Scalar initial conditions are measured from the run's initial weights; modes
-    without a closed form (zero eigenvalue, or c0 = 0 with w0 <= 0, as past the
-    hidden width) are skipped with a warning.
+    Scalar initial conditions are measured from the run's initial weights and carry
+    the run's decay; modes without a closed form for that start (zero eigenvalue,
+    c0 = 0 with w0 <= 0 as past the hidden width, or decay from unequal weights)
+    are skipped with a warning.
     """
-    times = run.times
     measured = simulate.modes_from_linear_ae(run.init_model, spec, eps_eff, tau)
     out = []
     for rank in mode_ranks:
-        mode = measured[rank - 1]
+        mode = replace(measured[rank - 1], gamma_eff=gamma_eff)
         try:
-            out.append(analytic.wdae_series(mode.lam, gamma_eff, tau, max(abs(mode.w0), W0_FLOOR),
-                                            times, mode_index=rank) if gamma_eff > 0.0
-                       else analytic.dae_series(mode, times, mode_index=rank))
+            out.append(analytic.dae_series(mode, run.times, mode_index=rank))
         except (DegenerateTrajectoryError, analytic.UnsupportedModeError) as exc:
             log.warning("no closed form for mode %d: %s", rank, exc)
     return out
@@ -428,9 +418,6 @@ def cmd_real_data(cfg: ExperimentConfig):
     dataset, spec, modes, noise, eps_eff = _training_inputs(cfg)
     n = dataset.n
     gamma = cfg.gamma or 0.0
-    if eps_eff > 0.0 and gamma > 0.0:
-        # the predicted curves have a closed form for noise or for decay, not both
-        raise ConfigError("comparison runs use either noise or weight decay, not both")
     for rank in modes:
         if rank > cfg.hidden:
             log.warning("mode %d exceeds hidden width %d and cannot be learned",

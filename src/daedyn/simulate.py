@@ -157,8 +157,8 @@ def record_times(epochs, every):
     return times if epochs % every == 0 else np.append(times, float(epochs))
 
 
-def run_scalar_gd(mode: ScalarMode, alpha, steps, record_every=1, gamma_eff=0.0) -> ScalarRun:
-    """Euler steps of the per-mode flow; one step is one epoch.
+def run_scalar_gd(mode: ScalarMode, alpha, steps, record_every=1) -> ScalarRun:
+    """Euler steps of the mode's flow, its decay included; one step is one epoch.
 
     Updates w1 += (1/tau) [w2 lam (1 - w2 w1) - eps w2^2 w1 - gamma_eff w1]
     and symmetrically for w2. The step is alpha / N with N = alpha * tau, so
@@ -171,14 +171,12 @@ def run_scalar_gd(mode: ScalarMode, alpha, steps, record_every=1, gamma_eff=0.0)
         raise ValueError(f"steps must be >= 0, got {steps}")
     if record_every < 1:
         raise ValueError(f"record cadence must be >= 1, got {record_every}")
-    if gamma_eff < 0.0:
-        raise ValueError(f"effective decay must be >= 0, got {gamma_eff}")
     if mode.lam > 0.0:
-        alpha_opt, _, _ = optimal_rates(mode.lam, mode.epsilon, gamma_eff, alpha * mode.tau)
+        alpha_opt, _, _ = optimal_rates(mode.lam, mode.epsilon, mode.gamma_eff, alpha * mode.tau)
         if alpha >= alpha_opt:
             log.warning("alpha=%g is at or above the optimal stable rate %g; "
                         "the run may oscillate or diverge", alpha, alpha_opt)
-    lam, eps, coeff = mode.lam, mode.epsilon, 1.0 / mode.tau
+    lam, eps, gamma_eff, coeff = mode.lam, mode.epsilon, mode.gamma_eff, 1.0 / mode.tau
     w1, w2 = float(mode.w1_0), float(mode.w2_0)
     w1s = [w1]
     w2s = [w2]

@@ -338,9 +338,9 @@ def write_surface_csv_rows(out, cfg, lam, eps, gamma_eff):
     path_rows = []
     for path_id in range(cfg.paths):
         w1_0, w2_0 = rng.uniform(cfg.grid_min, cfg.grid_max, size=2)
-        mode = ScalarMode(lam=lam, epsilon=eps, tau=cfg.tau, w1_0=w1_0, w2_0=w2_0)
-        run = simulate.run_scalar_gd(mode, cfg.alpha, cfg.epochs, cfg.record_every,
-                                     gamma_eff=gamma_eff)
+        mode = ScalarMode(lam=lam, epsilon=eps, tau=cfg.tau, w1_0=w1_0, w2_0=w2_0,
+                          gamma_eff=gamma_eff)
+        run = simulate.run_scalar_gd(mode, cfg.alpha, cfg.epochs, cfg.record_every)
         path_rows += [(path_id, *row) for row in zip(
             run.trajectory.times.tolist(), run.w1.tolist(), run.w2.tolist(),
             run.trajectory.values.tolist())]

@@ -242,8 +242,8 @@ def test_criterion_08_weight_norm_phases():
     # phase separation needs a decay small relative to the 1e-3 value band
     gamma_eff = 2e-3
     wstar = wdae_fixed_point(1.0, gamma_eff)
-    mode = ScalarMode(lam=1.0, epsilon=0.0, tau=200.0, w1_0=0.3, w2_0=2.0)
-    run = run_scalar_gd(mode, 1.0, 80_000, 500, gamma_eff=gamma_eff)
+    mode = ScalarMode(lam=1.0, epsilon=0.0, tau=200.0, w1_0=0.3, w2_0=2.0, gamma_eff=gamma_eff)
+    run = run_scalar_gd(mode, 1.0, 80_000, 500)
     w = run.trajectory.values
     norms = run.w1 ** 2 + run.w2 ** 2
     outside = np.flatnonzero(np.abs(w - wstar) > 1e-3)
@@ -260,8 +260,9 @@ def test_criterion_08_weight_norm_phases():
         ScalarMode(lam=1.0, epsilon=eps, tau=200.0, w1_0=8e-4, w2_0=1.2e-3),
         1.0, 8000, 10)
     wdae_run = run_scalar_gd(
-        ScalarMode(lam=1.0, epsilon=0.0, tau=200.0, w1_0=8e-4, w2_0=1.2e-3),
-        1.0, 8000, 10, gamma_eff=gamma_matched)
+        ScalarMode(lam=1.0, epsilon=0.0, tau=200.0, w1_0=8e-4, w2_0=1.2e-3,
+                   gamma_eff=gamma_matched),
+        1.0, 8000, 10)
     n_dae = dae_run.w1 ** 2 + dae_run.w2 ** 2
     n_wdae = wdae_run.w1 ** 2 + wdae_run.w2 ** 2
     assert abs(n_dae[-1] - n_wdae[-1]) <= 0.05 * n_dae[-1]

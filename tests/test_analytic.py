@@ -22,6 +22,7 @@ from daedyn.analytic import (
     ScalarMode,
     Trajectory,
     dae_fixed_point,
+    dae_series,
     dae_trajectory,
     epsilon_from_noise,
     equivalent_decay,
@@ -78,6 +79,8 @@ def test_scalar_mode_validation():
         ScalarMode(lam=-1.0, epsilon=0.0, tau=1.0, w1_0=0.0, w2_0=0.0)
     with pytest.raises(ValueError):
         ScalarMode(lam=1.0, epsilon=0.0, tau=0.0, w1_0=0.0, w2_0=0.0)
+    with pytest.raises(ValueError, match="decay"):
+        ScalarMode(lam=1.0, epsilon=0.0, tau=1.0, w1_0=0.1, w2_0=0.1, gamma_eff=-0.1)
 
 
 # --- DAE closed form --------------------------------------------------------
@@ -151,6 +154,54 @@ def test_dae_trajectory_rejects_an_equal_weights_start_without_a_positive_produc
     assert mode.c0 <= analytic.C0_MIN and mode.w0 <= 0.0
     with pytest.raises(DegenerateTrajectoryError, match="positive initial product"):
         dae_trajectory(mode, 1.0)
+
+
+@pytest.mark.parametrize("lam,eps,gamma_eff,w1_0,w2_0,form", [
+    (1.0, 1.0, 0.0, 0.1, 0.3, "hyperbolic"),
+    (1.0, 0.0, 0.0, 0.3, 0.1, "hyperbolic"),
+    (1.0, 1.0, 0.0, 0.1, 0.1, "balanced"),
+    (1.0, 0.0, 0.3, 0.1, 0.1, "balanced"),
+    (1.0, 1.0, 0.3, 0.1, 0.1, "balanced"),
+    (1.0, 0.0, 0.3, 0.1, 0.3, DegenerateTrajectoryError),
+    (1.0, 1.0, 0.3, 0.3, 0.1, DegenerateTrajectoryError),
+    (0.0, 1.0, 0.3, 0.1, 0.1, UnsupportedModeError),
+    (1.0, 1.0, 0.3, 0.1, -0.1, DegenerateTrajectoryError),
+    (1.0, 1.0, 0.0, 0.0, 0.0, DegenerateTrajectoryError),
+], ids=["noise-unequal", "clean-unequal", "noise-balanced", "decay-balanced",
+        "noise-and-decay-balanced", "decay-unequal", "noise-and-decay-unequal",
+        "zero-eigenvalue", "balanced-negative-product", "balanced-zero-product"])
+def test_dae_trajectory_is_the_one_rule_for_a_modes_closed_form(lam, eps, gamma_eff, w1_0, w2_0,
+                                                                 form):
+    mode = ScalarMode(lam=lam, epsilon=eps, tau=10.0, w1_0=w1_0, w2_0=w2_0, gamma_eff=gamma_eff)
+    times = np.linspace(0.0, 200.0, 41)
+    if not isinstance(form, str):
+        match = ("lambda > 0" if form is UnsupportedModeError
+                 else "unequal initial weights" if mode.c0 > analytic.C0_MIN
+                 else "positive initial product")
+        with pytest.raises(form, match=match):
+            dae_trajectory(mode, times)
+        return
+    values = dae_trajectory(mode, times)
+    balanced = wdae_trajectory(lam, gamma_eff, 10.0, mode.w0, times, eps)
+    assert np.array_equal(values, balanced) is (form == "balanced")
+    # whichever form the rule picks is the exact solution of the mode's own start
+    sol = solve_at_times(mode_flow(lam, eps, gamma_eff, 10.0), [w1_0, w2_0], times, tol=1e-12)
+    assert np.allclose(values, sol[:, 0] * sol[:, 1], rtol=1e-6, atol=1e-9)
+    kind = "analytic_wdae" if gamma_eff > 0.0 else "analytic_dae"
+    assert dae_series(mode, times).kind == kind
+
+
+def test_dae_trajectory_seam_at_c0_min_stays_within_its_measured_digit_loss():
+    # just above C0_MIN the hyperbolic form loses digits against the balanced limit it
+    # approaches (2.4e-7 at most here); this pins that gap so it cannot widen unseen
+    times = np.linspace(0.0, 5000.0, 5001)
+    for (lam, eps), w0 in itertools.product([(2.5, 0.5), (1.0, 1.0), (0.5, 2.0)],
+                                            [1e-3, 1e-6]):
+        mode = ScalarMode.from_product(lam, eps, 100.0, c0=analytic.C0_MIN * (1 + 1e-7), w0=w0)
+        assert mode.c0 > analytic.C0_MIN
+        gap = np.abs(dae_trajectory(mode, times)
+                     - wdae_trajectory(lam, 0.0, 100.0, mode.w0, times, eps))
+        assert gap.max() <= 5e-7, (lam, eps, w0, gap.max())
 
 
 def test_dae_trajectory_rejects_negative_epochs():

@@ -224,11 +224,13 @@ def test_rates_are_stated_in_the_units_of_alpha(tmp_path):
 
 @pytest.mark.parametrize("noise", [["--sigma2", "0.5"], ["--epsilon", "1"],
                                    ["--laplace-b", "0.1"]], ids=["sigma2", "epsilon", "laplace-b"])
-def test_real_data_rejects_every_noise_spec_with_decay(noise, tmp_path, d16_cache):
+def test_real_data_runs_every_noise_spec_with_decay(noise, tmp_path, d16_cache):
     base = ["real-data", "--dataset", str(d16_cache), "--hidden", "4", "--modes", "1,2",
             "--epochs", "5", "--out", str(tmp_path / "out")]
-    assert main(base + noise + ["--gamma", "0.01"]) == cli.EXIT_CONFIG
-    assert not (tmp_path / "out").exists()
+    assert main(base + noise + ["--gamma", "0.01"]) == cli.EXIT_OK
+    # small random weights are unequal, so under decay only the simulated curves are written
+    assert {t.kind for t in read_trajectory_csv(tmp_path / "out" / "real_data.csv")} \
+        == {"simulated"}
     # either one alone still runs; a zero noise level is no noise
     assert main(base + noise) == cli.EXIT_OK
     assert main(base + ["--gamma", "0.01"]) == cli.EXIT_OK
@@ -633,11 +635,46 @@ def test_real_data_warns_for_modes_at_and_beyond_the_hidden_width(tmp_path, d16_
     assert not any(m.startswith(("mode 1 ", "mode 3 ")) for m in warned), warned
 
 
-def test_real_data_rejects_noise_and_decay_together(tmp_path, mnist_like_paths):
-    images, _ = mnist_like_paths
-    code = main(["real-data", "--dataset", str(images), "--sigma2", "0.5",
-                 "--gamma", "0.1", "--out", str(tmp_path / "out")])
-    assert code == cli.EXIT_CONFIG
+def test_real_data_noise_and_decay_overlay_tracks_an_orthogonal_run(tmp_path):
+    # orthogonal init starts every rank <= H balanced, where noise plus decay has the
+    # logistic closed form with fixed point (lambda - gamma) / (lambda + eps)
+    ds = data.synthetic_dataset([2.5, 1.2, 0.6, 0.3, 0.2, 0.1, 0.05, 0.02], 250, seed=4)
+    cache = tmp_path / "d8.cache"
+    data.save_matrix(cache, ds.samples)
+    sigma2, gamma = 0.002, 0.0004
+    assert main(["real-data", "--dataset", str(cache), "--n", "250", "--init", "orthogonal",
+                 "--sigma2", repr(sigma2), "--gamma", repr(gamma), "--hidden", "4",
+                 "--modes", "1,2,3,4,6", "--alpha", "0.5", "--epochs", "10000",
+                 "--record-every", "100", "--out", str(tmp_path)]) == cli.EXIT_OK
+    series = _series(tmp_path / "real_data.csv")
+    lams = [float(row["eigenvalue"]) for row in _rows(tmp_path / "spectrum.csv")]
+    for rank in (1, 2, 3, 4):
+        sim, predicted = series[(rank, "simulated")], series[(rank, "analytic_wdae")]
+        lam = lams[rank - 1]
+        wstar = (lam - 250 * gamma) / (lam + 250 * sigma2)
+        rms = np.sqrt(np.mean((sim.values - predicted.values) ** 2))
+        assert rms <= 0.005 * wstar, (rank, rms, wstar)
+    assert {kind for rank, kind in series if rank == 6} == {"simulated"}
+
+
+@pytest.mark.parametrize("init, solved", [("small_random", set()), ("orthogonal", {1, 2, 4})])
+def test_real_data_under_decay_writes_no_curve_it_cannot_solve(init, solved, tmp_path, d16_cache,
+                                                                caplog):
+    # unequal small random weights have no closed form under decay; orthogonal ones do up
+    # to the hidden width, and ranks past it start at w0 <= 0
+    ranks = {1, 2, 4, 6, 12}
+    with caplog.at_level("WARNING", logger="daedyn.cli"):
+        assert main(["real-data", "--dataset", str(d16_cache), "--gamma", "0.01",
+                     "--init", init, "--hidden", "4", "--modes", "1,2,4,6,12",
+                     "--epochs", "200", "--out", str(tmp_path)]) == cli.EXIT_OK
+    series = _series(tmp_path / "real_data.csv")
+    assert {rank for rank, kind in series if kind == "simulated"} == ranks | {-1}
+    assert {rank for rank, kind in series if kind.startswith("analytic")} == solved
+    warned = [r.getMessage() for r in caplog.records if r.name == "daedyn.cli"]
+    for rank in ranks - solved:
+        assert any(m.startswith(f"no closed form for mode {rank}:") for m in warned), warned
+    assert not any(m.startswith(f"no closed form for mode {rank}:") for rank in solved
+                   for m in warned), warned
 
 
 def test_nonlinear_zero_epoch_emits_one_row_per_mode(tmp_path, mnist_like_paths):
@@ -669,13 +706,14 @@ def test_nonlinear_leaves_out_modes_past_the_data_rank(tmp_path):
 
 @pytest.mark.parametrize("flags, reason", [
     (["--epsilon", "1"], None),
-    (["--gamma", "0.01"], None),
-    (["--epsilon", "1", "--gamma", "0.01"], "both noise and decay"),
+    (["--gamma", "0.01"], "unequal initial weights"),
+    (["--epsilon", "1", "--gamma", "0.01"], "unequal initial weights"),
     (["--gamma", "0.01", "--w1-0", "-0.1", "--w2-0", "0.1"], "positive initial product"),
+    (["--gamma", "0.01", "--weight-ratio", "1"], None),
     (["--epsilon", "1", "--gamma", "0.003", "--weight-ratio", "1"], None),
     (["--epsilon", "1", "--w1-0", "0.03", "--w2-0", "0.03"], None),
-], ids=["noise", "decay", "noise-and-decay", "negative-product", "balanced-noise-and-decay",
-        "balanced-noise"])
+], ids=["noise", "decay", "noise-and-decay", "negative-product", "balanced-decay",
+        "balanced-noise-and-decay", "balanced-noise"])
 def test_simulate_says_when_it_drops_the_analytic_overlay(flags, reason, tmp_path, caplog):
     with caplog.at_level("WARNING", logger="daedyn.cli"):
         assert main(["simulate", "--epochs", "50", *flags, "--out", str(tmp_path)]) == 0

@@ -121,8 +121,8 @@ def test_scalar_gd_optimal_rate_warning_follows_the_step_not_alpha(alpha, caplog
 
 
 def test_scalar_gd_weight_decay_settles_on_decayed_fixed_point():
-    mode = ScalarMode(lam=1.0, epsilon=0.0, tau=200.0, w1_0=0.05, w2_0=0.04)
-    run = run_scalar_gd(mode, 0.5, 20_000, 200, gamma_eff=0.091)
+    mode = ScalarMode(lam=1.0, epsilon=0.0, tau=200.0, w1_0=0.05, w2_0=0.04, gamma_eff=0.091)
+    run = run_scalar_gd(mode, 0.5, 20_000, 200)
     assert abs(run.trajectory.values[-1] - 0.909) <= 1e-3
 
 
