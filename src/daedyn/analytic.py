@@ -296,10 +296,10 @@ def dae_series(mode, times, mode_index=1) -> Trajectory:
                       mode_index=mode_index)
 
 
-def wdae_series(lam, gamma_eff, tau, w0, times, mode_index=1, epsilon=0.0) -> Trajectory:
-    """Trajectory wrapper around wdae_trajectory on a time grid."""
+def wdae_series(lam, gamma_eff, tau, w0, times, mode_index=1) -> Trajectory:
+    """Trajectory wrapper around the noise-free wdae_trajectory on a time grid."""
     return Trajectory(times=np.asarray(times, dtype=np.float64),
-                      values=wdae_trajectory(lam, gamma_eff, tau, w0, times, epsilon),
+                      values=wdae_trajectory(lam, gamma_eff, tau, w0, times),
                       kind="analytic_wdae", mode_index=mode_index)
 
 

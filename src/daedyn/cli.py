@@ -101,7 +101,6 @@ class ExperimentConfig:
     eps_points: int = _setting(21, minimum=1)
     eigenvectors: bool = _setting(False, "also write the eigenvector matrix CSV")
     loss_mode: str = _setting("marginalized", choices=simulate.LOSS_MODES)
-    noise_draws: int = _setting(1, minimum=1)
 
     @property
     def tau(self) -> float:
@@ -410,7 +409,7 @@ def _training_config(cfg: ExperimentConfig, noise, weight_decay) -> simulate.Tra
     return simulate.TrainingConfig(
         learning_rate=cfg.alpha, epochs=cfg.epochs, noise=noise, weight_decay=weight_decay,
         init=cfg.init, init_scale=cfg.init_scale, seed=cfg.seed, hidden_dim=cfg.hidden,
-        record_every=cfg.record_every, loss_mode=cfg.loss_mode, noise_draws=cfg.noise_draws)
+        record_every=cfg.record_every, loss_mode=cfg.loss_mode)
 
 
 def cmd_real_data(cfg: ExperimentConfig):
@@ -422,13 +421,13 @@ def cmd_real_data(cfg: ExperimentConfig):
         if rank > cfg.hidden:
             log.warning("mode %d exceeds hidden width %d and cannot be learned",
                         rank, cfg.hidden)
-        elif rank == cfg.hidden:
-            # the last mode the network can hold couples to the unlearnable ones
-            log.warning("mode %d sits at hidden width %d; its simulated curve can lag "
-                        "the closed form", rank, cfg.hidden)
     run = simulate.run_linear_ae(dataset, spec, _training_config(cfg, noise, gamma))
     simulated = [run.trajectory(rank) for rank in modes]
     predicted = predictions_for_run(run, spec, eps_eff, n * gamma, n / cfg.alpha, modes)
+    if any(series.mode_index == cfg.hidden for series in predicted):
+        # the last mode the network can hold couples to the unlearnable ones
+        log.warning("mode %d sits at hidden width %d; its simulated curve can lag "
+                    "the closed form", cfg.hidden, cfg.hidden)
     analytic.write_trajectory_csv(cfg.out / "real_data.csv",
                                   simulated + predicted + [run.norms])
     spectrum.write_spectrum_csv(spec, cfg.out / "spectrum.csv")

@@ -85,8 +85,8 @@ class TrainingConfig:
     """Knobs for a full-network training run.
 
     weight_decay is in user units; the effective decay seen by the scalar
-    theory is N * weight_decay. loss_mode "sampled" draws noise_draws fresh
-    corruptions per step instead of using the closed-form expectation; it
+    theory is N * weight_decay. loss_mode "sampled" draws one fresh
+    corruption per step instead of using the closed-form expectation; it
     only applies to the linear network, since nonlinear runs always sample.
     """
 
@@ -100,7 +100,6 @@ class TrainingConfig:
     hidden_dim: int = 1
     record_every: int = 10
     loss_mode: str = "marginalized"
-    noise_draws: int = 1
 
     def __post_init__(self):
         if self.learning_rate <= 0.0:
@@ -120,8 +119,6 @@ class TrainingConfig:
             raise ValueError(f"record cadence must be >= 1, got {self.record_every}")
         if self.loss_mode not in LOSS_MODES:
             raise ValueError(f"unknown loss mode {self.loss_mode!r}")
-        if self.noise_draws < 1:
-            raise ValueError(f"noise draws must be >= 1, got {self.noise_draws}")
 
 
 @dataclass(frozen=True)
@@ -361,29 +358,14 @@ def backprop_grads(model: Autoencoder, batch, corrupted_batch, x_sq=None, out=No
     return loss, grad1, grad2
 
 
-def _sampled_grads(model: Autoencoder, x, noise: NoiseModel, draws, rng, ws=None, x_sq=None):
-    # backprop loss and gradients averaged over `draws` fresh corruptions of x, each
-    # corrupted batch built in the workspace's noise buffer; the first draw's
-    # gradients land in "g1"/"g2", later ones in "d1"/"d2", and each is divided by
-    # draws before it is summed in
-    if noise.kind == "none":
-        draws = 1       # every draw would be the clean batch
+def _sampled_grads(model: Autoencoder, x, noise: NoiseModel, rng, ws=None, x_sq=None):
+    # backprop loss and gradients on one fresh corruption of x, built in the
+    # workspace's noise buffer; the gradients land in "g1"/"g2"
     ws = Workspace() if ws is None else ws
-    g1, g2 = ws("g1", model.w1.shape), ws("g2", model.w2.shape)
-    loss = 0.0
-    for k in range(draws):
-        e = _draw_noise(rng, noise, x.shape, ws)
-        x_tilde = x if e is None else np.add(e, x, out=e)
-        out = (g1, g2) if k == 0 else (ws("d1", g1.shape), ws("d2", g2.shape))
-        dl, d1, d2 = backprop_grads(model, x, x_tilde, x_sq, out)
-        loss += dl / draws
-        if draws > 1:
-            d1 /= draws
-            d2 /= draws
-            if k > 0:
-                g1 += d1
-                g2 += d2
-    return loss, g1, g2
+    e = _draw_noise(rng, noise, x.shape, ws)
+    x_tilde = x if e is None else np.add(e, x, out=e)
+    return backprop_grads(model, x, x_tilde, x_sq,
+                          (ws("g1", model.w1.shape), ws("g2", model.w2.shape)))
 
 
 # The benchmark tracer (bench/spans.py) wraps a per-record rotation under this name;
@@ -413,10 +395,10 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readou
     marginalized_loss_and_grads the eigenvalues and N, and costs O(H^2 D).
     The spectrum must then diagonalise the dataset's covariance (checked
     once, ValueError otherwise). Otherwise every step backpropagates
-    through config.noise_draws fresh corruptions drawn from the seeded stream,
-    in pixel space, in the Gram form of backprop_grads with ||X||^2 formed
-    once per run. The divergence check reads the iterated weights and fails
-    on a NaN or an infinity in either matrix.
+    through one fresh corruption drawn from the seeded stream, in pixel
+    space, in the Gram form of backprop_grads with ||X||^2 formed once per
+    run. The divergence check reads the iterated weights and fails on a NaN
+    or an infinity in either matrix.
 
     The run owns one Workspace that every step writes into: the gradients,
     the decay terms, the update W -= alpha * g (g scaled in place) and, on a
@@ -464,8 +446,7 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readou
         if marginalized:
             loss, g1, g2 = marginalized_loss_and_grads(model, lams, n, eps_eff, ws)
         else:
-            loss, g1, g2 = _sampled_grads(model, x, config.noise, config.noise_draws, rng,
-                                          ws, x_sq)
+            loss, g1, g2 = _sampled_grads(model, x, config.noise, rng, ws, x_sq)
         if gamma > 0.0:
             g1 += np.multiply(w1, gamma, out=ws("decay1", w1.shape))
             g2 += np.multiply(w2, gamma, out=ws("decay2", w2.shape))

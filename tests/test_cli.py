@@ -95,6 +95,11 @@ def test_config_validation_errors():
 def test_cli_returns_config_error_exit_code(tmp_path, capsys):
     assert main(["real-data", "--out", str(tmp_path)]) == cli.EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+    # a retired setting's key is an unknown key
+    cfg_file = tmp_path / "draws.cfg"
+    cfg_file.write_text("noise-draws=2\n")
+    assert main(["predict", "--config", str(cfg_file), "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: unknown config key 'noise_draws'")
 
 
 def test_cli_returns_io_error_exit_code(tmp_path, capsys):
@@ -141,7 +146,6 @@ def test_cli_returns_io_error_exit_code(tmp_path, capsys):
     ["rates", "--eps-max", "-1"],
     ["predict", "--seed", "-1", "--epochs", "5"],
     ["surface", "--seed", "-1", "--epochs", "5", "--grid-points", "3"],
-    ["predict", "--noise-draws", "0", "--epochs", "5"],
     ["predict", "--init-scale", "-1", "--epochs", "5"],
     ["surface", "--w0", "0", "--epochs", "5", "--grid-points", "3"],
     ["rates", "--weight-ratio", "-2"],
@@ -161,7 +165,7 @@ def test_cli_returns_io_error_exit_code(tmp_path, capsys):
         "real-data-huge-init-3-epochs", "real-data-init-past-limit", "nonlinear-huge-init",
         "predict-config-loss-mode", "ingest-config-loss-mode", "predict-config-format",
         "predict-bogus-init", "rates-negative-eps-max", "predict-negative-seed",
-        "surface-negative-seed", "predict-zero-noise-draws", "predict-negative-init-scale",
+        "surface-negative-seed", "predict-negative-init-scale",
         "surface-zero-w0", "rates-negative-weight-ratio", "predict-overflowing-laplace-b",
         "predict-overflowing-sigma2", "real-data-overflowing-laplace-b",
         "simulate-overflowing-init", "surface-overflowing-grid", "rates-overflowing-lambda"])
@@ -250,17 +254,6 @@ def test_real_data_rejects_a_spectrum_that_does_not_diagonalise_the_data(
     assert "does not diagonalise" in capsys.readouterr().err
 
 
-def test_nonlinear_noise_draws_reach_the_dae_leg(tmp_path, d16_cache):
-    base = ["nonlinear", "--dataset", str(d16_cache), "--hidden", "4", "--modes", "1,2",
-            "--alpha", "0.05", "--epochs", "20", "--record-every", "5"]
-    assert main(base + ["--out", str(tmp_path / "one")]) == cli.EXIT_OK
-    assert main(base + ["--noise-draws", "2", "--out", str(tmp_path / "two")]) == cli.EXIT_OK
-    for leg, same in (("ae", True), ("wdae", True), ("dae", False)):
-        name = f"nonlinear_{leg}.csv"
-        assert ((tmp_path / "one" / name).read_bytes()
-                == (tmp_path / "two" / name).read_bytes()) is same, leg
-
-
 def test_nonlinear_noise_preset_yields_to_any_noise_spec(d16_cache):
     flags = {"dataset": str(d16_cache)}
     for activation, preset in (("relu", 3.0), ("identity", 3.0), ("tanh", 2.0)):
@@ -337,7 +330,6 @@ def test_config_file_sets_every_field_with_its_type(noise, tmp_path):
         "grid_points": ("grid-points=5", int), "paths": ("paths=2", int),
         "eps_points": ("eps-points=3", int), "eps_max": ("eps-max=4", float),
         "eigenvectors": ("eigenvectors=true", bool), "loss_mode": ("loss-mode=sampled", str),
-        "noise_draws": ("noise-draws=2", int),
         noise_field: (noise_line, noise_kind),
     }
     # every field is set except the two noise specs this case leaves out
@@ -372,7 +364,6 @@ SETTING_VALUES = {
     "grid_min": ("-1", "abc"), "grid_max": ("1", "nan"), "grid_points": ("5", "1"),
     "paths": ("2", "-1"), "eps_max": ("4", "-1"), "eps_points": ("3", "0"),
     "eigenvectors": (True, "maybe"), "loss_mode": ("sampled", "other"),
-    "noise_draws": ("2", "x"),
 }
 
 
@@ -675,6 +666,10 @@ def test_real_data_under_decay_writes_no_curve_it_cannot_solve(init, solved, tmp
         assert any(m.startswith(f"no closed form for mode {rank}:") for m in warned), warned
     assert not any(m.startswith(f"no closed form for mode {rank}:") for rank in solved
                    for m in warned), warned
+    # the mode at the hidden width is said to lag its closed form only when it has one
+    lag = [m for m in warned if m.startswith("mode 4 sits at hidden width 4")]
+    assert len(lag) == (4 in solved), warned
+    assert sum(m.startswith(("mode 6 exceeds", "mode 12 exceeds")) for m in warned) == 2, warned
 
 
 def test_nonlinear_zero_epoch_emits_one_row_per_mode(tmp_path, mnist_like_paths):

@@ -233,15 +233,14 @@ def test_sampled_step_over_three_draws_matches_the_residual_oracle(activation, t
     model = Autoencoder(rng.standard_normal((3, 5)) * 0.5, rng.standard_normal((5, 3)) * 0.5,
                         activation)
     x, noise = ds.samples, NoiseModel.gaussian(0.09)
-    oracle_rng = np.random.default_rng(5)
+    # three steps on one generator, each one draw against one residual backprop
+    oracle_rng, rng = np.random.default_rng(5), np.random.default_rng(5)
     sigma = np.sqrt(noise.variance)
-    steps = [backprop_residual(model, x, x + oracle_rng.normal(0.0, sigma, size=x.shape))
-             for _ in range(3)]
-    want = tuple(sum(step[i] for step in steps) / 3 for i in range(3))
     ws = simulate.Workspace()
-    _agree(simulate._sampled_grads(model, x, noise, 3, np.random.default_rng(5), ws), want)
-    # a second step in the same workspace overwrites the buffers, not adds to them
-    _agree(simulate._sampled_grads(model, x, noise, 3, np.random.default_rng(5), ws), want)
+    for _ in range(3):
+        want = backprop_residual(model, x, x + oracle_rng.normal(0.0, sigma, size=x.shape))
+        # every step in the same workspace overwrites the buffers, not adds to them
+        _agree(simulate._sampled_grads(model, x, noise, rng, ws), want)
 
 
 def test_relu_derivative_at_zero_is_zero():

@@ -288,7 +288,7 @@ def test_noise_free_sampled_step_backpropagates_once(small_dataset, monkeypatch)
     backprop = simulate.backprop_grads
     monkeypatch.setattr(simulate, "backprop_grads", lambda *a: calls.append(a) or backprop(*a))
     model = init_small_random(8, 4, 0.5, seed=1)
-    loss, _, _ = simulate._sampled_grads(model, ds.samples, NoiseModel.none(), 3,
+    loss, _, _ = simulate._sampled_grads(model, ds.samples, NoiseModel.none(),
                                          np.random.default_rng(0))
     assert len(calls) == 1
     exact, _, _ = marginalized_at_pixel_weights(model, ds.samples, spec, 0.0)
@@ -379,7 +379,7 @@ def test_laplace_step_holds_one_n_by_d_buffer_and_draws_without_another():
     model = init_small_random(100, 4, 0.5, seed=1)
     ws = simulate.Workspace()
     noise = NoiseModel.laplace(0.2)
-    simulate._sampled_grads(model, x, noise, 1, np.random.default_rng(4), ws)
+    simulate._sampled_grads(model, x, noise, np.random.default_rng(4), ws)
     assert sum(buf.size >= x.size for buf in ws.values()) == 1
     # a later draw into that buffer allocates no more than a block-sized temporary
     tracemalloc.start()
@@ -397,15 +397,22 @@ def test_sampled_step_corrupts_bitwise_like_adding_a_fresh_draw(noise, small_dat
     # Gaussian corruption is x + rng.normal bit for bit. The Laplace draw is within
     # 2 ulp of rng.laplace, so its corrupted batch is x + rng.laplace up to those 2 ulp
     # plus the rounding of the two adds; both leave the generator in the same state.
+    # Each of two steps on one generator draws once and backpropagates once.
     ds, _ = small_dataset
     x = ds.samples
-    seen = []
-    backprop = simulate.backprop_grads
+    seen, draws = [], []
+    backprop, draw = simulate.backprop_grads, simulate._draw_noise
     monkeypatch.setattr(simulate, "backprop_grads",
                         lambda *a: seen.append(a[2].copy()) or backprop(*a))
+    monkeypatch.setattr(simulate, "_draw_noise", lambda *a: draws.append(a) or draw(*a))
     model = init_small_random(8, 4, 0.5, seed=1)
     rng = np.random.default_rng(4)
-    simulate._sampled_grads(model, x, noise, 2, rng, simulate.Workspace())
+    ws = simulate.Workspace()
+    for _ in range(2):
+        simulate._sampled_grads(model, x, noise, rng, ws)
+    assert len(draws) == 2
+    # the corrupted batch and the gradients are the step's only buffers
+    assert set(ws) == {"noise", "g1", "g2"}
     ref = np.random.default_rng(4)
     for corrupted in seen:
         if noise.kind == "gaussian":
