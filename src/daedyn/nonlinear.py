@@ -15,7 +15,7 @@ import numpy as np
 # module because the benchmark tracer (bench/spans.py) wraps them by name
 from .simulate import (  # noqa: F401
     ACTIVATIONS, Autoencoder, Run, TrainingConfig, _draw_noise, backprop_grads, descend)
-from .spectrum import Dataset, Spectrum, rotate_weights
+from .spectrum import Dataset, Spectrum
 
 LAMBDA_FLOOR_FACTOR = 1e-8  # modes below this fraction of the top eigenvalue are absent
 
@@ -26,10 +26,11 @@ def reconstruct(model: Autoencoder, x):
     return phi(x @ model.w1.T) @ model.w2.T
 
 
-def _estimate(xv, rotated: Autoencoder, lams):
-    # diag(V^T X^T X_hat V) / lam as colsum(XV * X_hat V) / lam, O(N H D): a hidden
-    # nonlinearity commutes with the rotation, so X_hat V = reconstruct(rotated, XV)
-    diag = np.sum(xv * reconstruct(rotated, xv), axis=0)
+def _estimate(xv, xw1, w2r, activation, lams):
+    # diag(V^T X^T X_hat V) / lam as colsum(XV * X_hat V) / lam, O(N H D), where
+    # X_hat V = phi(X W1^T) (V^T W2)^T: the hidden layer needs no rotation of W1
+    phi, _ = ACTIVATIONS[activation]
+    diag = np.sum(xv * (phi(xw1) @ w2r.T), axis=0)
     retained = lams > LAMBDA_FLOOR_FACTOR * (lams[0] if lams.size else 0.0)
     ratios = np.full(lams.shape, np.nan)
     ratios[retained] = diag[retained] / lams[retained]
@@ -40,14 +41,15 @@ def estimate_identity_map(dataset: Dataset, model: Autoencoder, spectrum: Spectr
     """Per-mode identity-mapping ratios: the reconstructed fraction of each eigen-direction.
 
     Returns diag(V^T X^T X_hat V) / lam, with X_hat the model's reconstruction
-    of the clean input, computed in the eigenbasis from XV and the rotated
-    weights; modes below the eigenvalue floor are absent and read NaN.
-    Estimation never consumes corrupted data.
+    of the clean input, computed in the eigenbasis from XV, the clean
+    pre-activation X W1^T and V^T W2; modes below the eigenvalue floor are
+    absent and read NaN. Estimation never consumes corrupted data.
     """
     if spectrum.d != dataset.d:
         raise ValueError(f"spectrum dimension {spectrum.d} does not match dataset dim {dataset.d}")
-    rotated = Autoencoder(*rotate_weights(model.w1, model.w2, spectrum), model.activation)
-    return _estimate(dataset.samples @ spectrum.eigenvectors, rotated, spectrum.eigenvalues)
+    x, v = dataset.samples, spectrum.eigenvectors
+    return _estimate(x @ v, x @ model.w1.T, v.T @ model.w2, model.activation,
+                     spectrum.eigenvalues)
 
 
 def train_nonlinear(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig,
@@ -55,13 +57,13 @@ def train_nonlinear(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig
     """Full-batch backprop with fresh per-epoch corruption; the run's modes are estimated ratios.
 
     Corruption is always sampled, whatever config.loss_mode says. Each record
-    estimates the ratios from XV, formed once per run, and the eigenbasis
-    weights; modes below the eigenvalue floor read NaN. The run is
-    deterministic per seed. epochs=0 is allowed and records the initial
-    model only.
+    estimates the ratios from XV, formed once per run, the clean
+    pre-activation X W1^T and V^T W2; modes below the eigenvalue floor read
+    NaN. The run is deterministic per seed. epochs=0 is allowed and records
+    the initial model only.
     """
     xv = dataset.samples @ spectrum.eigenvectors
     lams = spectrum.eigenvalues
     return descend(dataset, spectrum, config,
-                   lambda w1r, w2r: _estimate(xv, Autoencoder(w1r, w2r, activation), lams),
-                   activation=activation)
+                   lambda xw1, w2r: _estimate(xv, xw1, w2r, activation, lams),
+                   activation=activation, pre_activation=True)

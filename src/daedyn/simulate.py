@@ -227,10 +227,11 @@ class Workspace(dict):
     """Named float64 buffers that a run's steps write into, each made on first use.
 
     Every step asks for the same names and shapes, so the gradients, the
-    update and the N x D corrupted batch are allocated once per run, not once
-    per step. A buffer exists only once a step has needed it, so noise-free
-    runs never hold an N x D corruption buffer. A buffer handed back by a
-    step is overwritten by the next one.
+    update and the noise draw are allocated once per run, not once per step.
+    A buffer exists only once a step has needed it: only a Laplace leg holds
+    an N x D corrupted batch, a Gaussian leg holds its N k + m D low-rank draw
+    and a noise-free one no draw at all. A buffer handed back by a step is
+    overwritten by the next one.
     """
 
     def __call__(self, name, shape):
@@ -316,6 +317,31 @@ def _draw_noise(rng, noise: NoiseModel, shape, ws=None):
     return out
 
 
+def _gram_form(model: Autoencoder, x, z, x_sq, grad2):
+    # The Gram-form body that every backprop step shares: from the pre-activation Z of the
+    # (corrupted) batch it writes grad2 = (W2 (A^T A) - X^T A) / N into grad2 and returns
+    # the loss and delta = (A (W2^T W2) - X W2) * phi'(Z), from which the caller forms grad1;
+    # x_sq is ||X||^2, formed here when None
+    phi, dphi = ACTIVATIONS[model.activation]
+    w2 = model.w2
+    n = x.shape[0]
+    a = phi(z)
+    b = w2.T @ w2                     # H x H
+    c = a.T @ a                       # H x H
+    atx = a.T @ x                     # (X^T A)^T: BLAS runs this orientation faster
+    delta = a @ b
+    delta -= x @ w2
+    if dphi is not None:
+        delta *= dphi(z)
+    np.matmul(w2, c, out=grad2)
+    grad2 -= atx.T
+    grad2 /= n
+    if x_sq is None:
+        x_sq = float(np.vdot(x, x))
+    loss = 0.5 / n * (float(np.sum(b * c)) - 2.0 * float(np.sum(w2.T * atx)) + x_sq)
+    return loss, delta
+
+
 def backprop_grads(model: Autoencoder, batch, corrupted_batch, x_sq=None, out=None):
     """Loss and full-batch gradients of (1/2N) sum ||x_i - W2 phi(W1 x_tilde_i)||^2.
 
@@ -334,38 +360,47 @@ def backprop_grads(model: Autoencoder, batch, corrupted_batch, x_sq=None, out=No
     x_tilde = np.asarray(corrupted_batch, dtype=np.float64)
     if x.shape != x_tilde.shape:
         raise ValueError("clean and corrupted batches must have the same shape")
-    phi, dphi = ACTIVATIONS[model.activation]
-    w1, w2 = model.w1, model.w2
-    n = x.shape[0]
-    grad1, grad2 = (np.empty(w1.shape), np.empty(w2.shape)) if out is None else out
-    if x_sq is None:
-        x_sq = float(np.vdot(x, x))
-    z = x_tilde @ w1.T
-    a = phi(z)
-    b = w2.T @ w2                     # H x H
-    c = a.T @ a                       # H x H
-    atx = a.T @ x                     # (X^T A)^T: BLAS runs this orientation faster
-    delta = a @ b
-    delta -= x @ w2
-    if dphi is not None:
-        delta *= dphi(z)
+    w1 = model.w1
+    grad1, grad2 = (np.empty(w1.shape), np.empty(model.w2.shape)) if out is None else out
+    loss, delta = _gram_form(model, x, x_tilde @ w1.T, x_sq, grad2)
     np.matmul(delta.T, x_tilde, out=grad1)
-    grad1 /= n
-    np.matmul(w2, c, out=grad2)
-    grad2 -= atx.T
-    grad2 /= n
-    loss = 0.5 / n * (float(np.sum(b * c)) - 2.0 * float(np.sum(w2.T * atx)) + x_sq)
+    grad1 /= x.shape[0]
     return loss, grad1, grad2
 
 
 def _sampled_grads(model: Autoencoder, x, noise: NoiseModel, rng, ws=None, x_sq=None):
-    # backprop loss and gradients on one fresh corruption of x, built in the
-    # workspace's noise buffer; the gradients land in "g1"/"g2"
+    # Backprop loss and gradients on one fresh corruption E of x; the gradients land in
+    # "g1"/"g2" and the one draw in "noise". Laplace noise is drawn in full (N x D) and
+    # added to x in place. Gaussian noise is drawn only where the step sees it, as
+    # E W1^T and delta^T E: with W1^T = Q R (Q is D x k) and delta = U R_d (R_d is
+    # m x H, m = min(N, H)), E Q is N x k i.i.d. noise, and the rest of delta^T E,
+    # delta^T E (I - Q Q^T), is independent of it and distributed as
+    # R_d^T G (I - Q Q^T) with G m x D i.i.d. noise. So Z = X W1^T + (E Q) R and
+    # N grad1 = delta^T X + (delta^T E Q) Q^T + R_d^T G (I - Q Q^T), from N k + m D
+    # normals in one draw: the same distribution as the full draw, not the same stream.
     ws = Workspace() if ws is None else ws
-    e = _draw_noise(rng, noise, x.shape, ws)
-    x_tilde = x if e is None else np.add(e, x, out=e)
-    return backprop_grads(model, x, x_tilde, x_sq,
-                          (ws("g1", model.w1.shape), ws("g2", model.w2.shape)))
+    w1 = model.w1
+    grad1, grad2 = out = ws("g1", w1.shape), ws("g2", model.w2.shape)
+    if noise.kind != "gaussian":
+        e = _draw_noise(rng, noise, x.shape, ws)
+        x_tilde = x if e is None else np.add(e, x, out=e)
+        return backprop_grads(model, x, x_tilde, x_sq, out)
+    n, d = x.shape
+    q, r = np.linalg.qr(w1.T)
+    k, m = q.shape[1], min(n, w1.shape[0])
+    draw = _draw_noise(rng, noise, (n * k + m * d,), ws)
+    eq, g = draw[:n * k].reshape(n, k), draw[n * k:].reshape(m, d)
+    z = x @ w1.T
+    z += eq @ r
+    loss, delta = _gram_form(model, x, z, x_sq, grad2)
+    rdg = np.linalg.qr(delta, mode="r").T @ g         # R_d^T G, H x D
+    s = delta.T @ eq
+    s -= rdg @ q                                      # delta^T E Q - R_d^T G Q
+    np.matmul(delta.T, x, out=grad1)
+    grad1 += rdg
+    grad1 += s @ q.T
+    grad1 /= n
+    return loss, grad1, grad2
 
 
 # The benchmark tracer (bench/spans.py) wraps a per-record rotation under this name;
@@ -384,7 +419,7 @@ def _check_spectrum(x, spectrum: Spectrum):
 
 
 def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readout,
-            activation="identity", marginalized=False) -> Run:
+            activation="identity", marginalized=False, pre_activation=False) -> Run:
     """Full-batch gradient descent shared by every trained autoencoder.
 
     Initialises the weights per config.init, then repeats: gradient (plus
@@ -397,25 +432,32 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readou
     once, ValueError otherwise). Otherwise every step backpropagates
     through one fresh corruption drawn from the seeded stream, in pixel
     space, in the Gram form of backprop_grads with ||X||^2 formed once per
-    run. The divergence check reads the iterated weights and fails on a NaN
-    or an infinity in either matrix.
+    run; Gaussian corruption is drawn only where the step sees it (see
+    _sampled_grads). The divergence check reads the iterated weights and
+    fails on a NaN or an infinity in either matrix.
 
     The run owns one Workspace that every step writes into: the gradients,
     the decay terms, the update W -= alpha * g (g scaled in place) and, on a
-    noisy leg only, the N x D corrupted batch, into which the noise is drawn. A
-    step thus allocates no N x D array.
+    noisy leg only, the draw: the N x D corrupted batch on a Laplace leg, the
+    N k + m D values of the low-rank draw on a Gaussian one (k = min(D, H),
+    m = min(N, H)). A Gaussian or noise-free leg thus holds no N x D buffer,
+    and no step allocates one.
 
     The run is recorded at epoch 0, every record_every epochs and at the final
     epoch: the objective, the weight norm, the worst rotated off-diagonal of
     V^T W2 W1 V (for d <= 64, where it is cheap) and readout(w1r, w2r), the
     network's D-vector of per-mode values read from the eigenbasis weights
     w1r = W1 V and w2r = V^T W2; pixel-space loops rotate only at those
-    epochs. readout must not keep or modify the arrays.
+    epochs. pre_activation=True hands readout the clean pre-activation
+    X W1^T (N x H) in place of W1 V, for a readout of the hidden layer: a
+    pixel-space record then rotates W1 only for the off-diagonal, as
+    ||W1 V|| = ||W1||. readout must not keep or modify the arrays.
     """
     if spectrum.d != dataset.d:
         raise ValueError(f"spectrum dimension {spectrum.d} does not match dataset dim {dataset.d}")
-    if marginalized and activation != "identity":
-        raise ValueError("only the linear objective has a marginalised form")
+    if marginalized and (activation != "identity" or pre_activation):
+        raise ValueError("only the linear objective, read from its weights, has a "
+                         "marginalised form")
     d, n, x = dataset.d, dataset.n, dataset.samples
     if config.init == "orthogonal":
         init = init_orthogonal(d, config.hidden_dim, spectrum, config.init_scale, config.seed)
@@ -456,8 +498,14 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readou
         nonlocal worst_off
         if gamma > 0.0:     # the decay penalty joins the loss only where it is recorded
             loss = loss + 0.5 * gamma * (np.sum(w1 * w1) + np.sum(w2 * w2))
-        w1r, w2r = (w1, w2) if marginalized else rotate_weights(w1, w2, spectrum)
-        modes.append(readout(w1r, w2r))
+        if marginalized:
+            w1r, w2r = w1, w2
+        else:
+            v = spectrum.eigenvectors
+            # ||W1 V|| = ||W1||: a pre-activation readout needs W1 V only for the off-diagonal
+            w1r = w1 @ v if track_offdiag or not pre_activation else w1
+            w2r = v.T @ w2
+        modes.append(readout(x @ w1.T if pre_activation else w1r, w2r))
         norms.append(float(np.sum(w1r * w1r) + np.sum(w2r * w2r)))
         losses.append(loss)
         if track_offdiag:

@@ -12,8 +12,10 @@ only here: it is the reference for the eigenbasis loss and gradients the
 package trains on, and plain pixel-space descent on it is the reference for
 the eigenbasis training of the marginalised linear autoencoder. The
 explicit-residual backprop is the reference for the Gram-form backprop step,
-the Monte Carlo sampled loss for the noise-marginalised loss, and the
-projected diagonal reads per-mode values off a pair of pixel-space weights.
+and, on the full corruption rebuilt from a low-rank gaussian draw, for the
+sampled step that drew it; the Monte Carlo sampled loss is the reference for
+the noise-marginalised loss, and the projected diagonal reads per-mode values
+off a pair of pixel-space weights.
 The row-at-a-time csv.writer formatters are the references for the block
 writer that emits every CSV, and the CSV readers turn the files the CLI
 writes back into arrays.
@@ -374,3 +376,29 @@ def read_spectrum_csv(path):
         if header[:2] != ["index", "eigenvalue"]:
             raise ValueError(f"unexpected spectrum CSV header {header!r}")
         return np.array([float(row[1]) for row in reader])
+
+
+def lowrank_corrupted_batch(model, batch, draw):
+    """The N x D Gaussian corruption E that a low-rank sampled step saw, rebuilt from its draw.
+
+    The step draws E Q (N x k) and sigma G (m x D) as one flat array, with
+    W1^T = Q R its thin QR and m = min(N, H). This rebuilds its pre-activation
+    X W1^T + (E Q) R and its delta through the explicit residual, factors
+    delta = U R_d, and returns E = (E Q) Q^T + U sigma G (I - Q Q^T): the full
+    corruption that gives the same E W1^T and delta^T E, so backprop on X + E
+    is the step's reference.
+    """
+    x = np.asarray(batch, dtype=np.float64)
+    n, d = x.shape
+    phi, dphi = simulate.ACTIVATIONS[model.activation]
+    q, r = np.linalg.qr(model.w1.T)
+    k, m = q.shape[1], min(n, model.w1.shape[0])
+    draw = np.asarray(draw, dtype=np.float64)
+    if draw.shape != (n * k + m * d,):
+        raise ValueError(f"expected {n * k + m * d} drawn values, got shape {draw.shape}")
+    eq, g = draw[:n * k].reshape(n, k), draw[n * k:].reshape(m, d)
+    z = x @ model.w1.T + eq @ r
+    res = phi(z) @ model.w2.T - x
+    delta = res @ model.w2 if dphi is None else (res @ model.w2) * dphi(z)
+    u, _ = np.linalg.qr(delta)
+    return eq @ q.T + u @ (g - (g @ q) @ q.T)

@@ -409,6 +409,21 @@ def test_cli_returns_divergence_exit_code(tmp_path, capsys):
     assert code == cli.EXIT_DIVERGENCE
 
 
+@pytest.mark.parametrize("flags", [
+    ["--alpha", "1e6", "--sigma2", "3"],
+    # the AE and WDAE legs converge here and only the Gaussian DAE leg diverges
+    ["--hidden", "4", "--alpha", "0.2", "--sigma2", "10", "--gamma", "0",
+     "--init-scale", "0.5"]], ids=["every-leg", "dae-leg-only"])
+def test_diverging_gaussian_nonlinear_run_exits_3_without_a_warning(flags, tmp_path, capsys,
+                                                                     d16_cache):
+    code = main(["nonlinear", "--dataset", str(d16_cache), "--format", "cache", *flags,
+                 "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_DIVERGENCE
+    assert "run diverged at epoch" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+
+
 # --- predict / compare / rates --------------------------------------------------
 
 def test_predict_plateaus_match_fixed_points(tmp_path):

@@ -7,6 +7,8 @@ from oracles import (
     backprop_residual,
     central_difference_grad,
     cross_covariance_mode_ratios,
+    lowrank_corrupted_batch,
+    marginalized_pixel_space,
     projected_diagonal,
 )
 
@@ -226,21 +228,99 @@ def test_gram_form_backprop_matches_the_residual_oracle(activation, corrupted, t
     _agree(got, want)
 
 
+def _spy_draws(monkeypatch):
+    # a copy of every value the sampled step draws, one array per _draw_noise call
+    draws, draw = [], simulate._draw_noise
+
+    def spy(*args):
+        values = draw(*args)
+        draws.append(values.copy())
+        return values
+
+    monkeypatch.setattr(simulate, "_draw_noise", spy)
+    return draws
+
+
 @pytest.mark.parametrize("activation", ["identity", "relu", "tanh"])
-def test_sampled_step_over_three_draws_matches_the_residual_oracle(activation, toy_dataset):
+def test_sampled_step_over_three_draws_matches_the_residual_oracle(activation, toy_dataset,
+                                                                   monkeypatch):
     ds, _ = toy_dataset
     rng = np.random.default_rng(22)
     model = Autoencoder(rng.standard_normal((3, 5)) * 0.5, rng.standard_normal((5, 3)) * 0.5,
                         activation)
     x, noise = ds.samples, NoiseModel.gaussian(0.09)
-    # three steps on one generator, each one draw against one residual backprop
-    oracle_rng, rng = np.random.default_rng(5), np.random.default_rng(5)
-    sigma = np.sqrt(noise.variance)
+    # three steps on one generator, each one low-rank draw against one residual
+    # backprop on the full corruption rebuilt from that draw
+    draws = _spy_draws(monkeypatch)
+    rng = np.random.default_rng(5)
     ws = simulate.Workspace()
-    for _ in range(3):
-        want = backprop_residual(model, x, x + oracle_rng.normal(0.0, sigma, size=x.shape))
+    for step in range(3):
+        got = simulate._sampled_grads(model, x, noise, rng, ws)
+        assert len(draws) == step + 1
+        want = backprop_residual(model, x, x + lowrank_corrupted_batch(model, x, draws[-1]))
         # every step in the same workspace overwrites the buffers, not adds to them
-        _agree(simulate._sampled_grads(model, x, noise, rng, ws), want)
+        _agree(got, want)
+
+
+@pytest.mark.parametrize("activation", ["identity", "relu", "tanh"])
+@pytest.mark.parametrize("n, d, h, dead", [
+    (40, 12, 4, False), (40, 6, 8, False), (40, 6, 6, False), (3, 12, 5, False),
+    (40, 12, 4, True)], ids=["h-below-d", "h-above-d", "h-equals-d", "n-below-h", "dead-unit"])
+def test_lowrank_step_is_backprop_on_its_rebuilt_corruption(activation, n, d, h, dead,
+                                                            monkeypatch):
+    # H >= D makes Q square, so the projected term is zero; N < H gives R_d N rows;
+    # a hidden unit that never fires (relu) puts a zero column in delta
+    rng = np.random.default_rng(31)
+    x = rng.uniform(0.1, 1.0, size=(n, d))
+    w1 = rng.standard_normal((h, d)) * 0.5
+    if dead:
+        w1[1] = -5.0
+    model = Autoencoder(w1, rng.standard_normal((d, h)) * 0.5, activation)
+    draws = _spy_draws(monkeypatch)
+    got = simulate._sampled_grads(model, x, NoiseModel.gaussian(0.09), np.random.default_rng(3))
+    k, m = min(d, h), min(n, h)
+    assert len(draws) == 1 and draws[0].shape == (n * k + m * d,)
+    e = lowrank_corrupted_batch(model, x, draws[0])
+    if dead and activation == "relu":
+        assert not np.any(x @ w1[1] + (e @ w1[1]) > 0.0)
+    _agree(got, backprop_grads(model, x, x + e))
+
+
+def test_lowrank_step_has_the_full_draws_mean_and_variance(toy_dataset):
+    # identity activation: the sampled gradient's expectation is the gradient of the
+    # noise-marginalised objective (eps_eff = N sigma^2). Over S seeds each entry's mean
+    # is within 5 standard errors of it, and each entry's variance is within 5 standard
+    # errors of the full N x D draw's, the error of a variance estimate being
+    # sqrt((m4 - s^4) / S) from the sample fourth central moment m4.
+    ds, _ = toy_dataset
+    x = ds.samples[:60]
+    n = x.shape[0]
+    rng = np.random.default_rng(12)
+    model = Autoencoder(rng.standard_normal((3, 5)) * 0.5, rng.standard_normal((5, 3)) * 0.5)
+    noise, seeds = NoiseModel.gaussian(0.25), 4000
+    sigma = np.sqrt(noise.variance)
+
+    def flat(grads):
+        return np.concatenate([grads[1].ravel(), grads[2].ravel()])
+
+    lowrank = np.array([flat(simulate._sampled_grads(model, x, noise, np.random.default_rng(s)))
+                        for s in range(seeds)])
+    full = np.array([flat(backprop_grads(model, x, x + np.random.default_rng(s).normal(
+        0.0, sigma, size=x.shape))) for s in range(seeds, 2 * seeds)])
+    _, g1, g2 = marginalized_pixel_space(x, model.w1, model.w2, n * noise.variance)
+    exact = np.concatenate([g1.ravel(), g2.ravel()])
+    mean_se = lowrank.std(axis=0, ddof=1) / np.sqrt(seeds)
+    assert np.all(np.abs(lowrank.mean(axis=0) - exact) <= 5.0 * mean_se)
+
+    def var_and_se(sample):
+        dev = sample - sample.mean(axis=0)
+        var = np.mean(dev ** 2, axis=0)
+        return var, np.sqrt((np.mean(dev ** 4, axis=0) - var ** 2) / seeds)
+
+    (var_low, se_low), (var_full, se_full) = var_and_se(lowrank), var_and_se(full)
+    assert np.all(np.abs(var_low - var_full) <= 5.0 * np.hypot(se_low, se_full))
+    # the noise reaches every entry: no variance is round-off
+    assert np.min(var_low) > 1e-6 * np.max(var_low)
 
 
 def test_relu_derivative_at_zero_is_zero():

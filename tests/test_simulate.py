@@ -394,38 +394,76 @@ def test_laplace_step_holds_one_n_by_d_buffer_and_draws_without_another():
 @pytest.mark.parametrize("noise", [NoiseModel.gaussian(0.7), NoiseModel.laplace(0.4)],
                          ids=["gaussian", "laplace"])
 def test_sampled_step_corrupts_bitwise_like_adding_a_fresh_draw(noise, small_dataset, monkeypatch):
-    # Gaussian corruption is x + rng.normal bit for bit. The Laplace draw is within
-    # 2 ulp of rng.laplace, so its corrupted batch is x + rng.laplace up to those 2 ulp
-    # plus the rounding of the two adds; both leave the generator in the same state.
-    # Each of two steps on one generator draws once and backpropagates once.
+    # The Laplace draw is within 2 ulp of rng.laplace, so its corrupted batch is
+    # x + rng.laplace up to those 2 ulp plus the rounding of the two adds. A Gaussian
+    # step draws only E Q and G (N k + m D values, k = min(D, H), m = min(N, H)),
+    # bit for bit rng.normal, and backpropagates without a corrupted batch. Both
+    # leave the generator in the state of their draws; each of two steps on one
+    # generator draws once.
     ds, _ = small_dataset
     x = ds.samples
-    seen, draws = [], []
+    n, d = x.shape
+    corrupted, shapes, drawn = [], [], []
     backprop, draw = simulate.backprop_grads, simulate._draw_noise
+
+    def spy_draw(*args):
+        values = draw(*args)
+        shapes.append(args[2])
+        drawn.append(values.copy())
+        return values
+
     monkeypatch.setattr(simulate, "backprop_grads",
-                        lambda *a: seen.append(a[2].copy()) or backprop(*a))
-    monkeypatch.setattr(simulate, "_draw_noise", lambda *a: draws.append(a) or draw(*a))
+                        lambda *a: corrupted.append(a[2].copy()) or backprop(*a))
+    monkeypatch.setattr(simulate, "_draw_noise", spy_draw)
     model = init_small_random(8, 4, 0.5, seed=1)
     rng = np.random.default_rng(4)
     ws = simulate.Workspace()
     for _ in range(2):
         simulate._sampled_grads(model, x, noise, rng, ws)
-    assert len(draws) == 2
-    # the corrupted batch and the gradients are the step's only buffers
+    # the draw (the corrupted batch on a Laplace step) and the gradients are the
+    # step's only buffers
     assert set(ws) == {"noise", "g1", "g2"}
     ref = np.random.default_rng(4)
-    for corrupted in seen:
-        if noise.kind == "gaussian":
-            want = x + ref.normal(0.0, math.sqrt(noise.variance), size=x.shape)
-            assert np.array_equal(corrupted.view(np.int64), want.view(np.int64))
-        else:
+    if noise.kind == "gaussian":
+        k, m = min(d, 4), min(n, 4)
+        assert shapes == [(n * k + m * d,)] * 2 and not corrupted
+        assert ws["noise"].size == n * k + m * d < x.size
+        for values in drawn:
+            want = ref.normal(0.0, math.sqrt(noise.variance), size=values.shape)
+            assert np.array_equal(values.view(np.int64), want.view(np.int64))
+    else:
+        assert shapes == [x.shape] * 2 and len(corrupted) == 2
+        for batch in corrupted:
             e = ref.laplace(0.0, noise.scale, size=x.shape)
             want = x + e
             tol = (2.0 * np.spacing(np.abs(e))
-                   + np.spacing(np.maximum(np.abs(want), np.abs(corrupted))))
-            assert np.all(np.abs(corrupted - want) <= tol)
-    assert len(seen) == 2
+                   + np.spacing(np.maximum(np.abs(want), np.abs(batch))))
+            assert np.all(np.abs(batch - want) <= tol)
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_a_nan_in_delta_passes_the_qr_and_stops_the_run_at_that_epoch(small_dataset,
+                                                                      monkeypatch):
+    # a NaN in delta goes through its QR factorisation into grad1 with neither an
+    # exception nor a RuntimeWarning (the suite makes those errors), and the weight
+    # check stops the run at the epoch whose update it reaches
+    ds, spec = small_dataset
+    calls = []
+    gram = simulate._gram_form
+
+    def gram_with_nan(*args):
+        loss, delta = gram(*args)
+        calls.append(None)
+        if len(calls) == 4:     # the gradient for the update of epoch 4
+            delta[3, 1] = np.nan
+        return loss, delta
+
+    monkeypatch.setattr(simulate, "_gram_form", gram_with_nan)
+    cfg = TrainingConfig(learning_rate=0.1, epochs=10, noise=NoiseModel.gaussian(0.5),
+                         loss_mode="sampled", hidden_dim=2)
+    with pytest.raises(DivergenceError) as info:
+        run_linear_ae(ds, spec, cfg)
+    assert info.value.step == 4
 
 
 def test_a_nan_in_w2_alone_stops_the_run_at_that_epoch(small_dataset, monkeypatch):
