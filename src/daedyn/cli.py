@@ -395,14 +395,15 @@ def predictions_for_run(run: simulate.Run, spec: spectrum.Spectrum, eps_eff,
 
 
 def _training_inputs(cfg: ExperimentConfig):
-    """Dataset, spectrum, requested mode ranks, noise and effective noise of a training command."""
+    """Dataset, spectrum, mode ranks, noise, effective noise and X^T X of a training command."""
     dataset = _load_dataset(cfg)
-    spec = spectrum.eigendecompose(spectrum.covariance(dataset))
+    cov = spectrum.covariance(dataset)
+    spec = spectrum.eigendecompose(cov)
     modes = cfg.modes if cfg.modes is not None else list(DEFAULT_MODES[cfg.experiment])
     if any(m > dataset.d for m in modes):
         raise ConfigError(f"mode ranks {modes} exceed input dimension {dataset.d}")
     noise = _noise_model(cfg, dataset.n)
-    return dataset, spec, modes, noise, _effective_noise(cfg, noise, dataset.n)
+    return dataset, spec, modes, noise, _effective_noise(cfg, noise, dataset.n), cov
 
 
 def _training_config(cfg: ExperimentConfig, noise, weight_decay) -> simulate.TrainingConfig:
@@ -414,14 +415,14 @@ def _training_config(cfg: ExperimentConfig, noise, weight_decay) -> simulate.Tra
 
 def cmd_real_data(cfg: ExperimentConfig):
     """Predicted vs simulated per-mode trajectories on an ingested dataset."""
-    dataset, spec, modes, noise, eps_eff = _training_inputs(cfg)
+    dataset, spec, modes, noise, eps_eff, cov = _training_inputs(cfg)
     n = dataset.n
     gamma = cfg.gamma or 0.0
     for rank in modes:
         if rank > cfg.hidden:
             log.warning("mode %d exceeds hidden width %d and cannot be learned",
                         rank, cfg.hidden)
-    run = simulate.run_linear_ae(dataset, spec, _training_config(cfg, noise, gamma))
+    run = simulate.run_linear_ae(dataset, spec, _training_config(cfg, noise, gamma), cov)
     simulated = [run.trajectory(rank) for rank in modes]
     predicted = predictions_for_run(run, spec, eps_eff, n * gamma, n / cfg.alpha, modes)
     if any(series.mode_index == cfg.hidden for series in predicted):
@@ -436,7 +437,8 @@ def cmd_real_data(cfg: ExperimentConfig):
 
 def cmd_nonlinear(cfg: ExperimentConfig):
     """AE / WDAE / DAE nonlinear triple with shared seed; estimated-mode CSVs."""
-    dataset, spec, modes, noise, eps_eff = _training_inputs(cfg)
+    dataset, spec, modes, noise, eps_eff, cov = _training_inputs(cfg)
+    del cov     # the D x D X^T X serves only the marginalised check, so it is not held
     gamma = cfg.gamma
     if gamma is None:   # the decay matching the DAE leg's mode-1 fixed point
         gamma = (analytic.equivalent_decay(float(spec.eigenvalues[0]), eps_eff) / dataset.n

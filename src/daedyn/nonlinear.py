@@ -27,13 +27,16 @@ def reconstruct(model: Autoencoder, x):
 
 
 def _estimate(xv, xw1, w2r, activation, lams):
-    # diag(V^T X^T X_hat V) / lam as colsum(XV * X_hat V) / lam, O(N H D), where
-    # X_hat V = phi(X W1^T) (V^T W2)^T: the hidden layer needs no rotation of W1
+    # diag(V^T X^T X_hat V) / lam as colsum(XV * X_hat V) / lam, where X_hat V =
+    # phi(X W1^T) (V^T W2)^T: the hidden layer needs no rotation of W1. xv may hold only the
+    # r <= D leading columns of XV, the rest being zero; the cost is then O(N H r), and the
+    # modes past r read NaN
     phi, _ = ACTIVATIONS[activation]
-    diag = np.sum(xv * (phi(xw1) @ w2r.T), axis=0)
-    retained = lams > LAMBDA_FLOOR_FACTOR * (lams[0] if lams.size else 0.0)
+    r = xv.shape[1]
+    diag = np.sum(xv * (phi(xw1) @ w2r[:r].T), axis=0)
+    retained = lams[:r] > LAMBDA_FLOOR_FACTOR * (lams[0] if lams.size else 0.0)
     ratios = np.full(lams.shape, np.nan)
-    ratios[retained] = diag[retained] / lams[retained]
+    ratios[:r][retained] = diag[retained] / lams[:r][retained]
     return ratios
 
 
@@ -56,14 +59,16 @@ def train_nonlinear(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig
                     activation: str) -> Run:
     """Full-batch backprop with fresh per-epoch corruption; the run's modes are estimated ratios.
 
-    Corruption is always sampled, whatever config.loss_mode says. Each record
-    estimates the ratios from XV, formed once per run, the clean
-    pre-activation X W1^T and V^T W2; modes below the eigenvalue floor read
-    NaN. The run is deterministic per seed. epochs=0 is allowed and records
-    the initial model only.
+    Corruption is always sampled, whatever config.loss_mode says. A noise-free
+    or Gaussian leg trains in the covariance eigenbasis on the data's range
+    XV_r (see descend); a Laplace leg trains in pixel space. Each record
+    estimates the ratios from XV (XV_r on an eigenbasis leg), formed once per
+    run, the clean pre-activation X W1^T, which an eigenbasis leg's step has
+    already formed, and V^T W2; modes below the eigenvalue floor read NaN. The
+    run is deterministic per seed. epochs=0 is allowed and records the initial
+    model only.
     """
-    xv = dataset.samples @ spectrum.eigenvectors
     lams = spectrum.eigenvalues
     return descend(dataset, spectrum, config,
-                   lambda xw1, w2r: _estimate(xv, xw1, w2r, activation, lams),
+                   lambda xv, xw1, w2r: _estimate(xv, xw1, w2r, activation, lams),
                    activation=activation, pre_activation=True)

@@ -23,7 +23,10 @@ from .spectrum import Dataset, Spectrum, random_orthogonal, rotate_weights
 log = logging.getLogger(__name__)
 
 DIVERGENCE_LIMIT = 1e12
-SPECTRUM_TOL = 1e-8     # max |S V - V diag(lam)| relative to the largest |lam|
+# max |S V - V diag(lam)| relative to the largest |lam|, and the largest column norm of X V
+# that counts as round-off, relative to the largest one: an eigenvalue below 1e-16 lam_1 is
+# within the eigensolver's own error, while one at 1e-8 lam_1 still has norm 1e-4 sqrt(lam_1)
+SPECTRUM_TOL = 1e-8
 INIT_SCHEMES = ("small_random", "orthogonal")
 LOSS_MODES = ("marginalized", "sampled")
 LAPLACE_BLOCK = 16_384  # values per Laplace-draw pass: a block and its temporary fit in cache
@@ -230,8 +233,10 @@ class Workspace(dict):
     update and the noise draw are allocated once per run, not once per step.
     A buffer exists only once a step has needed it: only a Laplace leg holds
     an N x D corrupted batch, a Gaussian leg holds its N k + m D low-rank draw
-    and a noise-free one no draw at all. A buffer handed back by a step is
-    overwritten by the next one.
+    and a noise-free one no draw at all. A Gaussian or noise-free step also
+    keeps its clean pre-activation X W1^T (N x H) under "xw1", which a record
+    of the hidden layer reads. A buffer handed back by a step is overwritten
+    by the next one.
     """
 
     def __call__(self, name, shape):
@@ -318,31 +323,33 @@ def _draw_noise(rng, noise: NoiseModel, shape, ws=None):
 
 
 def _gram_form(model: Autoencoder, x, z, x_sq, grad2):
-    # The Gram-form body that every backprop step shares: from the pre-activation Z of the
-    # (corrupted) batch it writes grad2 = (W2 (A^T A) - X^T A) / N into grad2 and returns
-    # the loss and delta = (A (W2^T W2) - X W2) * phi'(Z), from which the caller forms grad1;
-    # x_sq is ||X||^2, formed here when None
+    # The Gram-form body that every backprop step shares. x holds the r <= D leading columns
+    # of the clean batch, the rest being zero, against D-wide weights. From the pre-activation
+    # Z of the (corrupted) batch it writes grad2 = (W2 (A^T A) - X^T A) / N into grad2, whose
+    # rows past r get no data term, and returns the loss and delta = (A (W2^T W2) - X W2) *
+    # phi'(Z), from which the caller forms grad1; x_sq is ||X||^2, formed here when None
     phi, dphi = ACTIVATIONS[model.activation]
     w2 = model.w2
-    n = x.shape[0]
+    n, r = x.shape
+    w2x = w2[:r]                      # the rows of W2 that meet the data
     a = phi(z)
     b = w2.T @ w2                     # H x H
     c = a.T @ a                       # H x H
     atx = a.T @ x                     # (X^T A)^T: BLAS runs this orientation faster
     delta = a @ b
-    delta -= x @ w2
+    delta -= x @ w2x
     if dphi is not None:
         delta *= dphi(z)
     np.matmul(w2, c, out=grad2)
-    grad2 -= atx.T
+    grad2[:r] -= atx.T
     grad2 /= n
     if x_sq is None:
         x_sq = float(np.vdot(x, x))
-    loss = 0.5 / n * (float(np.sum(b * c)) - 2.0 * float(np.sum(w2.T * atx)) + x_sq)
+    loss = 0.5 / n * (float(np.sum(b * c)) - 2.0 * float(np.sum(w2x.T * atx)) + x_sq)
     return loss, delta
 
 
-def backprop_grads(model: Autoencoder, batch, corrupted_batch, x_sq=None, out=None):
+def backprop_grads(model: Autoencoder, batch, corrupted_batch, x_sq=None, out=None, z=None):
     """Loss and full-batch gradients of (1/2N) sum ||x_i - W2 phi(W1 x_tilde_i)||^2.
 
     Returns (loss, grad1, grad2), the same shape as marginalized_loss_and_grads.
@@ -352,51 +359,60 @@ def backprop_grads(model: Autoencoder, batch, corrupted_batch, x_sq=None, out=No
       delta = (R W2) * phi'(Z) = (A (W2^T W2) - X W2) * phi'(Z),
       grad1 = delta^T X_tilde / N,
       loss  = (sum((W2^T W2) * (A^T A)) - 2 sum(W2 * X^T A) + ||X||^2) / 2N.
-    A step is four N x D x H products (Z, X W2, A^T X, delta^T X_tilde) plus
-    O((N + D) H^2). x_sq is ||X||^2 when the caller already has it; out is a
-    pair of (H x D, D x H) arrays that receive the gradients.
+    Both batches may hold only the r <= D leading columns of inputs whose
+    other columns are zero, as the data's range in the covariance eigenbasis
+    does; the columns of grad1 past r are then zero. A step is four N x r x H
+    products (Z, X W2, A^T X, delta^T X_tilde) plus O((N + D) H^2). x_sq is
+    ||X||^2 and z is Z when the caller already has them; out is a pair of
+    (H x D, D x H) arrays that receive the gradients.
     """
     x = np.asarray(batch, dtype=np.float64)
     x_tilde = np.asarray(corrupted_batch, dtype=np.float64)
     if x.shape != x_tilde.shape:
         raise ValueError("clean and corrupted batches must have the same shape")
     w1 = model.w1
+    r = x.shape[1]
     grad1, grad2 = (np.empty(w1.shape), np.empty(model.w2.shape)) if out is None else out
-    loss, delta = _gram_form(model, x, x_tilde @ w1.T, x_sq, grad2)
-    np.matmul(delta.T, x_tilde, out=grad1)
+    loss, delta = _gram_form(model, x, x_tilde @ w1[:, :r].T if z is None else z, x_sq, grad2)
+    np.matmul(delta.T, x_tilde, out=grad1[:, :r])
+    grad1[:, r:] = 0.0
     grad1 /= x.shape[0]
     return loss, grad1, grad2
 
 
 def _sampled_grads(model: Autoencoder, x, noise: NoiseModel, rng, ws=None, x_sq=None):
-    # Backprop loss and gradients on one fresh corruption E of x; the gradients land in
-    # "g1"/"g2" and the one draw in "noise". Laplace noise is drawn in full (N x D) and
-    # added to x in place. Gaussian noise is drawn only where the step sees it, as
-    # E W1^T and delta^T E: with W1^T = Q R (Q is D x k) and delta = U R_d (R_d is
-    # m x H, m = min(N, H)), E Q is N x k i.i.d. noise, and the rest of delta^T E,
-    # delta^T E (I - Q Q^T), is independent of it and distributed as
-    # R_d^T G (I - Q Q^T) with G m x D i.i.d. noise. So Z = X W1^T + (E Q) R and
-    # N grad1 = delta^T X + (delta^T E Q) Q^T + R_d^T G (I - Q Q^T), from N k + m D
-    # normals in one draw: the same distribution as the full draw, not the same stream.
+    # Backprop loss and gradients on one fresh corruption E of x (its r <= D leading columns,
+    # as in backprop_grads, while E covers all D); the gradients land in "g1"/"g2" and the one
+    # draw in "noise". Laplace noise is drawn in full (N x D) and added to x in place.
+    # Gaussian noise is drawn only where the step sees it, as E W1^T and delta^T E: with
+    # W1^T = Q R (Q is D x k) and delta = U R_d (R_d is m x H, m = min(N, H)), E Q is N x k
+    # i.i.d. noise, and the rest of delta^T E, delta^T E (I - Q Q^T), is independent of it
+    # and distributed as R_d^T G (I - Q Q^T) with G m x D i.i.d. noise. So
+    # Z = X W1^T + (E Q) R and N grad1 = delta^T X + (delta^T E Q) Q^T + R_d^T G (I - Q Q^T),
+    # from N k + m D normals in one draw: the same distribution as the full draw, not the
+    # same stream. A Gaussian or noise-free step keeps the clean X W1^T in "xw1".
     ws = Workspace() if ws is None else ws
     w1 = model.w1
     grad1, grad2 = out = ws("g1", w1.shape), ws("g2", model.w2.shape)
-    if noise.kind != "gaussian":
+    if noise.kind == "laplace":
         e = _draw_noise(rng, noise, x.shape, ws)
-        x_tilde = x if e is None else np.add(e, x, out=e)
-        return backprop_grads(model, x, x_tilde, x_sq, out)
-    n, d = x.shape
-    q, r = np.linalg.qr(w1.T)
-    k, m = q.shape[1], min(n, w1.shape[0])
+        return backprop_grads(model, x, np.add(e, x, out=e), x_sq, out)
+    (n, r), (h, d) = x.shape, w1.shape
+    xw1 = np.matmul(x, w1[:, :r].T, out=ws("xw1", (n, h)))
+    if noise.kind == "none":
+        return backprop_grads(model, x, x, x_sq, out, xw1)
+    q, rq = np.linalg.qr(w1.T)
+    k, m = q.shape[1], min(n, h)
     draw = _draw_noise(rng, noise, (n * k + m * d,), ws)
     eq, g = draw[:n * k].reshape(n, k), draw[n * k:].reshape(m, d)
-    z = x @ w1.T
-    z += eq @ r
+    z = eq @ rq
+    z += xw1
     loss, delta = _gram_form(model, x, z, x_sq, grad2)
     rdg = np.linalg.qr(delta, mode="r").T @ g         # R_d^T G, H x D
     s = delta.T @ eq
     s -= rdg @ q                                      # delta^T E Q - R_d^T G Q
-    np.matmul(delta.T, x, out=grad1)
+    np.matmul(delta.T, x, out=grad1[:, :r])
+    grad1[:, r:] = 0.0
     grad1 += rdg
     grad1 += s @ q.T
     grad1 /= n
@@ -408,50 +424,70 @@ def _sampled_grads(model: Autoencoder, x, noise: NoiseModel, rng, ws=None, x_sq=
 _rotated_diag = None
 
 
-def _check_spectrum(x, spectrum: Spectrum):
-    # the eigenbasis step trusts the spectrum, so it must diagonalise S = X^T X
+def _check_spectrum(x, spectrum: Spectrum, cov=None):
+    # the eigenbasis step trusts the spectrum, so it must diagonalise S = X^T X (cov, when given)
     v, lams = spectrum.eigenvectors, spectrum.eigenvalues
-    residual = float(np.max(np.abs((x.T @ x) @ v - v * lams)))
+    s = x.T @ x if cov is None else cov
+    residual = float(np.max(np.abs(s @ v - v * lams)))
     bound = SPECTRUM_TOL * float(np.max(np.abs(lams)))
     if not residual <= bound:
         raise ValueError(f"spectrum does not diagonalise the dataset covariance: "
                          f"max |S V - V diag(lam)| = {residual:.3e} > {bound:.3e}")
 
 
+def _data_range(xv):
+    # The r leading columns of X V that hold data, as a new contiguous array: a column whose
+    # norm is at round-off against the largest one (SPECTRUM_TOL) holds none, and the spectrum
+    # must order all of those last, which it does when it diagonalises X^T X (ValueError
+    # otherwise). r = D when no column is at round-off.
+    norms = np.sqrt(np.einsum("ij,ij->j", xv, xv))
+    bound = SPECTRUM_TOL * float(np.max(norms, initial=0.0))
+    r = int(np.count_nonzero(norms > bound))
+    dropped = float(np.max(norms[r:], initial=0.0))
+    if not dropped <= bound:
+        raise ValueError(f"spectrum does not order the data's range first: a column of X V "
+                         f"past the leading {r} has norm {dropped:.3e} > {bound:.3e}")
+    log.debug("training on %d of %d eigen-directions; largest dropped column norm %.3e, "
+              "smallest kept %.3e", r, xv.shape[1], dropped, np.min(norms[:r], initial=np.inf))
+    return np.ascontiguousarray(xv[:, :r])
+
+
 def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readout,
-            activation="identity", marginalized=False, pre_activation=False) -> Run:
+            activation="identity", marginalized=False, pre_activation=False, cov=None) -> Run:
     """Full-batch gradient descent shared by every trained autoencoder.
 
     Initialises the weights per config.init, then repeats: gradient (plus
     config.weight_decay * W, the penalty being part of the objective), update,
-    divergence check. marginalized=True takes the closed-form noise
-    expectation of the linear objective and iterates in the covariance
-    eigenbasis, on (W1 V, V^T W2) against diag(lam): every step passes
-    marginalized_loss_and_grads the eigenvalues and N, and costs O(H^2 D).
-    The spectrum must then diagonalise the dataset's covariance (checked
-    once, ValueError otherwise). Otherwise every step backpropagates
-    through one fresh corruption drawn from the seeded stream, in pixel
-    space, in the Gram form of backprop_grads with ||X||^2 formed once per
-    run; Gaussian corruption is drawn only where the step sees it (see
-    _sampled_grads). The divergence check reads the iterated weights and
-    fails on a NaN or an infinity in either matrix.
+    divergence check. Every objective but a Laplace-corrupted one is
+    rotation-invariant, so it iterates in the covariance eigenbasis, on
+    (W1 V, V^T W2), and rotates the final weights back to pixel space.
+    marginalized=True takes the closed-form noise expectation of the linear
+    objective against diag(lam), at O(H^2 D) per step
+    (marginalized_loss_and_grads); the spectrum must then diagonalise the
+    dataset's covariance, checked once against cov (the caller's X^T X) or
+    one formed here (ValueError otherwise). Otherwise every step
+    backpropagates through one fresh corruption drawn from the seeded
+    stream, in the Gram form of backprop_grads with ||X||^2 formed once per
+    run: a noise-free or Gaussian leg against XV_r, the r leading columns of
+    XV that hold data (see _data_range), so its large products are
+    N x r x H; a Laplace leg in pixel space against X. The divergence check
+    reads the iterated weights and fails on a NaN or an infinity in either
+    matrix.
 
-    The run owns one Workspace that every step writes into: the gradients,
-    the decay terms, the update W -= alpha * g (g scaled in place) and, on a
-    noisy leg only, the draw: the N x D corrupted batch on a Laplace leg, the
-    N k + m D values of the low-rank draw on a Gaussian one (k = min(D, H),
-    m = min(N, H)). A Gaussian or noise-free leg thus holds no N x D buffer,
-    and no step allocates one.
+    The run owns one Workspace that every step writes into (see Workspace
+    and _sampled_grads); only a Laplace leg holds an N x D corrupted batch.
 
     The run is recorded at epoch 0, every record_every epochs and at the final
     epoch: the objective, the weight norm, the worst rotated off-diagonal of
     V^T W2 W1 V (for d <= 64, where it is cheap) and readout(w1r, w2r), the
     network's D-vector of per-mode values read from the eigenbasis weights
-    w1r = W1 V and w2r = V^T W2; pixel-space loops rotate only at those
-    epochs. pre_activation=True hands readout the clean pre-activation
-    X W1^T (N x H) in place of W1 V, for a readout of the hidden layer: a
-    pixel-space record then rotates W1 only for the off-diagonal, as
-    ||W1 V|| = ||W1||. readout must not keep or modify the arrays.
+    w1r = W1 V and w2r = V^T W2, which a pixel-space loop rotates at those
+    epochs only. pre_activation=True calls readout(xv, xw1, w2r) instead, for
+    a readout of the hidden layer: xv is XV (XV_r on an eigenbasis leg),
+    formed once per run, and xw1 the clean pre-activation X W1^T (N x H),
+    which an eigenbasis step has kept; a pixel-space record then rotates W1
+    only for the off-diagonal, as ||W1 V|| = ||W1||. readout must not keep
+    or modify the arrays.
     """
     if spectrum.d != dataset.d:
         raise ValueError(f"spectrum dimension {spectrum.d} does not match dataset dim {dataset.d}")
@@ -459,15 +495,22 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readou
         raise ValueError("only the linear objective, read from its weights, has a "
                          "marginalised form")
     d, n, x = dataset.d, dataset.n, dataset.samples
+    v = spectrum.eigenvectors
     if config.init == "orthogonal":
         init = init_orthogonal(d, config.hidden_dim, spectrum, config.init_scale, config.seed)
     else:
         init = init_small_random(d, config.hidden_dim, config.init_scale, config.seed)
     init = replace(init, activation=activation)
+    rotated = marginalized or config.noise.kind != "laplace"
     if marginalized:
-        _check_spectrum(x, spectrum)
+        _check_spectrum(x, spectrum, cov)
         eps_eff = epsilon_from_noise(config.noise, n)
         lams = spectrum.eigenvalues
+    elif rotated:
+        x = xv = _data_range(x @ v)
+    elif pre_activation:
+        xv = x @ v
+    if rotated:
         w1, w2 = rotate_weights(init.w1, init.w2, spectrum)
     else:
         w1 = init.w1.copy()
@@ -498,14 +541,16 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readou
         nonlocal worst_off
         if gamma > 0.0:     # the decay penalty joins the loss only where it is recorded
             loss = loss + 0.5 * gamma * (np.sum(w1 * w1) + np.sum(w2 * w2))
-        if marginalized:
+        if rotated:
             w1r, w2r = w1, w2
         else:
-            v = spectrum.eigenvectors
             # ||W1 V|| = ||W1||: a pre-activation readout needs W1 V only for the off-diagonal
             w1r = w1 @ v if track_offdiag or not pre_activation else w1
             w2r = v.T @ w2
-        modes.append(readout(x @ w1.T if pre_activation else w1r, w2r))
+        if pre_activation:
+            modes.append(readout(xv, ws["xw1"] if rotated else x @ w1.T, w2r))
+        else:
+            modes.append(readout(w1r, w2r))
         norms.append(float(np.sum(w1r * w1r) + np.sum(w2r * w2r)))
         losses.append(loss)
         if track_offdiag:
@@ -528,8 +573,7 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readou
         loss, g1, g2 = loss_and_grads()
         if epoch % config.record_every == 0 or epoch == config.epochs:
             record(loss)
-    if marginalized:
-        v = spectrum.eigenvectors
+    if rotated:
         w1, w2 = w1 @ v.T, v @ w2
     times = record_times(config.epochs, config.record_every)
     return Run(times=times, modes=np.stack(modes, axis=0),
@@ -539,17 +583,20 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readou
                model=Autoencoder(w1, w2, activation), init_model=init)
 
 
-def run_linear_ae(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig) -> Run:
+def run_linear_ae(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig,
+                  cov=None) -> Run:
     """Linear-network descent whose per-mode values are the diagonal of V^T W2 W1 V.
 
-    config.loss_mode picks the marginalised objective, trained in the
-    covariance eigenbasis, or the sampled objective, trained in pixel space;
-    the marginalised one needs a spectrum that diagonalises the dataset's
-    covariance (ValueError otherwise).
+    config.loss_mode picks the marginalised objective or the sampled one.
+    Both train in the covariance eigenbasis, except a sampled run under
+    Laplace noise, which trains in pixel space (see descend). The
+    marginalised one needs a spectrum that diagonalises the dataset's
+    covariance, checked against cov (X^T X) when the caller has it
+    (ValueError otherwise).
     """
     return descend(dataset, spectrum, config,
                    lambda w1r, w2r: np.einsum("jh,hj->j", w2r, w1r),
-                   marginalized=config.loss_mode == "marginalized")
+                   marginalized=config.loss_mode == "marginalized", cov=cov)
 
 
 def modes_from_linear_ae(model: Autoencoder, spectrum: Spectrum, epsilon, tau):

@@ -10,7 +10,10 @@ estimator against the dense pixel-space cross-covariance. The pixel-space
 form of the noise-marginalised objective, against the dense S = X^T X, lives
 only here: it is the reference for the eigenbasis loss and gradients the
 package trains on, and plain pixel-space descent on it is the reference for
-the eigenbasis training of the marginalised linear autoencoder. The
+the eigenbasis training of the marginalised linear autoencoder. Plain
+pixel-space descent on the Gram-form backprop step over all D columns is the
+reference for the noise-free backprop legs, which train in the eigenbasis on
+the data's range. The
 explicit-residual backprop is the reference for the Gram-form backprop step,
 and, on the full corruption rebuilt from a low-rank gaussian draw, for the
 sampled step that drew it; the Monte Carlo sampled loss is the reference for
@@ -224,6 +227,35 @@ def marginalized_descent_pixel_space(x, w1, w2, eps_eff, alpha, epochs, record_e
         if epoch % record_every == 0 or epoch == epochs:
             record(epoch)
     return np.array(times), np.array(diags), np.array(norms), w1, w2
+
+
+def backprop_descent_pixel_space(x, init, alpha, epochs, record_every, gamma=0.0):
+    """Noise-free backprop descent in pixel space, stepping on simulate.backprop_grads.
+
+    Starts from the weights of the Autoencoder init and steps
+    W <- W - alpha * (grad + gamma W) on the clean D-wide batch x each epoch.
+    Records at epoch 0, every record_every epochs and the last epoch. Returns
+    (epochs, the recorded (W1, W2) pairs, the objective with its decay
+    penalty at each record, the final Autoencoder).
+    """
+    model = simulate.Autoencoder(init.w1.copy(), init.w2.copy(), init.activation)
+    w1, w2 = model.w1, model.w2
+    times, weights, losses = [], [], []
+
+    def record(epoch, loss):
+        times.append(float(epoch))
+        weights.append((w1.copy(), w2.copy()))
+        losses.append(loss + 0.5 * gamma * (np.sum(w1 * w1) + np.sum(w2 * w2)))
+
+    loss, g1, g2 = simulate.backprop_grads(model, x, x)
+    record(0, loss)
+    for epoch in range(1, epochs + 1):
+        w1 -= alpha * (g1 + gamma * w1)
+        w2 -= alpha * (g2 + gamma * w2)
+        loss, g1, g2 = simulate.backprop_grads(model, x, x)
+        if epoch % record_every == 0 or epoch == epochs:
+            record(epoch, loss)
+    return np.array(times), weights, np.array(losses), model
 
 
 def cross_covariance_mode_ratios(x, w1, w2, phi, v, lams, floor_factor=1e-8):

@@ -25,7 +25,7 @@ from daedyn.simulate import (
     init_small_random,
     run_linear_ae,
 )
-from daedyn.spectrum import Dataset, covariance, eigendecompose, random_orthogonal
+from daedyn.spectrum import Dataset, covariance, eigendecompose, random_orthogonal, rotate_weights
 
 
 @pytest.fixture(scope="module")
@@ -106,23 +106,24 @@ def test_estimator_matches_cross_covariance_oracle(activation, rank_deficient_da
 
 @pytest.mark.parametrize("activation", ["identity", "relu", "tanh"])
 def test_train_estimates_match_cross_covariance_oracle(activation, rank_deficient_dataset):
-    # every recorded estimate equals the oracle on that epoch's pixel-space weights
+    # every recorded estimate equals the oracle on that epoch's pixel-space weights, on a
+    # Gaussian leg (eigenbasis, on the data's range) and a Laplace one (pixel space)
     ds, spec = rank_deficient_dataset
-    cfg = TrainingConfig(learning_rate=0.2, epochs=45, noise=NoiseModel.gaussian(0.05),
-                         init="small_random", init_scale=0.3, seed=6, hidden_dim=5,
-                         record_every=15)
-    run = train_nonlinear(ds, spec, cfg, activation)
     v = spec.eigenvectors
-    pairs = []
+    for noise in (NoiseModel.gaussian(0.05), NoiseModel.laplace(0.15)):
+        cfg = TrainingConfig(learning_rate=0.2, epochs=45, noise=noise, init="small_random",
+                             init_scale=0.3, seed=6, hidden_dim=5, record_every=15)
+        run = train_nonlinear(ds, spec, cfg, activation)
+        pairs = []
 
-    def readout(w1r, w2r):
-        pairs.append((w1r @ v.T, v @ w2r))
-        return np.zeros(ds.d)
+        def readout(w1r, w2r):
+            pairs.append((w1r @ v.T, v @ w2r))
+            return np.zeros(ds.d)
 
-    replay = descend(ds, spec, cfg, readout, activation=activation)
-    assert run.times.tolist() == replay.times.tolist() == [0, 15, 30, 45]
-    for ratios, (w1, w2) in zip(run.modes, pairs):
-        _assert_matches_oracle(ratios, _oracle_ratios(ds, spec, w1, w2, activation))
+        replay = descend(ds, spec, cfg, readout, activation=activation)
+        assert run.times.tolist() == replay.times.tolist() == [0, 15, 30, 45]
+        for ratios, (w1, w2) in zip(run.modes, pairs):
+            _assert_matches_oracle(ratios, _oracle_ratios(ds, spec, w1, w2, activation))
 
 
 def test_estimator_reports_tiny_eigenvalues_absent():
@@ -321,6 +322,59 @@ def test_lowrank_step_has_the_full_draws_mean_and_variance(toy_dataset):
     assert np.all(np.abs(var_low - var_full) <= 5.0 * np.hypot(se_low, se_full))
     # the noise reaches every entry: no variance is round-off
     assert np.min(var_low) > 1e-6 * np.max(var_low)
+
+
+@pytest.mark.parametrize("activation, n, d, rank, h, dead", [
+    ("identity", 40, 8, 5, 3, False), ("relu", 40, 6, 4, 8, False), ("relu", 40, 8, 5, 4, True)],
+    ids=["rank-deficient", "h-above-d", "dead-unit"])
+def test_eigenbasis_step_has_the_pixel_space_full_draws_mean_and_variance(activation, n, d, rank,
+                                                                          h, dead):
+    # A Gaussian leg steps on (W1 V, V^T W2) against the r = rank columns of XV that hold
+    # data. E V is again i.i.d., so its gradients rotated back to pixel space, (g1 V^T,
+    # V g2), are distributed as backprop on X + E with a full N x D draw E. Over S seeds
+    # each entry's mean and variance agree within 5 standard errors of their difference.
+    # H > D makes Q square; a unit that never fires puts a zero column in delta.
+    rng = np.random.default_rng(17)
+    x = rng.uniform(0.1, 1.0, size=(n, rank)) @ rng.uniform(0.0, 1.0, size=(rank, d))
+    spec = eigendecompose(covariance(x))
+    v = spec.eigenvectors
+    x_range = simulate._data_range(x @ v)
+    assert x_range.shape == (n, rank)
+    w1 = rng.standard_normal((h, d)) * 0.5
+    if dead:
+        w1[1] = -5.0
+    model = Autoencoder(w1, rng.standard_normal((d, h)) * 0.5, activation)
+    rotated = Autoencoder(*rotate_weights(model.w1, model.w2, spec), activation)
+    noise, seeds = NoiseModel.gaussian(0.04), 4000
+    sigma = np.sqrt(noise.variance)
+
+    def eigenbasis_step(seed):
+        _, g1, g2 = simulate._sampled_grads(rotated, x_range, noise, np.random.default_rng(seed))
+        return np.concatenate([(g1 @ v.T).ravel(), (v @ g2).ravel()])
+
+    def full_step(seed):
+        e = np.random.default_rng(seed).normal(0.0, sigma, size=x.shape)
+        if dead:
+            assert not np.any((x + e) @ w1[1] > 0.0)
+        _, g1, g2 = backprop_grads(model, x, x + e)
+        return np.concatenate([g1.ravel(), g2.ravel()])
+
+    eigen = np.array([eigenbasis_step(s) for s in range(seeds)])
+    full = np.array([full_step(s) for s in range(seeds, 2 * seeds)])
+
+    def moments(sample):
+        # mean, variance and the standard error of each, the variance's from the
+        # sample fourth central moment m4 as sqrt((m4 - s^4) / S)
+        mean = sample.mean(axis=0)
+        dev = sample - mean
+        var = np.mean(dev ** 2, axis=0)
+        return (mean, np.sqrt(var / seeds)), (var, np.sqrt((np.mean(dev ** 4, axis=0)
+                                                            - var ** 2) / seeds))
+
+    for (got, se_got), (want, se_want) in zip(moments(eigen), moments(full)):
+        assert np.all(np.abs(got - want) <= 5.0 * np.hypot(se_got, se_want))
+    if activation == "identity":    # the noise reaches every entry, past r too
+        assert np.min(eigen.var(axis=0)) > 1e-6 * np.max(eigen.var(axis=0))
 
 
 def test_relu_derivative_at_zero_is_zero():

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from oracles import (
+    backprop_descent_pixel_space,
     central_difference_grad,
+    cross_covariance_mode_ratios,
     marginalized_descent_pixel_space,
     marginalized_pixel_space,
     projected_diagonal,
@@ -19,6 +21,7 @@ from daedyn import analytic, simulate
 from daedyn.analytic import NoiseModel, ScalarMode, dae_fixed_point, dae_trajectory
 from daedyn.data import synthetic_dataset
 from daedyn.errors import DivergenceError
+from daedyn.nonlinear import train_nonlinear
 from daedyn.simulate import (
     Autoencoder,
     TrainingConfig,
@@ -30,7 +33,7 @@ from daedyn.simulate import (
     descend,
     run_scalar_gd,
 )
-from daedyn.spectrum import covariance, eigendecompose, rotate_weights
+from daedyn.spectrum import Spectrum, covariance, eigendecompose, rotate_weights
 
 SPECTRUM_8 = [2.5, 1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01]
 
@@ -421,8 +424,9 @@ def test_sampled_step_corrupts_bitwise_like_adding_a_fresh_draw(noise, small_dat
     for _ in range(2):
         simulate._sampled_grads(model, x, noise, rng, ws)
     # the draw (the corrupted batch on a Laplace step) and the gradients are the
-    # step's only buffers
-    assert set(ws) == {"noise", "g1", "g2"}
+    # step's only buffers, besides the N x H clean pre-activation a Gaussian step keeps
+    assert set(ws) == {"noise", "g1", "g2"} | ({"xw1"} if noise.kind == "gaussian" else set())
+    assert noise.kind != "gaussian" or ws["xw1"].shape == (n, 4)
     ref = np.random.default_rng(4)
     if noise.kind == "gaussian":
         k, m = min(d, 4), min(n, 4)
@@ -593,6 +597,60 @@ def test_linear_ae_matches_pixel_space_descent_oracle(data, init, gamma, request
     assert close(run.model.w1, w1) and close(run.model.w2, w2)
 
 
+@pytest.mark.parametrize("data, r", [("small_dataset", 8), ("rank_deficient_dataset", 5)],
+                         ids=["full-rank", "rank-deficient"])
+@pytest.mark.parametrize("gamma", [0.0, 1e-3], ids=["no-decay", "decay"])
+@pytest.mark.parametrize("network", ["linear", "identity", "relu", "tanh"])
+def test_noise_free_backprop_matches_pixel_space_descent_oracle(network, gamma, data, r, request):
+    # a noise-free leg trains in the eigenbasis on the r columns of XV that hold data; it
+    # must follow plain pixel-space descent on all D columns to round-off: modes, norms,
+    # losses and final weights within 1e-12 of each series' largest value
+    ds, spec = request.getfixturevalue(data)
+    assert simulate._data_range(ds.samples @ spec.eigenvectors).shape[1] == r
+    cfg = TrainingConfig(learning_rate=0.05 * ds.n, epochs=300, weight_decay=gamma,
+                         init_scale=0.05, seed=4, hidden_dim=4, record_every=25,
+                         loss_mode="sampled")
+    if network == "linear":
+        run = run_linear_ae(ds, spec, cfg)
+    else:
+        run = train_nonlinear(ds, spec, cfg, network)
+    times, weights, losses, model = backprop_descent_pixel_space(
+        ds.samples, run.init_model, cfg.learning_rate, cfg.epochs, cfg.record_every, gamma)
+    if network == "linear":
+        modes = [projected_diagonal(w1, w2, spec)[0] for w1, w2 in weights]
+    else:
+        phi, _ = simulate.ACTIVATIONS[network]
+        modes = [cross_covariance_mode_ratios(ds.samples, w1, w2, phi, spec.eigenvectors,
+                                              spec.eigenvalues) for w1, w2 in weights]
+    modes = np.array(modes)
+    norms = np.array([np.sum(w1 * w1) + np.sum(w2 * w2) for w1, w2 in weights])
+    assert np.nanmax(modes[-1]) > 0.5     # the leading mode has been learned
+
+    def close(got, want):
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        kept = ~np.isnan(want)
+        return np.max(np.abs(got[kept] - want[kept])) <= 1e-12 * np.max(np.abs(want[kept]))
+
+    assert np.array_equal(run.times, times)
+    assert close(run.modes, modes)
+    assert close(run.norms.values, norms)
+    assert close(run.losses, losses)
+    assert close(run.model.w1, model.w1) and close(run.model.w2, model.w2)
+
+
+def test_a_spectrum_that_orders_a_null_direction_before_data_is_refused(rank_deficient_dataset):
+    # swapping a data direction with a null one puts a column of data past the range's r
+    ds, spec = rank_deficient_dataset
+    v = spec.eigenvectors[:, [0, 1, 2, 3, 5, 4, 6, 7]]
+    swapped = Spectrum(eigenvectors=v, eigenvalues=spec.eigenvalues)
+    cfg = TrainingConfig(learning_rate=0.2, epochs=5, hidden_dim=2, loss_mode="sampled")
+    for train in (lambda: run_linear_ae(ds, swapped, cfg),
+                  lambda: train_nonlinear(ds, swapped, cfg, "relu")):
+        with pytest.raises(ValueError, match=r"range first: a column of X V past the leading "
+                                             r"5 has norm \d"):
+            train()
+
+
 @pytest.mark.parametrize("loss_mode, activation", [
     ("marginalized", "identity"), ("sampled", "identity"), ("sampled", "relu")])
 def test_descend_records_eigenbasis_weights(loss_mode, activation, small_dataset):
@@ -623,6 +681,11 @@ def test_linear_ae_rejects_a_spectrum_of_other_data(small_dataset):
     cfg = TrainingConfig(learning_rate=0.5, epochs=10, hidden_dim=2)
     with pytest.raises(ValueError, match="diagonalise"):
         run_linear_ae(ds, other, cfg)
+    # a covariance the caller hands over is the one checked
+    other_cov = covariance(synthetic_dataset(SPECTRUM_8, 400, seed=4))
+    with pytest.raises(ValueError, match="diagonalise"):
+        run_linear_ae(ds, eigendecompose(covariance(ds)), cfg, other_cov)
+    run_linear_ae(ds, other, cfg, other_cov)
 
 
 @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf, 1e12, 1e200])
