@@ -23,9 +23,8 @@ from .spectrum import Dataset, Spectrum, random_orthogonal, rotate_weights
 log = logging.getLogger(__name__)
 
 DIVERGENCE_LIMIT = 1e12
-# max |S V - V diag(lam)| relative to the largest |lam|, and the largest column norm of X V
-# that counts as round-off, relative to the largest one: an eigenvalue below 1e-16 lam_1 is
-# within the eigensolver's own error, while one at 1e-8 lam_1 still has norm 1e-4 sqrt(lam_1)
+# max |S V - V diag(lam)| relative to the largest |lam|, and a round-off column norm of X V
+# relative to the largest one (an eigenvalue at 1e-8 lam_1 has norm 1e-4 sqrt(lam_1): data)
 SPECTRUM_TOL = 1e-8
 INIT_SCHEMES = ("small_random", "orthogonal")
 LOSS_MODES = ("marginalized", "sampled")
@@ -233,10 +232,10 @@ class Workspace(dict):
     update and the noise draw are allocated once per run, not once per step.
     A buffer exists only once a step has needed it: only a Laplace leg holds
     an N x D corrupted batch, a Gaussian leg holds its N k + m D low-rank draw
-    and a noise-free one no draw at all. A Gaussian or noise-free step also
-    keeps its clean pre-activation X W1^T (N x H) under "xw1", which a record
-    of the hidden layer reads. A buffer handed back by a step is overwritten
-    by the next one.
+    and a noise-free one no draw at all. A Gaussian or noise-free step of a
+    leg with a readout of the hidden layer also keeps its clean pre-activation
+    X W1^T (N x H) under "xw1", which the record reads. A buffer handed back
+    by a step is overwritten by the next one.
     """
 
     def __call__(self, name, shape):
@@ -323,11 +322,11 @@ def _draw_noise(rng, noise: NoiseModel, shape, ws=None):
 
 
 def _gram_form(model: Autoencoder, x, z, x_sq, grad2):
-    # The Gram-form body that every backprop step shares. x holds the r <= D leading columns
-    # of the clean batch, the rest being zero, against D-wide weights. From the pre-activation
-    # Z of the (corrupted) batch it writes grad2 = (W2 (A^T A) - X^T A) / N into grad2, whose
-    # rows past r get no data term, and returns the loss and delta = (A (W2^T W2) - X W2) *
-    # phi'(Z), from which the caller forms grad1; x_sq is ||X||^2, formed here when None
+    # The Gram-form body that every backprop step shares, on the r <= D leading columns x of
+    # the clean batch (the rest are zero): from the pre-activation Z of the (corrupted) batch
+    # it writes grad2 = (W2 (A^T A) - X^T A) / N into grad2 and returns the loss and
+    # delta = (A (W2^T W2) - X W2) * phi'(Z), from which the caller forms grad1; x_sq is
+    # ||X||^2, formed here when None
     phi, dphi = ACTIVATIONS[model.activation]
     w2 = model.w2
     n, r = x.shape
@@ -380,7 +379,8 @@ def backprop_grads(model: Autoencoder, batch, corrupted_batch, x_sq=None, out=No
     return loss, grad1, grad2
 
 
-def _sampled_grads(model: Autoencoder, x, noise: NoiseModel, rng, ws=None, x_sq=None):
+def _sampled_grads(model: Autoencoder, x, noise: NoiseModel, rng, ws=None, x_sq=None,
+                   keep_clean=False):
     # Backprop loss and gradients on one fresh corruption E of x (its r <= D leading columns,
     # as in backprop_grads, while E covers all D); the gradients land in "g1"/"g2" and the one
     # draw in "noise". Laplace noise is drawn in full (N x D) and added to x in place.
@@ -390,7 +390,7 @@ def _sampled_grads(model: Autoencoder, x, noise: NoiseModel, rng, ws=None, x_sq=
     # and distributed as R_d^T G (I - Q Q^T) with G m x D i.i.d. noise. So
     # Z = X W1^T + (E Q) R and N grad1 = delta^T X + (delta^T E Q) Q^T + R_d^T G (I - Q Q^T),
     # from N k + m D normals in one draw: the same distribution as the full draw, not the
-    # same stream. A Gaussian or noise-free step keeps the clean X W1^T in "xw1".
+    # same stream. keep_clean=True keeps the clean X W1^T in "xw1" for a hidden-layer record.
     ws = Workspace() if ws is None else ws
     w1 = model.w1
     grad1, grad2 = out = ws("g1", w1.shape), ws("g2", model.w2.shape)
@@ -398,15 +398,14 @@ def _sampled_grads(model: Autoencoder, x, noise: NoiseModel, rng, ws=None, x_sq=
         e = _draw_noise(rng, noise, x.shape, ws)
         return backprop_grads(model, x, np.add(e, x, out=e), x_sq, out)
     (n, r), (h, d) = x.shape, w1.shape
-    xw1 = np.matmul(x, w1[:, :r].T, out=ws("xw1", (n, h)))
+    xw1 = np.matmul(x, w1[:, :r].T, out=ws("xw1", (n, h)) if keep_clean else None)
     if noise.kind == "none":
         return backprop_grads(model, x, x, x_sq, out, xw1)
     q, rq = np.linalg.qr(w1.T)
     k, m = q.shape[1], min(n, h)
     draw = _draw_noise(rng, noise, (n * k + m * d,), ws)
     eq, g = draw[:n * k].reshape(n, k), draw[n * k:].reshape(m, d)
-    z = eq @ rq
-    z += xw1
+    z = np.add(xw1, eq @ rq, out=None if keep_clean else xw1)
     loss, delta = _gram_form(model, x, z, x_sq, grad2)
     rdg = np.linalg.qr(delta, mode="r").T @ g         # R_d^T G, H x D
     s = delta.T @ eq
@@ -425,21 +424,30 @@ _rotated_diag = None
 
 
 def _check_spectrum(x, spectrum: Spectrum, cov=None):
-    # the eigenbasis step trusts the spectrum, so it must diagonalise S = X^T X (cov, when given)
+    # the eigenbasis step trusts the spectrum, so it must diagonalise S = X^T X; a caller's cov
+    # is tied to x by S u = X^T (X u) for a fixed random u, which other data fails, at O(N D)
     v, lams = spectrum.eigenvectors, spectrum.eigenvalues
-    s = x.T @ x if cov is None else cov
-    residual = float(np.max(np.abs(s @ v - v * lams)))
     bound = SPECTRUM_TOL * float(np.max(np.abs(lams)))
+    if cov is None:
+        s = x.T @ x
+    else:
+        s, d = np.asarray(cov, dtype=np.float64), x.shape[1]
+        u = np.random.default_rng(0).standard_normal(d)
+        u /= np.linalg.norm(u)
+        gap = float(np.max(np.abs(s @ u - x.T @ (x @ u)))) if s.shape == (d, d) else np.inf
+        if not gap <= bound:
+            raise ValueError(f"the covariance handed over is not X^T X of the dataset: "
+                             f"max |S u - X^T X u| = {gap:.3e} > {bound:.3e} for a unit u")
+    residual = float(np.max(np.abs(s @ v - v * lams)))
     if not residual <= bound:
         raise ValueError(f"spectrum does not diagonalise the dataset covariance: "
                          f"max |S V - V diag(lam)| = {residual:.3e} > {bound:.3e}")
 
 
 def _data_range(xv):
-    # The r leading columns of X V that hold data, as a new contiguous array: a column whose
-    # norm is at round-off against the largest one (SPECTRUM_TOL) holds none, and the spectrum
-    # must order all of those last, which it does when it diagonalises X^T X (ValueError
-    # otherwise). r = D when no column is at round-off.
+    # A view of the r leading columns of X V, those whose norm is above round-off against the
+    # largest one (SPECTRUM_TOL); a spectrum that diagonalises X^T X orders the rest last
+    # (ValueError otherwise)
     norms = np.sqrt(np.einsum("ij,ij->j", xv, xv))
     bound = SPECTRUM_TOL * float(np.max(norms, initial=0.0))
     r = int(np.count_nonzero(norms > bound))
@@ -449,7 +457,7 @@ def _data_range(xv):
                          f"past the leading {r} has norm {dropped:.3e} > {bound:.3e}")
     log.debug("training on %d of %d eigen-directions; largest dropped column norm %.3e, "
               "smallest kept %.3e", r, xv.shape[1], dropped, np.min(norms[:r], initial=np.inf))
-    return np.ascontiguousarray(xv[:, :r])
+    return xv[:, :r]
 
 
 def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readout,
@@ -458,24 +466,26 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readou
 
     Initialises the weights per config.init, then repeats: gradient (plus
     config.weight_decay * W, the penalty being part of the objective), update,
-    divergence check. Every objective but a Laplace-corrupted one is
-    rotation-invariant, so it iterates in the covariance eigenbasis, on
-    (W1 V, V^T W2), and rotates the final weights back to pixel space.
-    marginalized=True takes the closed-form noise expectation of the linear
-    objective against diag(lam), at O(H^2 D) per step
+    divergence check. marginalized=True takes the closed-form noise
+    expectation of the linear objective against diag(lam) in the covariance
+    eigenbasis, on (W1 V, V^T W2), at O(H^2 D) per step
     (marginalized_loss_and_grads); the spectrum must then diagonalise the
-    dataset's covariance, checked once against cov (the caller's X^T X) or
-    one formed here (ValueError otherwise). Otherwise every step
-    backpropagates through one fresh corruption drawn from the seeded
-    stream, in the Gram form of backprop_grads with ||X||^2 formed once per
-    run: a noise-free or Gaussian leg against XV_r, the r leading columns of
-    XV that hold data (see _data_range), so its large products are
-    N x r x H; a Laplace leg in pixel space against X. The divergence check
+    dataset's covariance, checked once against cov (the caller's X^T X, tied
+    to the data along a random direction) or one formed here (ValueError
+    otherwise). Otherwise every step backpropagates through one fresh
+    corruption drawn from the seeded stream, in the Gram form of
+    backprop_grads with ||X||^2 formed once per run. A leg with a readout of
+    the hidden layer forms XV for it once per run and, if noise-free or
+    gaussian (rotation-invariant), iterates on (W1 V, V^T W2) against XV_r,
+    the r columns of XV that hold data (_data_range): its large products are
+    N x r x H. A laplace leg, and a linear one, which would pay an N x D x D
+    product and hold XV beside X for it, train in pixel space against X.
+    Eigenbasis weights are rotated back at the end. The divergence check
     reads the iterated weights and fails on a NaN or an infinity in either
     matrix.
 
     The run owns one Workspace that every step writes into (see Workspace
-    and _sampled_grads); only a Laplace leg holds an N x D corrupted batch.
+    and _sampled_grads); only a laplace leg holds an N x D corrupted batch.
 
     The run is recorded at epoch 0, every record_every epochs and at the final
     epoch: the objective, the weight norm, the worst rotated off-diagonal of
@@ -483,11 +493,10 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readou
     network's D-vector of per-mode values read from the eigenbasis weights
     w1r = W1 V and w2r = V^T W2, which a pixel-space loop rotates at those
     epochs only. pre_activation=True calls readout(xv, xw1, w2r) instead, for
-    a readout of the hidden layer: xv is XV (XV_r on an eigenbasis leg),
-    formed once per run, and xw1 the clean pre-activation X W1^T (N x H),
-    which an eigenbasis step has kept; a pixel-space record then rotates W1
-    only for the off-diagonal, as ||W1 V|| = ||W1||. readout must not keep
-    or modify the arrays.
+    a readout of the hidden layer: xv is XV (XV_r on an eigenbasis leg) and
+    xw1 the clean pre-activation X W1^T (N x H), which an eigenbasis step has
+    kept; a pixel-space record then rotates W1 only for the off-diagonal, as
+    ||W1 V|| = ||W1||. readout must not keep or modify the arrays.
     """
     if spectrum.d != dataset.d:
         raise ValueError(f"spectrum dimension {spectrum.d} does not match dataset dim {dataset.d}")
@@ -501,15 +510,16 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readou
     else:
         init = init_small_random(d, config.hidden_dim, config.init_scale, config.seed)
     init = replace(init, activation=activation)
-    rotated = marginalized or config.noise.kind != "laplace"
+    rotated = marginalized or (pre_activation and config.noise.kind != "laplace")
+    x_sq = None if marginalized else float(np.vdot(x, x))
     if marginalized:
         _check_spectrum(x, spectrum, cov)
         eps_eff = epsilon_from_noise(config.noise, n)
         lams = spectrum.eigenvalues
-    elif rotated:
-        x = xv = _data_range(x @ v)
     elif pre_activation:
         xv = x @ v
+        if rotated:
+            x = xv = _data_range(xv)
     if rotated:
         w1, w2 = rotate_weights(init.w1, init.w2, spectrum)
     else:
@@ -522,7 +532,6 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readou
     alpha = config.learning_rate
     gamma = config.weight_decay
     ws = Workspace()
-    x_sq = None if marginalized else float(np.vdot(x, x))
     track_offdiag = d <= 64
     modes, norms, losses = [], [], []
     worst_off = 0.0 if track_offdiag else np.nan
@@ -531,7 +540,8 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readou
         if marginalized:
             loss, g1, g2 = marginalized_loss_and_grads(model, lams, n, eps_eff, ws)
         else:
-            loss, g1, g2 = _sampled_grads(model, x, config.noise, rng, ws, x_sq)
+            loss, g1, g2 = _sampled_grads(model, x, config.noise, rng, ws, x_sq,
+                                          pre_activation)
         if gamma > 0.0:
             g1 += np.multiply(w1, gamma, out=ws("decay1", w1.shape))
             g2 += np.multiply(w2, gamma, out=ws("decay2", w2.shape))
@@ -587,12 +597,11 @@ def run_linear_ae(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig,
                   cov=None) -> Run:
     """Linear-network descent whose per-mode values are the diagonal of V^T W2 W1 V.
 
-    config.loss_mode picks the marginalised objective or the sampled one.
-    Both train in the covariance eigenbasis, except a sampled run under
-    Laplace noise, which trains in pixel space (see descend). The
-    marginalised one needs a spectrum that diagonalises the dataset's
-    covariance, checked against cov (X^T X) when the caller has it
-    (ValueError otherwise).
+    config.loss_mode picks the marginalised objective, which trains in the
+    covariance eigenbasis, or the sampled one, which trains in pixel space
+    (see descend). The marginalised one needs a spectrum that diagonalises
+    the dataset's covariance, checked against cov (X^T X) when the caller has
+    it (ValueError otherwise, or when cov is not the dataset's X^T X).
     """
     return descend(dataset, spectrum, config,
                    lambda w1r, w2r: np.einsum("jh,hj->j", w2r, w1r),

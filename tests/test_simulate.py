@@ -424,9 +424,8 @@ def test_sampled_step_corrupts_bitwise_like_adding_a_fresh_draw(noise, small_dat
     for _ in range(2):
         simulate._sampled_grads(model, x, noise, rng, ws)
     # the draw (the corrupted batch on a Laplace step) and the gradients are the
-    # step's only buffers, besides the N x H clean pre-activation a Gaussian step keeps
-    assert set(ws) == {"noise", "g1", "g2"} | ({"xw1"} if noise.kind == "gaussian" else set())
-    assert noise.kind != "gaussian" or ws["xw1"].shape == (n, 4)
+    # step's only buffers
+    assert set(ws) == {"noise", "g1", "g2"}
     ref = np.random.default_rng(4)
     if noise.kind == "gaussian":
         k, m = min(d, 4), min(n, 4)
@@ -444,6 +443,25 @@ def test_sampled_step_corrupts_bitwise_like_adding_a_fresh_draw(noise, small_dat
                    + np.spacing(np.maximum(np.abs(want), np.abs(batch))))
             assert np.all(np.abs(batch - want) <= tol)
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("noise", [NoiseModel.none(), NoiseModel.gaussian(0.7)],
+                         ids=["none", "gaussian"])
+def test_a_kept_clean_pre_activation_changes_no_bit_of_the_step(noise, small_dataset):
+    # keep_clean=True leaves X W1^T in "xw1" (an N x H buffer that only a readout of the
+    # hidden layer asks for) and the step's loss and gradients exactly as they were
+    ds, _ = small_dataset
+    model = init_small_random(8, 4, 0.5, seed=1)
+    steps = []
+    for keep in (False, True):
+        ws = simulate.Workspace()
+        loss, g1, g2 = simulate._sampled_grads(model, ds.samples, noise,
+                                               np.random.default_rng(4), ws, keep_clean=keep)
+        steps.append((loss, g1.copy(), g2.copy()))
+        assert ("xw1" in ws) == keep
+    assert steps[0][0] == steps[1][0]
+    assert all(np.array_equal(a, b) for a, b in zip(steps[0][1:], steps[1][1:]))
+    assert np.array_equal(ws["xw1"], ds.samples @ model.w1.T)
 
 
 def test_a_nan_in_delta_passes_the_qr_and_stops_the_run_at_that_epoch(small_dataset,
@@ -602,9 +620,10 @@ def test_linear_ae_matches_pixel_space_descent_oracle(data, init, gamma, request
 @pytest.mark.parametrize("gamma", [0.0, 1e-3], ids=["no-decay", "decay"])
 @pytest.mark.parametrize("network", ["linear", "identity", "relu", "tanh"])
 def test_noise_free_backprop_matches_pixel_space_descent_oracle(network, gamma, data, r, request):
-    # a noise-free leg trains in the eigenbasis on the r columns of XV that hold data; it
-    # must follow plain pixel-space descent on all D columns to round-off: modes, norms,
-    # losses and final weights within 1e-12 of each series' largest value
+    # a noise-free nonlinear leg trains in the eigenbasis on the r columns of XV that hold
+    # data, and a linear sampled one in pixel space; each must follow plain pixel-space
+    # descent on all D columns to round-off: modes, norms, losses and final weights within
+    # 1e-12 of each series' largest value
     ds, spec = request.getfixturevalue(data)
     assert simulate._data_range(ds.samples @ spec.eigenvectors).shape[1] == r
     cfg = TrainingConfig(learning_rate=0.05 * ds.n, epochs=300, weight_decay=gamma,
@@ -639,16 +658,16 @@ def test_noise_free_backprop_matches_pixel_space_descent_oracle(network, gamma, 
 
 
 def test_a_spectrum_that_orders_a_null_direction_before_data_is_refused(rank_deficient_dataset):
-    # swapping a data direction with a null one puts a column of data past the range's r
+    # swapping a data direction with a null one puts a column of data past the range's r,
+    # which a noise-free or gaussian backprop leg, training on that range, refuses
     ds, spec = rank_deficient_dataset
     v = spec.eigenvectors[:, [0, 1, 2, 3, 5, 4, 6, 7]]
     swapped = Spectrum(eigenvectors=v, eigenvalues=spec.eigenvalues)
-    cfg = TrainingConfig(learning_rate=0.2, epochs=5, hidden_dim=2, loss_mode="sampled")
-    for train in (lambda: run_linear_ae(ds, swapped, cfg),
-                  lambda: train_nonlinear(ds, swapped, cfg, "relu")):
+    for noise in (NoiseModel.none(), NoiseModel.gaussian(0.05)):
+        cfg = TrainingConfig(learning_rate=0.2, epochs=5, noise=noise, hidden_dim=2)
         with pytest.raises(ValueError, match=r"range first: a column of X V past the leading "
                                              r"5 has norm \d"):
-            train()
+            train_nonlinear(ds, swapped, cfg, "relu")
 
 
 @pytest.mark.parametrize("loss_mode, activation", [
@@ -681,11 +700,16 @@ def test_linear_ae_rejects_a_spectrum_of_other_data(small_dataset):
     cfg = TrainingConfig(learning_rate=0.5, epochs=10, hidden_dim=2)
     with pytest.raises(ValueError, match="diagonalise"):
         run_linear_ae(ds, other, cfg)
-    # a covariance the caller hands over is the one checked
+    # a covariance the caller hands over must be the dataset's X^T X, whichever spectrum
+    # comes with it, so other data's spectrum and covariance together are refused too
+    cov = covariance(ds)
     other_cov = covariance(synthetic_dataset(SPECTRUM_8, 400, seed=4))
-    with pytest.raises(ValueError, match="diagonalise"):
-        run_linear_ae(ds, eigendecompose(covariance(ds)), cfg, other_cov)
-    run_linear_ae(ds, other, cfg, other_cov)
+    for spec, handed in [(eigendecompose(cov), other_cov), (other, other_cov),
+                         (eigendecompose(cov), cov[:4, :4])]:
+        with pytest.raises(ValueError, match=r"not X\^T X of the dataset"):
+            run_linear_ae(ds, spec, cfg, handed)
+    assert np.array_equal(run_linear_ae(ds, eigendecompose(cov), cfg, cov).modes,
+                          run_linear_ae(ds, eigendecompose(cov), cfg).modes)
 
 
 @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf, 1e12, 1e200])
