@@ -2,10 +2,9 @@
 
 File formats handled here:
   - IDX images: 4-byte big-endian magic 0x00000803, three big-endian uint32
-    dims (count, rows, cols), then raw unsigned bytes row-major.
-  - IDX labels: magic 0x00000801, one uint32 count, then one byte per label.
+    dims (count, rows, cols), then raw unsigned bytes row-major; no labels.
   - CIFAR-10 binary: consecutive 3073-byte records (1 label byte followed by
-    3072 channel-major pixel bytes). The channel-major layout is preserved.
+    3072 channel-major pixel bytes), layout preserved; labels checked and kept.
   - Matrix cache: 8-byte header of two little-endian uint32 (rows, cols),
     then row-major little-endian float64 values.
 """
@@ -22,14 +21,13 @@ from .errors import ParseError
 from .spectrum import Dataset, random_orthogonal
 
 IDX_IMAGES_MAGIC = 0x00000803
-IDX_LABELS_MAGIC = 0x00000801
 CIFAR_RECORD_BYTES = 3073
 MAX_PIXEL_COUNT = 2 ** 40  # header sanity bound before allocating
 
 
 @dataclass(frozen=True)
 class RawImageBatch:
-    """Parsed images scaled to [0, 1]; labels are kept but unused by training."""
+    """Parsed images scaled to [0, 1]; CIFAR-10 keeps its checked labels, IDX has none."""
 
     pixels: np.ndarray
     labels: np.ndarray | None
@@ -49,14 +47,6 @@ class RawImageBatch:
             object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "pixels", pixels)
 
-    @property
-    def n(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.pixels.shape[1]
-
 
 def _read_file(path):
     try:
@@ -65,12 +55,8 @@ def _read_file(path):
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
-def load_idx(images_path, count_limit=None, labels_path=None) -> RawImageBatch:
-    """Parse an IDX unsigned-byte rank-3 image file; bytes are scaled by 1/255.
-
-    Parses the first min(count_limit, header count) images. Labels come from a
-    separate IDX label file when a path is given.
-    """
+def load_idx(images_path, count_limit=None) -> RawImageBatch:
+    """The first min(count_limit, header count) images of an IDX uint8 file, scaled by 1/255."""
     raw = _read_file(images_path)
     if len(raw) < 4:
         raise ParseError(f"truncated magic: file ends at byte {len(raw)}", offset=len(raw))
@@ -81,6 +67,8 @@ def load_idx(images_path, count_limit=None, labels_path=None) -> RawImageBatch:
     if len(raw) < 16:
         raise ParseError(f"truncated dimension header: file ends at byte {len(raw)}", offset=len(raw))
     count, rows, cols = struct.unpack(">III", raw[4:16])
+    if count == 0:
+        raise ParseError("empty image file: header at byte 4 promises 0 images", offset=4)
     if rows * cols == 0:
         raise ParseError(f"zero image dimensions {rows}x{cols} in header at byte 8", offset=8)
     if count * rows * cols > MAX_PIXEL_COUNT:
@@ -94,27 +82,7 @@ def load_idx(images_path, count_limit=None, labels_path=None) -> RawImageBatch:
             offset=len(raw))
     pixels = np.frombuffer(raw, dtype=np.uint8, count=n * rows * cols, offset=16)
     pixels = pixels.astype(np.float64).reshape(n, rows * cols) / 255.0
-    labels = _load_idx_labels(labels_path, n) if labels_path is not None else None
-    return RawImageBatch(pixels=pixels, labels=labels, source="mnist", image_shape=(rows, cols))
-
-
-def _load_idx_labels(path, n):
-    raw = _read_file(path)
-    if len(raw) < 8:
-        raise ParseError(f"truncated label header: file ends at byte {len(raw)}", offset=len(raw))
-    magic = int.from_bytes(raw[0:4], "big")
-    if magic != IDX_LABELS_MAGIC:
-        raise ParseError(
-            f"wrong magic 0x{magic:08x} at byte 0 (expected 0x{IDX_LABELS_MAGIC:08x})", offset=0)
-    count = int.from_bytes(raw[4:8], "big")
-    if count < n or len(raw) < 8 + n:
-        raise ParseError(f"label file has {count} entries, need {n}", offset=8)
-    labels = np.frombuffer(raw, dtype=np.uint8, count=n, offset=8).astype(np.int64)
-    bad = np.flatnonzero(labels > 9)
-    if bad.size:
-        raise ParseError(f"label {labels[bad[0]]} out of range at byte {8 + int(bad[0])}",
-                         offset=8 + int(bad[0]))
-    return labels
+    return RawImageBatch(pixels=pixels, labels=None, source="mnist", image_shape=(rows, cols))
 
 
 def load_cifar10(batch_path, count_limit=None) -> RawImageBatch:
@@ -140,36 +108,6 @@ def load_cifar10(batch_path, count_limit=None) -> RawImageBatch:
             offset=int(bad[0]) * CIFAR_RECORD_BYTES)
     pixels = records[:, 1:].astype(np.float64) / 255.0
     return RawImageBatch(pixels=pixels, labels=labels, source="cifar10")
-
-
-def write_idx(batch: RawImageBatch, images_path, labels_path=None):
-    """Serialize a batch back to IDX bytes; exact inverse of load_idx."""
-    rows, cols = batch.image_shape if batch.image_shape else (batch.d, 1)
-    if rows * cols != batch.d:
-        raise ValueError(f"image shape {rows}x{cols} does not match dimension {batch.d}")
-    data = np.rint(batch.pixels * 255.0).astype(np.uint8)
-    with open(images_path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, batch.n, rows, cols))
-        fh.write(data.tobytes())
-    if labels_path is not None:
-        if batch.labels is None:
-            raise ValueError("batch has no labels to serialize")
-        with open(labels_path, "wb") as fh:
-            fh.write(struct.pack(">II", IDX_LABELS_MAGIC, batch.n))
-            fh.write(batch.labels.astype(np.uint8).tobytes())
-
-
-def write_cifar10(batch: RawImageBatch, path):
-    """Serialize a batch back to CIFAR-10 binary records; exact inverse of load_cifar10."""
-    if batch.d != CIFAR_RECORD_BYTES - 1:
-        raise ValueError(f"CIFAR records need {CIFAR_RECORD_BYTES - 1} pixels, got {batch.d}")
-    if batch.labels is None:
-        raise ValueError("CIFAR serialization needs labels")
-    records = np.empty((batch.n, CIFAR_RECORD_BYTES), dtype=np.uint8)
-    records[:, 0] = batch.labels.astype(np.uint8)
-    records[:, 1:] = np.rint(batch.pixels * 255.0).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(records.tobytes())
 
 
 def synthetic_dataset(eigenvalues, n, seed) -> Dataset:
@@ -228,6 +166,8 @@ def load_matrix(path):
     if len(raw) < 8:
         raise ParseError(f"truncated cache header: file ends at byte {len(raw)}", offset=len(raw))
     rows, cols = struct.unpack("<II", raw[0:8])
+    if rows * cols == 0:
+        raise ParseError(f"empty cache: header at byte 0 promises {rows}x{cols} values", offset=0)
     need = 8 + rows * cols * 8
     if len(raw) != need:
         raise ParseError(

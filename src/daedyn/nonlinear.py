@@ -20,12 +20,6 @@ from .spectrum import Dataset, Spectrum
 LAMBDA_FLOOR_FACTOR = 1e-8  # modes below this fraction of the top eigenvalue are absent
 
 
-def reconstruct(model: Autoencoder, x):
-    """Clean-input reconstruction W2 phi(W1 x), rows are samples."""
-    phi, _ = ACTIVATIONS[model.activation]
-    return phi(x @ model.w1.T) @ model.w2.T
-
-
 def _estimate(xv, xw1, w2r, activation, lams):
     # diag(V^T X^T X_hat V) / lam as colsum(XV * X_hat V) / lam, where X_hat V =
     # phi(X W1^T) (V^T W2)^T: the hidden layer needs no rotation of W1. xv may hold only the

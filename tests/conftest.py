@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import write_cifar10, write_idx
+
 from daedyn import data, spectrum
 
 
@@ -41,21 +43,17 @@ def imagelike_pixels(n_img, d, seed, n_strong=24, strong=2.0, weak=0.025):
 
 @pytest.fixture(scope="session")
 def mnist_like_paths(tmp_path_factory):
-    """(images, labels) IDX paths: real MNIST when configured, else the fixture."""
+    """IDX images path: real MNIST when configured, else the fixture."""
     env = os.environ.get("DAEDYN_MNIST_IMAGES")
     if env and Path(env).is_file():
-        labels = os.environ.get("DAEDYN_MNIST_LABELS")
-        return Path(env), Path(labels) if labels and Path(labels).is_file() else None
+        return Path(env)
     root = tmp_path_factory.mktemp("mnist_like")
     pixels = imagelike_pixels(1200, 784, seed=20)
-    rng = np.random.default_rng(99)
-    batch = data.RawImageBatch(pixels=pixels / 255.0,
-                               labels=rng.integers(0, 10, size=1200),
+    batch = data.RawImageBatch(pixels=pixels / 255.0, labels=None,
                                source="mnist", image_shape=(28, 28))
     images = root / "train-images-idx3-ubyte"
-    labels = root / "train-labels-idx1-ubyte"
-    data.write_idx(batch, images, labels)
-    return images, labels
+    write_idx(batch, images)
+    return images
 
 
 @pytest.fixture(scope="session")
@@ -71,14 +69,14 @@ def cifar_like_path(tmp_path_factory):
                                labels=rng.integers(0, 10, size=700),
                                source="cifar10")
     path = root / "data_batch_1.bin"
-    data.write_cifar10(batch, path)
+    write_cifar10(batch, path)
     return path
 
 
 @pytest.fixture(scope="session")
 def mnist_like_dataset(mnist_like_paths):
     """Parsed 1000-sample dataset plus its spectrum (the criterion-7 setup)."""
-    images, _ = mnist_like_paths
+    images = mnist_like_paths
     batch = data.load_idx(images, count_limit=1000)
     dataset = data.preprocess(batch)
     spec = spectrum.eigendecompose(spectrum.covariance(dataset))

@@ -21,11 +21,15 @@ the noise-marginalised loss, and the projected diagonal reads per-mode values
 off a pair of pixel-space weights.
 The row-at-a-time csv.writer formatters are the references for the block
 writer that emits every CSV, and the CSV readers turn the files the CLI
-writes back into arrays.
+writes back into arrays. The IDX and CIFAR-10 byte writers are the parsers'
+references: each turns a parsed batch back into the file bytes it came from,
+and the fixtures write their datasets with them.
 """
 
 import csv
 import math
+import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -338,6 +342,19 @@ def projected_diagonal(w1, w2, spectrum):
     else:
         off = 0.0
     return diag, off
+
+
+def write_idx(batch, path):
+    """IDX image bytes of a parsed batch: the byte-exact inverse of data.load_idx."""
+    pixels = np.rint(batch.pixels * 255.0).astype(np.uint8)
+    head = struct.pack(">IIII", 0x00000803, pixels.shape[0], *batch.image_shape)
+    Path(path).write_bytes(head + pixels.tobytes())
+
+
+def write_cifar10(batch, path):
+    """CIFAR-10 record bytes of a parsed batch: the byte-exact inverse of data.load_cifar10."""
+    records = np.column_stack([batch.labels, np.rint(batch.pixels * 255.0)]).astype(np.uint8)
+    Path(path).write_bytes(records.tobytes())
 
 
 def write_csv_rows(path, header, rows):

@@ -12,7 +12,14 @@ import time
 import numpy as np
 import pytest
 
-from oracles import central_difference_grad, mode_flow, sampled_loss, solve_at_times
+from oracles import (
+    central_difference_grad,
+    mode_flow,
+    sampled_loss,
+    solve_at_times,
+    write_cifar10,
+    write_idx,
+)
 
 from daedyn import analytic, data, nonlinear, simulate, spectrum
 from daedyn.analytic import (
@@ -26,7 +33,7 @@ from daedyn.analytic import (
     wdae_fixed_point,
     wdae_trajectory,
 )
-from daedyn.data import load_cifar10, load_idx, synthetic_dataset, write_cifar10, write_idx
+from daedyn.data import load_cifar10, load_idx, synthetic_dataset
 from daedyn.errors import ParseError
 from daedyn.simulate import (
     Autoencoder,
@@ -273,7 +280,7 @@ def test_criterion_08_weight_norm_phases():
 
 def test_criterion_09_nonlinear_qualitative(mnist_like_paths):
     """ReLU triple: noise and decay both suppress plateaus; decay delays learning."""
-    images, _ = mnist_like_paths
+    images = mnist_like_paths
     batch = load_idx(images, count_limit=500)
     ds = data.preprocess(batch)
     spec = eigendecompose(covariance(ds))

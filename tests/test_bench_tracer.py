@@ -56,7 +56,7 @@ def test_tracer_counts_the_csv_writers(tmp_path, mnist_like_paths):
     tracer.install(MODULES)
     try:
         assert main(["predict", "--epochs", "200", "--out", str(tmp_path / "predict")]) == 0
-        assert main(["ingest", "--dataset", str(mnist_like_paths[0]), "--n", "50",
+        assert main(["ingest", "--dataset", str(mnist_like_paths), "--n", "50",
                      "--eigenvectors", "--out", str(tmp_path / "ingest")]) == 0
     finally:
         tracer.uninstall()

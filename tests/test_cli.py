@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
@@ -107,6 +108,23 @@ def test_cli_returns_io_error_exit_code(tmp_path, capsys):
     bogus.write_bytes(b"\x00\x00\x08\x01garbage")
     code = main(["ingest", "--dataset", str(bogus), "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_IO
+
+
+@pytest.mark.parametrize("name, payload, where", [
+    ("empty.idx", struct.pack(">IIII", 0x00000803, 0, 28, 28), "at byte 4"),
+    ("rows.cache", struct.pack("<II", 0, 5), "at byte 0"),
+    ("cols.cache", struct.pack("<II", 5, 0), "at byte 0"),
+])
+def test_real_data_on_an_empty_dataset_file_is_a_parse_error(name, payload, where, tmp_path,
+                                                              capsys):
+    path = tmp_path / name
+    path.write_bytes(payload)
+    code = main(["real-data", "--dataset", str(path), "--epochs", "1",
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_IO
+    assert err.startswith("I/O or parse error: empty") and where in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -570,7 +588,7 @@ def test_surface_zero_noise_minimum_on_unit_hyperbola(tmp_path):
 # --- dataset-backed commands ----------------------------------------------------
 
 def test_ingest_writes_cache_and_spectrum(tmp_path, mnist_like_paths):
-    images, _ = mnist_like_paths
+    images = mnist_like_paths
     out = tmp_path / "out"
     assert main(["ingest", "--dataset", str(images), "--n", "64",
                  "--eigenvectors", "--out", str(out)]) == 0
@@ -688,7 +706,7 @@ def test_real_data_under_decay_writes_no_curve_it_cannot_solve(init, solved, tmp
 
 
 def test_nonlinear_zero_epoch_emits_one_row_per_mode(tmp_path, mnist_like_paths):
-    images, _ = mnist_like_paths
+    images = mnist_like_paths
     out = tmp_path / "out"
     assert main(["nonlinear", "--dataset", str(images), "--n", "128",
                  "--epochs", "0", "--hidden", "16", "--modes", "1,2,3,4",
@@ -737,7 +755,7 @@ def test_simulate_says_when_it_drops_the_analytic_overlay(flags, reason, tmp_pat
 
 
 def test_cli_outputs_are_deterministic(tmp_path, mnist_like_paths):
-    images = str(mnist_like_paths[0])
+    images = str(mnist_like_paths)
     runs = {
         "real-data": ["real-data", "--dataset", images, "--n", "200", "--sigma2", "0.5",
                       "--alpha", "0.02", "--epochs", "300", "--hidden", "8",

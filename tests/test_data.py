@@ -5,7 +5,8 @@ import struct
 import numpy as np
 import pytest
 
-from daedyn import data
+from oracles import write_cifar10, write_idx
+
 from daedyn.data import (
     RawImageBatch,
     load_cifar10,
@@ -14,8 +15,6 @@ from daedyn.data import (
     preprocess,
     save_matrix,
     synthetic_dataset,
-    write_cifar10,
-    write_idx,
 )
 from daedyn.errors import ParseError
 
@@ -30,7 +29,7 @@ def test_load_idx_hand_built_two_image_file(tmp_path):
     path = tmp_path / "imgs"
     path.write_bytes(_idx_bytes(payload, 2, 2))
     batch = load_idx(path)
-    assert batch.n == 2 and batch.d == 4
+    assert batch.pixels.shape == (2, 4)
     assert np.array_equal(batch.pixels[0], [0.0, 1.0, 128 / 255, 64 / 255])
     assert batch.image_shape == (2, 2)
 
@@ -39,7 +38,7 @@ def test_load_idx_respects_count_limit(tmp_path):
     path = tmp_path / "imgs"
     path.write_bytes(_idx_bytes(list(range(16)), 2, 2))
     batch = load_idx(path, count_limit=3)
-    assert batch.n == 3
+    assert batch.pixels.shape[0] == 3
 
 
 def test_load_idx_rejects_label_magic(tmp_path):
@@ -70,27 +69,17 @@ def test_load_idx_dimension_overflow(tmp_path):
         load_idx(path)
 
 
-def test_load_idx_with_labels(tmp_path):
-    imgs = tmp_path / "imgs"
-    labels = tmp_path / "labels"
-    imgs.write_bytes(_idx_bytes([0, 1, 2, 3, 4, 5, 6, 7], 2, 2))
-    labels.write_bytes(struct.pack(">II", 0x00000801, 2) + bytes([7, 3]))
-    batch = load_idx(imgs, labels_path=labels)
-    assert np.array_equal(batch.labels, [7, 3])
-
-
-def test_load_idx_label_out_of_range(tmp_path):
-    imgs = tmp_path / "imgs"
-    labels = tmp_path / "labels"
-    imgs.write_bytes(_idx_bytes([0, 1, 2, 3], 2, 2))
-    labels.write_bytes(struct.pack(">II", 0x00000801, 1) + bytes([12]))
-    with pytest.raises(ParseError, match="out of range"):
-        load_idx(imgs, labels_path=labels)
+def test_load_idx_rejects_a_header_of_zero_images(tmp_path):
+    path = tmp_path / "imgs"
+    path.write_bytes(_idx_bytes([], 2, 2))
+    with pytest.raises(ParseError, match="0 images") as info:
+        load_idx(path)
+    assert info.value.offset == 4
 
 
 def test_load_idx_checksum_matches_byte_level_reader(mnist_like_paths):
     # independent reader: walk raw bytes directly, no numpy parsing
-    images_path, _ = mnist_like_paths
+    images_path = mnist_like_paths
     batch = load_idx(images_path, count_limit=50)
     raw = images_path.read_bytes()
     rows = int.from_bytes(raw[8:12], "big")
@@ -144,20 +133,17 @@ def test_load_cifar10_preserves_channel_major_layout(tmp_path):
 
 
 def test_idx_round_trip_is_byte_exact(mnist_like_paths, tmp_path):
-    images_path, labels_path = mnist_like_paths
-    batch = load_idx(images_path, count_limit=64, labels_path=labels_path)
+    images_path = mnist_like_paths
+    batch = load_idx(images_path, count_limit=64)
     out_images = tmp_path / "imgs"
-    out_labels = tmp_path / "labels"
-    write_idx(batch, out_images, out_labels if batch.labels is not None else None)
+    write_idx(batch, out_images)
     original = images_path.read_bytes()
     rows, cols = batch.image_shape
     expected = struct.pack(">IIII", 0x00000803, 64, rows, cols) \
         + original[16:16 + 64 * rows * cols]
     assert out_images.read_bytes() == expected
-    again = load_idx(out_images, labels_path=out_labels if batch.labels is not None else None)
+    again = load_idx(out_images)
     assert np.array_equal(again.pixels, batch.pixels)
-    if batch.labels is not None:
-        assert np.array_equal(again.labels, batch.labels)
 
 
 def test_cifar_round_trip_is_byte_exact(cifar_like_path, tmp_path):
@@ -171,8 +157,7 @@ def test_cifar_round_trip_is_byte_exact(cifar_like_path, tmp_path):
 
 
 def test_parsed_pixels_and_labels_in_range(mnist_like_paths, cifar_like_path):
-    images_path, labels_path = mnist_like_paths
-    idx = load_idx(images_path, count_limit=200, labels_path=labels_path)
+    idx = load_idx(mnist_like_paths, count_limit=200)
     cif = load_cifar10(cifar_like_path, count_limit=200)
     for batch in (idx, cif):
         assert batch.pixels.min() >= 0.0 and batch.pixels.max() <= 1.0
@@ -286,6 +271,15 @@ def test_matrix_cache_detects_truncation(tmp_path):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(ParseError, match="mismatch"):
         load_matrix(path)
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0), (0, 0)])
+def test_matrix_cache_rejects_an_empty_header(rows, cols, tmp_path):
+    path = tmp_path / "m.cache"
+    path.write_bytes(struct.pack("<II", rows, cols))
+    with pytest.raises(ParseError, match=f"{rows}x{cols}") as info:
+        load_matrix(path)
+    assert info.value.offset == 0
 
 
 def test_raw_image_batch_validation():
