@@ -266,7 +266,7 @@ def _load_dataset(cfg: ExperimentConfig) -> spectrum.Dataset:
     elif fmt == "cifar10":
         raw = data.load_cifar10(path, count_limit=cfg.n)
     else:
-        raw = data.load_matrix(path)[: cfg.n]
+        raw = data.load_matrix(path, count_limit=cfg.n)
     return data.preprocess(raw, center=cfg.center, scale=cfg.scale)
 
 
@@ -439,6 +439,7 @@ def cmd_nonlinear(cfg: ExperimentConfig):
     """AE / WDAE / DAE nonlinear triple with shared seed; estimated-mode CSVs."""
     dataset, spec, modes, noise, eps_eff, cov = _training_inputs(cfg)
     del cov     # the D x D X^T X serves only the marginalised check, so it is not held
+    xv = dataset.samples @ spec.eigenvectors    # XV, which every leg reads
     gamma = cfg.gamma
     if gamma is None:   # the decay matching the DAE leg's mode-1 fixed point
         gamma = (analytic.equivalent_decay(float(spec.eigenvalues[0]), eps_eff) / dataset.n
@@ -447,7 +448,7 @@ def cmd_nonlinear(cfg: ExperimentConfig):
     def estimated(leg_noise, decay):
         # only the series outlives a leg, so its weights are freed before the next one trains
         run = nonlinear.train_nonlinear(dataset, spec, _training_config(cfg, leg_noise, decay),
-                                        cfg.activation)
+                                        cfg.activation, xv)
         # a mode below the eigenvalue floor reads NaN throughout and is left out
         return [run.trajectory(rank, kind="estimated") for rank in modes
                 if not np.isnan(run.modes[:, rank - 1]).any()]

@@ -11,6 +11,7 @@ File formats handled here:
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -160,17 +161,30 @@ def save_matrix(path, matrix):
         fh.write(m.tobytes())
 
 
-def load_matrix(path):
-    """Inverse of save_matrix."""
-    raw = _read_file(path)
-    if len(raw) < 8:
-        raise ParseError(f"truncated cache header: file ends at byte {len(raw)}", offset=len(raw))
-    rows, cols = struct.unpack("<II", raw[0:8])
-    if rows * cols == 0:
-        raise ParseError(f"empty cache: header at byte 0 promises {rows}x{cols} values", offset=0)
-    need = 8 + rows * cols * 8
-    if len(raw) != need:
-        raise ParseError(
-            f"cache payload mismatch: header at byte 0 promises {need} bytes, file has {len(raw)}",
-            offset=min(len(raw), need))
-    return np.frombuffer(raw, dtype="<f8", count=rows * cols, offset=8).reshape(rows, cols).copy()
+def load_matrix(path, count_limit=None):
+    """Inverse of save_matrix; only the first min(count_limit, rows) rows are read."""
+    try:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            header = fh.read(8)
+            if len(header) < 8:
+                raise ParseError(f"truncated cache header: file ends at byte {len(header)}",
+                                 offset=len(header))
+            rows, cols = struct.unpack("<II", header)
+            if rows * cols == 0:
+                raise ParseError(f"empty cache: header at byte 0 promises {rows}x{cols} values",
+                                 offset=0)
+            need = 8 + rows * cols * 8
+            if size != need:
+                raise ParseError(f"cache payload mismatch: header at byte 0 promises {need} "
+                                 f"bytes, file has {size}", offset=min(size, need))
+            n = rows if count_limit is None else min(rows, int(count_limit))
+            payload = fh.read(n * cols * 8)
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    if len(payload) != n * cols * 8:
+        raise ParseError(f"truncated cache payload: file ends at byte {8 + len(payload)}",
+                         offset=8 + len(payload))
+    # copied from the read buffer, as before: read in place, X shared its page offset with the
+    # sampled step's N x D noise buffer, and sampled_small_d trained 10-22% slower
+    return np.frombuffer(payload, dtype="<f8").reshape(n, cols).copy()

@@ -50,19 +50,19 @@ def estimate_identity_map(dataset: Dataset, model: Autoencoder, spectrum: Spectr
 
 
 def train_nonlinear(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig,
-                    activation: str) -> Run:
+                    activation: str, xv=None) -> Run:
     """Full-batch backprop with fresh per-epoch corruption; the run's modes are estimated ratios.
 
     Corruption is always sampled, whatever config.loss_mode says. A noise-free
     or Gaussian leg trains in the covariance eigenbasis on the data's range
     XV_r (see descend); a Laplace leg trains in pixel space. Each record
-    estimates the ratios from XV (XV_r on an eigenbasis leg), formed once per
-    run, the clean pre-activation X W1^T, which an eigenbasis leg's step has
-    already formed, and V^T W2; modes below the eigenvalue floor read NaN. The
-    run is deterministic per seed. epochs=0 is allowed and records the initial
-    model only.
+    estimates the ratios from XV (XV_r on an eigenbasis leg), the caller's xv
+    or one formed once per run, the clean pre-activation X W1^T, which an
+    eigenbasis leg's step has already formed, and V^T W2; modes below the
+    eigenvalue floor read NaN. The run is deterministic per seed. epochs=0 is
+    allowed and records the initial model only.
     """
     lams = spectrum.eigenvalues
     return descend(dataset, spectrum, config,
                    lambda xv, xw1, w2r: _estimate(xv, xw1, w2r, activation, lams),
-                   activation=activation, pre_activation=True)
+                   activation=activation, pre_activation=True, xv=xv)

@@ -228,8 +228,9 @@ def init_small_random(d, h, scale, seed) -> Autoencoder:
 class Workspace(dict):
     """Named float64 buffers that a run's steps write into, each made on first use.
 
-    Every step asks for the same names and shapes, so the gradients, the
-    update and the noise draw are allocated once per run, not once per step.
+    Every step asks for the same names and shapes, so the gradients and the
+    noise draw are allocated once per run, not once per step (a marginalised
+    grad2 is an H x D buffer's transpose, column-major like that run's W2).
     A buffer exists only once a step has needed it: only a Laplace leg holds
     an N x D corrupted batch, a Gaussian leg holds its N k + m D low-rank draw
     and a noise-free one no draw at all. A Gaussian or noise-free step of a
@@ -245,7 +246,8 @@ class Workspace(dict):
         return buf
 
 
-def marginalized_loss_and_grads(model: Autoencoder, lams, n, epsilon_eff, ws=None):
+def marginalized_loss_and_grads(model: Autoencoder, lams, n, epsilon_eff, ws=None,
+                                with_loss=True):
     """Noise-marginalised loss and its exact full-batch gradients, in the covariance eigenbasis.
 
     model holds the eigenbasis weights (W1 V, V^T W2), and lams the eigenvalues
@@ -253,9 +255,10 @@ def marginalized_loss_and_grads(model: Autoencoder, lams, n, epsilon_eff, ws=Non
     The loss is
     (1/2n) tr((I - W2 W1) S (I - W2 W1)^T) + (epsilon_eff / 2n) tr(W2 W1 W1^T W2^T),
     and the gradients come back in the same basis, (dL/dW1 V, V^T dL/dW2), at
-    O(H^2 D) per call. The gradients and the H x D temporaries are written
-    into the Workspace ws (a fresh one when None), so the returned gradients
-    are its buffers.
+    O(H^2 D) per call; with_loss=False returns None for the loss. The
+    gradients and the H x D temporaries are written into the Workspace ws (a
+    fresh one when None), so the returned gradients are its buffers; grad2 is
+    column-major. Either layout of W2 gives the same bits.
     """
     if epsilon_eff < 0.0:
         raise ValueError(f"effective noise must be >= 0, got {epsilon_eff}")
@@ -271,14 +274,18 @@ def marginalized_loss_and_grads(model: Autoencoder, lams, n, epsilon_eff, ws=Non
     np.multiply(w2.T, lams, out=w2t_cov)              # W2^T S
     b = w2.T @ w2                     # H x H
     q = a_eps @ w1.T                  # W1 (S + eps I) W1^T, H x H
-    cross = np.multiply(w2, a.T, out=ws("cross", (d, h)))
-    loss = 0.5 / n * (np.sum(lams) - 2.0 * np.sum(cross) + np.sum(q * b))
     grad1 = np.matmul(b, a_eps, out=ws("g1", (h, d)))
     grad1 -= w2t_cov
     grad1 /= n
-    grad2 = np.matmul(w2, q, out=ws("g2", (d, h)))
+    # into a transposed buffer BLAS computes q^T W2^T, with the same bits
+    grad2 = np.matmul(w2, q, out=ws("g2", (h, d)).T)
     grad2 -= a.T
     grad2 /= n
+    if not with_loss:
+        return None, grad1, grad2
+    # summed in row-major order whatever W2's layout, so the loss's bits are too
+    cross = np.multiply(w2, a.T, out=ws("cross", (d, h)))
+    loss = 0.5 / n * (np.sum(lams) - 2.0 * np.sum(cross) + np.sum(q * b))
     return loss, grad1, grad2
 
 
@@ -423,21 +430,26 @@ def _sampled_grads(model: Autoencoder, x, noise: NoiseModel, rng, ws=None, x_sq=
 _rotated_diag = None
 
 
+def _tied(product, shape, data_product, bound, name, form):
+    # a caller's product must match data_product(u), formed from the data at O(N D), along a
+    # fixed random unit u
+    product = np.asarray(product, dtype=np.float64)
+    u = np.random.default_rng(0).standard_normal(shape[1])
+    u /= np.linalg.norm(u)
+    gap = float(np.max(np.abs(product @ u - data_product(u)))) if product.shape == shape else np.inf
+    if not gap <= bound:
+        raise ValueError(f"the {name} handed over is not {form} of the dataset: "
+                         f"max |P u - {form} u| = {gap:.3e} > {bound:.3e} for a unit u")
+    return product
+
+
 def _check_spectrum(x, spectrum: Spectrum, cov=None):
-    # the eigenbasis step trusts the spectrum, so it must diagonalise S = X^T X; a caller's cov
-    # is tied to x by S u = X^T (X u) for a fixed random u, which other data fails, at O(N D)
+    # the eigenbasis step trusts the spectrum, so it must diagonalise S = X^T X
     v, lams = spectrum.eigenvectors, spectrum.eigenvalues
     bound = SPECTRUM_TOL * float(np.max(np.abs(lams)))
-    if cov is None:
-        s = x.T @ x
-    else:
-        s, d = np.asarray(cov, dtype=np.float64), x.shape[1]
-        u = np.random.default_rng(0).standard_normal(d)
-        u /= np.linalg.norm(u)
-        gap = float(np.max(np.abs(s @ u - x.T @ (x @ u)))) if s.shape == (d, d) else np.inf
-        if not gap <= bound:
-            raise ValueError(f"the covariance handed over is not X^T X of the dataset: "
-                             f"max |S u - X^T X u| = {gap:.3e} > {bound:.3e} for a unit u")
+    d = x.shape[1]
+    s = x.T @ x if cov is None else _tied(cov, (d, d), lambda u: x.T @ (x @ u), bound,
+                                          "covariance", "X^T X")
     residual = float(np.max(np.abs(s @ v - v * lams)))
     if not residual <= bound:
         raise ValueError(f"spectrum does not diagonalise the dataset covariance: "
@@ -461,7 +473,8 @@ def _data_range(xv):
 
 
 def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readout,
-            activation="identity", marginalized=False, pre_activation=False, cov=None) -> Run:
+            activation="identity", marginalized=False, pre_activation=False, cov=None,
+            xv=None) -> Run:
     """Full-batch gradient descent shared by every trained autoencoder.
 
     Initialises the weights per config.init, then repeats: gradient (plus
@@ -472,17 +485,18 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readou
     (marginalized_loss_and_grads); the spectrum must then diagonalise the
     dataset's covariance, checked once against cov (the caller's X^T X, tied
     to the data along a random direction) or one formed here (ValueError
-    otherwise). Otherwise every step backpropagates through one fresh
+    otherwise); it holds V^T W2 column-major and forms the objective only at
+    recorded epochs. Otherwise every step backpropagates through one fresh
     corruption drawn from the seeded stream, in the Gram form of
     backprop_grads with ||X||^2 formed once per run. A leg with a readout of
-    the hidden layer forms XV for it once per run and, if noise-free or
-    gaussian (rotation-invariant), iterates on (W1 V, V^T W2) against XV_r,
-    the r columns of XV that hold data (_data_range): its large products are
-    N x r x H. A laplace leg, and a linear one, which would pay an N x D x D
-    product and hold XV beside X for it, train in pixel space against X.
-    Eigenbasis weights are rotated back at the end. The divergence check
-    reads the iterated weights and fails on a NaN or an infinity in either
-    matrix.
+    the hidden layer takes XV as xv (tied to the data like cov) or forms it
+    once per run and, if noise-free or gaussian (rotation-invariant),
+    iterates on (W1 V, V^T W2) against XV_r, the r columns of XV that hold
+    data (_data_range): its large products are N x r x H. A laplace leg, and
+    a linear one, which would pay an N x D x D product and hold XV beside X
+    for it, train in pixel space against X. Eigenbasis weights are rotated
+    back at the end. The divergence check reads the iterated weights and
+    fails on a NaN or an infinity in either matrix.
 
     The run owns one Workspace that every step writes into (see Workspace
     and _sampled_grads); only a laplace leg holds an N x D corrupted batch.
@@ -517,11 +531,18 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readou
         eps_eff = epsilon_from_noise(config.noise, n)
         lams = spectrum.eigenvalues
     elif pre_activation:
-        xv = x @ v
+        if xv is None:
+            xv = x @ v
+        else:   # |X w| <= sqrt(lam_1) for a unit w, which sets the scale of X V u
+            xv = _tied(xv, x.shape, lambda u: x @ (v @ u),
+                       SPECTRUM_TOL * math.sqrt(float(np.max(np.abs(spectrum.eigenvalues)))),
+                       "projection", "X V")
         if rotated:
             x = xv = _data_range(xv)
     if rotated:
         w1, w2 = rotate_weights(init.w1, init.w2, spectrum)
+        if marginalized:    # column-major, so that the step's W2^T passes are unit-stride
+            w2 = np.ascontiguousarray(w2.T).T
     else:
         w1 = init.w1.copy()
         w2 = init.w2.copy()
@@ -536,23 +557,24 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readou
     modes, norms, losses = [], [], []
     worst_off = 0.0 if track_offdiag else np.nan
 
-    def loss_and_grads():
+    def loss_and_grads(recorded):
         if marginalized:
-            loss, g1, g2 = marginalized_loss_and_grads(model, lams, n, eps_eff, ws)
+            loss, g1, g2 = marginalized_loss_and_grads(model, lams, n, eps_eff, ws, recorded)
         else:
             loss, g1, g2 = _sampled_grads(model, x, config.noise, rng, ws, x_sq,
                                           pre_activation)
         if gamma > 0.0:
-            g1 += np.multiply(w1, gamma, out=ws("decay1", w1.shape))
-            g2 += np.multiply(w2, gamma, out=ws("decay2", w2.shape))
+            g1 += w1 * gamma
+            g2 += w2 * gamma
         return loss, g1, g2
 
     def record(loss):
         nonlocal worst_off
+        w2c = np.ascontiguousarray(w2)      # the sums below read W2 row-major, whatever its layout
         if gamma > 0.0:     # the decay penalty joins the loss only where it is recorded
-            loss = loss + 0.5 * gamma * (np.sum(w1 * w1) + np.sum(w2 * w2))
+            loss = loss + 0.5 * gamma * (np.sum(w1 * w1) + np.sum(w2c * w2c))
         if rotated:
-            w1r, w2r = w1, w2
+            w1r, w2r = w1, w2c
         else:
             # ||W1 V|| = ||W1||: a pre-activation readout needs W1 V only for the off-diagonal
             w1r = w1 @ v if track_offdiag or not pre_activation else w1
@@ -568,7 +590,7 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readou
             np.fill_diagonal(m, 0.0)
             worst_off = max(worst_off, float(np.max(np.abs(m))))
 
-    loss, g1, g2 = loss_and_grads()
+    loss, g1, g2 = loss_and_grads(True)
     record(loss)
     for epoch in range(1, config.epochs + 1):
         g1 *= alpha
@@ -580,8 +602,9 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readou
         if not all(w.max() <= DIVERGENCE_LIMIT and w.min() >= -DIVERGENCE_LIMIT
                    for w in (w1, w2)):
             raise DivergenceError(f"run diverged at epoch {epoch}", step=epoch)
-        loss, g1, g2 = loss_and_grads()
-        if epoch % config.record_every == 0 or epoch == config.epochs:
+        recorded = epoch % config.record_every == 0 or epoch == config.epochs
+        loss, g1, g2 = loss_and_grads(recorded)
+        if recorded:
             record(loss)
     if rotated:
         w1, w2 = w1 @ v.T, v @ w2

@@ -1,6 +1,8 @@
 """Binary parsers, synthetic spectra, preprocessing and the matrix cache."""
 
+import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -280,6 +282,53 @@ def test_matrix_cache_rejects_an_empty_header(rows, cols, tmp_path):
     with pytest.raises(ParseError, match=f"{rows}x{cols}") as info:
         load_matrix(path)
     assert info.value.offset == 0
+
+
+@pytest.mark.parametrize("count_limit", [None, 1])
+def test_matrix_cache_checks_the_whole_file_however_few_rows_it_reads(count_limit, tmp_path,
+                                                                      monkeypatch):
+    path = tmp_path / "m.cache"
+    save_matrix(path, np.ones((4, 4)))
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(ParseError, match="mismatch") as info:
+        load_matrix(path, count_limit)
+    assert info.value.offset == 8 + 15 * 8
+    path.write_bytes(struct.pack("<II", 0, 4))
+    with pytest.raises(ParseError, match="0x4") as info:
+        load_matrix(path, count_limit)
+    assert info.value.offset == 0
+    path.write_bytes(b"\x04\x00\x00")
+    with pytest.raises(ParseError, match="truncated cache header") as info:
+        load_matrix(path, count_limit)
+    assert info.value.offset == 3
+    # a file cut short after its size was read leaves rows unread, which are refused too
+    path.write_bytes(struct.pack("<II", 4, 4))
+    real_fstat = os.fstat
+    monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result(
+        real_fstat(fd)[:6] + (8 + 16 * 8,) + real_fstat(fd)[7:]))
+    with pytest.raises(ParseError, match="truncated cache payload") as info:
+        load_matrix(path, count_limit)
+    assert info.value.offset == 8
+
+
+def test_matrix_cache_reads_only_the_rows_it_keeps(tmp_path):
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((5000, 784))
+    path = tmp_path / "m.cache"
+    save_matrix(path, m)
+    for limit in (1, 100, 5000, 6000):
+        assert np.array_equal(load_matrix(path, limit), m[:limit])
+    del m
+    peaks = {}
+    for limit in (100, None):
+        tracemalloc.start()
+        try:
+            load_matrix(path, limit)
+            peaks[limit] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    full = 5000 * 784 * 8
+    assert peaks[None] >= full > 20 * peaks[100]
 
 
 def test_raw_image_batch_validation():

@@ -409,6 +409,27 @@ def test_train_is_deterministic_per_seed(toy_dataset):
     assert np.array_equal(a.modes, b.modes, equal_nan=True)
 
 
+@pytest.mark.parametrize("noise", [NoiseModel.none(), NoiseModel.gaussian(0.1),
+                                   NoiseModel.laplace(0.2)], ids=lambda noise: noise.kind)
+def test_train_with_a_handed_over_xv_changes_no_bit(noise, toy_dataset):
+    # `nonlinear` forms XV once for its three legs; a leg handed it must train as one that
+    # forms its own, and an XV of other data, or of the wrong shape, is refused
+    ds, spec = toy_dataset
+    cfg = TrainingConfig(learning_rate=0.3, epochs=40, noise=noise, init_scale=1e-2, seed=5,
+                         hidden_dim=3, record_every=10, weight_decay=1e-3)
+    xv = ds.samples @ spec.eigenvectors
+    own = train_nonlinear(ds, spec, cfg, "relu")
+    handed = train_nonlinear(ds, spec, cfg, "relu", xv)
+    assert np.array_equal(own.modes, handed.modes, equal_nan=True)
+    assert np.array_equal(own.losses, handed.losses)
+    assert np.array_equal(own.model.w1, handed.model.w1)
+    assert np.array_equal(own.model.w2, handed.model.w2)
+    other = synthetic_dataset([2.0, 1.0, 0.5, 0.25, 0.1], 300, seed=15).samples
+    for wrong in (other @ spec.eigenvectors, xv[:, :4], xv * (1.0 + 1e-6)):
+        with pytest.raises(ValueError, match="not X V of the dataset"):
+            train_nonlinear(ds, spec, cfg, "relu", wrong)
+
+
 def test_train_relu_always_samples_corruption(toy_dataset):
     # nonlinear corruption has no marginalised form, so loss_mode must not matter
     ds, spec = toy_dataset

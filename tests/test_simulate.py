@@ -3,6 +3,7 @@
 import logging
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -246,6 +247,50 @@ def test_marginalized_diagonal_form_gradients_match_finite_differences():
     scale = max(np.max(np.abs(n1)), np.max(np.abs(n2)))
     assert np.max(np.abs(g1 - n1)) <= 1e-5 * scale
     assert np.max(np.abs(g2 - n2)) <= 1e-5 * scale
+
+
+@pytest.mark.parametrize("h, d", [(3, 8), (32, 784)])
+def test_marginalized_step_gives_the_same_bits_for_either_w2_layout_and_without_its_loss(h, d):
+    # a run holds V^T W2 column-major; the step must not depend on W2's layout, and skipping
+    # the loss must leave the gradients' bits as they are
+    rng = np.random.default_rng(11)
+    lams = np.sort(rng.uniform(0.0, 50.0, size=d))[::-1]
+    w1 = rng.standard_normal((h, d)) * 0.1
+    w2 = rng.standard_normal((d, h)) * 0.1
+    w2_f = np.asfortranarray(w2)
+    assert w2_f.flags.f_contiguous and not w2_f.flags.c_contiguous
+    want = marginalized_loss_and_grads(Autoencoder(w1, w2), lams, 1000, 500.0)
+    # the column-major grad2 has the bits of the row-major product W2 q
+    row_major = w2 @ ((w1 * (lams + 500.0)) @ w1.T)
+    row_major -= (w1 * lams).T
+    row_major /= 1000
+    assert np.array_equal(want[2], row_major)
+    for layout in (w2, w2_f):
+        for with_loss in (True, False):
+            loss, g1, g2 = marginalized_loss_and_grads(Autoencoder(w1, layout), lams, 1000,
+                                                       500.0, simulate.Workspace(), with_loss)
+            assert (loss == want[0]) if with_loss else loss is None
+            assert np.array_equal(g1, want[1]) and np.array_equal(g2, want[2])
+
+
+@pytest.mark.parametrize("init, gamma", [("small_random", 0.0), ("small_random", 1e-3),
+                                         ("orthogonal", 1e-3)])
+def test_a_marginalized_run_records_the_same_bits_at_every_cadence(init, gamma, small_dataset):
+    # the loss is formed only at recorded epochs, so the cadence must change no bit of what
+    # the runs both record: modes, norms, losses and the final weights
+    ds, spec = small_dataset
+    cfg = TrainingConfig(learning_rate=0.5, epochs=95, noise=NoiseModel.gaussian(0.5 / ds.n),
+                         weight_decay=gamma, init=init, init_scale=0.05, seed=4, hidden_dim=4,
+                         record_every=1)
+    every = run_linear_ae(ds, spec, cfg)
+    sparse = run_linear_ae(ds, spec, replace(cfg, record_every=10))
+    kept = np.isin(every.times, sparse.times)
+    assert np.array_equal(every.times[kept], sparse.times)
+    assert np.array_equal(every.modes[kept], sparse.modes)
+    assert np.array_equal(every.norms.values[kept], sparse.norms.values)
+    assert np.array_equal(every.losses[kept], sparse.losses)
+    assert np.array_equal(every.model.w1, sparse.model.w1)
+    assert np.array_equal(every.model.w2, sparse.model.w2)
 
 
 def test_sampled_loss_without_noise_equals_marginalized(small_dataset):
