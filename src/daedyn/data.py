@@ -14,7 +14,6 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -49,57 +48,75 @@ class RawImageBatch:
         object.__setattr__(self, "pixels", pixels)
 
 
-def _read_file(path):
-    try:
-        return Path(path).read_bytes()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-
-
 def load_idx(images_path, count_limit=None) -> RawImageBatch:
-    """The first min(count_limit, header count) images of an IDX uint8 file, scaled by 1/255."""
-    raw = _read_file(images_path)
-    if len(raw) < 4:
-        raise ParseError(f"truncated magic: file ends at byte {len(raw)}", offset=len(raw))
-    magic = int.from_bytes(raw[0:4], "big")
-    if magic != IDX_IMAGES_MAGIC:
+    """The first min(count_limit, header count) images of an IDX uint8 file, scaled by 1/255.
+
+    Only the header and the kept images are read; a file cut short after them is accepted.
+    """
+    try:
+        with open(images_path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            head = fh.read(16)
+            if len(head) < 4:
+                raise ParseError(f"truncated magic: file ends at byte {len(head)}",
+                                 offset=len(head))
+            magic = int.from_bytes(head[0:4], "big")
+            if magic != IDX_IMAGES_MAGIC:
+                raise ParseError(f"wrong magic 0x{magic:08x} at byte 0 "
+                                 f"(expected 0x{IDX_IMAGES_MAGIC:08x})", offset=0)
+            if len(head) < 16:
+                raise ParseError(f"truncated dimension header: file ends at byte {len(head)}",
+                                 offset=len(head))
+            count, rows, cols = struct.unpack(">III", head[4:16])
+            if count == 0:
+                raise ParseError("empty image file: header at byte 4 promises 0 images",
+                                 offset=4)
+            if rows * cols == 0:
+                raise ParseError(f"zero image dimensions {rows}x{cols} in header at byte 8",
+                                 offset=8)
+            if count * rows * cols > MAX_PIXEL_COUNT:
+                raise ParseError(f"dimension overflow: header at byte 4 promises "
+                                 f"{count}x{rows}x{cols} pixels", offset=4)
+            n = count if count_limit is None else min(count, int(count_limit))
+            # no more than the file holds, so a header promising more allocates nothing for it
+            payload = fh.read(min(n * rows * cols, size - 16))
+    except OSError as exc:
+        raise ParseError(f"cannot read {images_path}: {exc}") from exc
+    need, end = 16 + n * rows * cols, 16 + len(payload)
+    if end < need:
         raise ParseError(
-            f"wrong magic 0x{magic:08x} at byte 0 (expected 0x{IDX_IMAGES_MAGIC:08x})", offset=0)
-    if len(raw) < 16:
-        raise ParseError(f"truncated dimension header: file ends at byte {len(raw)}", offset=len(raw))
-    count, rows, cols = struct.unpack(">III", raw[4:16])
-    if count == 0:
-        raise ParseError("empty image file: header at byte 4 promises 0 images", offset=4)
-    if rows * cols == 0:
-        raise ParseError(f"zero image dimensions {rows}x{cols} in header at byte 8", offset=8)
-    if count * rows * cols > MAX_PIXEL_COUNT:
-        raise ParseError(
-            f"dimension overflow: header at byte 4 promises {count}x{rows}x{cols} pixels", offset=4)
-    n = count if count_limit is None else min(count, int(count_limit))
-    need = 16 + n * rows * cols
-    if len(raw) < need:
-        raise ParseError(
-            f"truncated pixel data: need {need} bytes for {n} images, file ends at byte {len(raw)}",
-            offset=len(raw))
-    pixels = np.frombuffer(raw, dtype=np.uint8, count=n * rows * cols, offset=16)
-    pixels = pixels.astype(np.float64).reshape(n, rows * cols) / 255.0
-    return RawImageBatch(pixels=pixels, labels=None, source="mnist", image_shape=(rows, cols))
+            f"truncated pixel data: need {need} bytes for {n} images, file ends at byte {end}",
+            offset=end)
+    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(n, rows * cols)
+    # unnamed, the float64 copy is divided in place: one N x D array at the peak, not two
+    return RawImageBatch(pixels=pixels.astype(np.float64) / 255.0, labels=None, source="mnist",
+                         image_shape=(rows, cols))
 
 
 def load_cifar10(batch_path, count_limit=None) -> RawImageBatch:
-    """Parse a CIFAR-10 binary batch; pixels scaled by 1/255, labels captured."""
-    raw = _read_file(batch_path)
-    if len(raw) == 0 or len(raw) % CIFAR_RECORD_BYTES != 0:
-        whole = len(raw) // CIFAR_RECORD_BYTES
-        raise ParseError(
-            f"file length {len(raw)} is not a positive multiple of {CIFAR_RECORD_BYTES} "
-            f"(nearest record boundaries: {whole * CIFAR_RECORD_BYTES} and "
-            f"{(whole + 1) * CIFAR_RECORD_BYTES})",
-            offset=whole * CIFAR_RECORD_BYTES)
-    count = len(raw) // CIFAR_RECORD_BYTES
-    n = count if count_limit is None else min(count, int(count_limit))
-    records = np.frombuffer(raw, dtype=np.uint8, count=n * CIFAR_RECORD_BYTES)
-    records = records.reshape(n, CIFAR_RECORD_BYTES)
+    """Parse a CIFAR-10 binary batch; pixels scaled by 1/255, labels captured.
+
+    The file's size is checked whole, but only the kept records are read.
+    """
+    try:
+        with open(batch_path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size == 0 or size % CIFAR_RECORD_BYTES != 0:
+                whole = size // CIFAR_RECORD_BYTES
+                raise ParseError(
+                    f"file length {size} is not a positive multiple of {CIFAR_RECORD_BYTES} "
+                    f"(nearest record boundaries: {whole * CIFAR_RECORD_BYTES} and "
+                    f"{(whole + 1) * CIFAR_RECORD_BYTES})",
+                    offset=whole * CIFAR_RECORD_BYTES)
+            count = size // CIFAR_RECORD_BYTES
+            n = count if count_limit is None else min(count, int(count_limit))
+            payload = fh.read(n * CIFAR_RECORD_BYTES)
+    except OSError as exc:
+        raise ParseError(f"cannot read {batch_path}: {exc}") from exc
+    if len(payload) != n * CIFAR_RECORD_BYTES:
+        raise ParseError(f"truncated record data: file ends at byte {len(payload)}",
+                         offset=len(payload))
+    records = np.frombuffer(payload, dtype=np.uint8).reshape(n, CIFAR_RECORD_BYTES)
     labels = records[:, 0].astype(np.int64)
     bad = np.flatnonzero(labels > 9)
     if bad.size:

@@ -11,13 +11,17 @@ from __future__ import annotations
 
 import numpy as np
 
-# _draw_noise and backprop_grads are not called here; they stay bound in this
-# module because the benchmark tracer (bench/spans.py) wraps them by name
+# _draw_noise is not called here; it stays bound in this module because the benchmark
+# tracer (bench/spans.py) wraps it by name
 from .simulate import (  # noqa: F401
-    ACTIVATIONS, Autoencoder, Run, TrainingConfig, _draw_noise, backprop_grads, descend)
+    ACTIVATIONS, Autoencoder, Run, TrainingConfig, _draw_noise, descend)
 from .spectrum import Dataset, Spectrum
 
 LAMBDA_FLOOR_FACTOR = 1e-8  # modes below this fraction of the top eigenvalue are absent
+
+# The benchmark tracer (bench/spans.py) wraps this name. Every backprop step runs in
+# simulate._sampled_grads, so it is bound to nothing and its count reads 0.
+backprop_grads = None
 
 
 def _estimate(xv, xw1, w2r, activation, lams):

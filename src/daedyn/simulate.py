@@ -177,8 +177,13 @@ def run_scalar_gd(mode: ScalarMode, alpha, steps, record_every=1) -> ScalarRun:
                         "the run may oscillate or diverge", alpha, alpha_opt)
     lam, eps, gamma_eff, coeff = mode.lam, mode.epsilon, mode.gamma_eff, 1.0 / mode.tau
     w1, w2 = float(mode.w1_0), float(mode.w2_0)
-    w1s = [w1]
-    w2s = [w2]
+    times = record_times(steps, record_every)
+    # float64 storage, 8 bytes a record where a list of Python floats costs 32; a store
+    # through a memoryview costs half of numpy's scalar assignment
+    w1s, w2s = np.empty(times.size), np.empty(times.size)
+    rec1, rec2 = memoryview(w1s), memoryview(w2s)
+    rec1[0], rec2[0] = w1, w2
+    recorded = 0
     for step in range(1, steps + 1):
         w = w2 * w1
         g1 = w2 * lam * (1.0 - w) - eps * w2 * w2 * w1 - gamma_eff * w1
@@ -188,10 +193,9 @@ def run_scalar_gd(mode: ScalarMode, alpha, steps, record_every=1) -> ScalarRun:
         if not (abs(w1) < DIVERGENCE_LIMIT and abs(w2) < DIVERGENCE_LIMIT):
             raise DivergenceError(f"scalar run diverged at step {step}", step=step)
         if step % record_every == 0 or step == steps:
-            w1s.append(w1)
-            w2s.append(w2)
-    times = record_times(steps, record_every)
-    w1s, w2s = np.array(w1s), np.array(w2s)
+            recorded += 1
+            rec1[recorded] = w1
+            rec2[recorded] = w2
     traj = Trajectory(times=times, values=w2s * w1s, kind="simulated", mode_index=1)
     return ScalarRun(trajectory=traj, w1=w1s, w2=w2s)
 
@@ -328,12 +332,17 @@ def _draw_noise(rng, noise: NoiseModel, shape, ws=None):
     return out
 
 
-def _gram_form(model: Autoencoder, x, z, x_sq, grad2):
-    # The Gram-form body that every backprop step shares, on the r <= D leading columns x of
-    # the clean batch (the rest are zero): from the pre-activation Z of the (corrupted) batch
-    # it writes grad2 = (W2 (A^T A) - X^T A) / N into grad2 and returns the loss and
-    # delta = (A (W2^T W2) - X W2) * phi'(Z), from which the caller forms grad1; x_sq is
-    # ||X||^2, formed here when None
+def _gram_form(model: Autoencoder, x, z, grad2, with_loss):
+    # The Gram-form body of the backprop step on (1/2N) sum ||x_i - W2 phi(W1 x_tilde_i)||^2,
+    # which never forms the N x D residual R = A W2^T - X, where Z = X_tilde W1^T is the
+    # pre-activation of the corrupted batch and A = phi(Z):
+    #   grad2 = R^T A / N = (W2 (A^T A) - X^T A) / N,
+    #   delta = (R W2) * phi'(Z) = (A (W2^T W2) - X W2) * phi'(Z),
+    #   loss  = (sum((W2^T W2) * (A^T A)) - 2 sum(W2 * X^T A) + ||X||^2) / 2N,
+    # and the caller forms grad1 = delta^T X_tilde / N. x may hold only the r <= D leading
+    # columns of inputs whose other columns are zero, as the data's range in the covariance
+    # eigenbasis does. Writes grad2 and returns (loss, delta); the loss, ||X||^2 included, is
+    # None unless with_loss
     phi, dphi = ACTIVATIONS[model.activation]
     w2 = model.w2
     n, r = x.shape
@@ -349,78 +358,52 @@ def _gram_form(model: Autoencoder, x, z, x_sq, grad2):
     np.matmul(w2, c, out=grad2)
     grad2[:r] -= atx.T
     grad2 /= n
-    if x_sq is None:
-        x_sq = float(np.vdot(x, x))
-    loss = 0.5 / n * (float(np.sum(b * c)) - 2.0 * float(np.sum(w2x.T * atx)) + x_sq)
+    if not with_loss:
+        return None, delta
+    loss = 0.5 / n * (float(np.sum(b * c)) - 2.0 * float(np.sum(w2x.T * atx))
+                      + float(np.vdot(x, x)))
     return loss, delta
 
 
-def backprop_grads(model: Autoencoder, batch, corrupted_batch, x_sq=None, out=None, z=None):
-    """Loss and full-batch gradients of (1/2N) sum ||x_i - W2 phi(W1 x_tilde_i)||^2.
-
-    Returns (loss, grad1, grad2), the same shape as marginalized_loss_and_grads.
-    It works in Gram form and never forms the N x D residual R = A W2^T - X,
-    where Z = X_tilde W1^T and A = phi(Z):
-      grad2 = R^T A / N = (W2 (A^T A) - X^T A) / N,
-      delta = (R W2) * phi'(Z) = (A (W2^T W2) - X W2) * phi'(Z),
-      grad1 = delta^T X_tilde / N,
-      loss  = (sum((W2^T W2) * (A^T A)) - 2 sum(W2 * X^T A) + ||X||^2) / 2N.
-    Both batches may hold only the r <= D leading columns of inputs whose
-    other columns are zero, as the data's range in the covariance eigenbasis
-    does; the columns of grad1 past r are then zero. A step is four N x r x H
-    products (Z, X W2, A^T X, delta^T X_tilde) plus O((N + D) H^2). x_sq is
-    ||X||^2 and z is Z when the caller already has them; out is a pair of
-    (H x D, D x H) arrays that receive the gradients.
-    """
-    x = np.asarray(batch, dtype=np.float64)
-    x_tilde = np.asarray(corrupted_batch, dtype=np.float64)
-    if x.shape != x_tilde.shape:
-        raise ValueError("clean and corrupted batches must have the same shape")
-    w1 = model.w1
-    r = x.shape[1]
-    grad1, grad2 = (np.empty(w1.shape), np.empty(model.w2.shape)) if out is None else out
-    loss, delta = _gram_form(model, x, x_tilde @ w1[:, :r].T if z is None else z, x_sq, grad2)
-    np.matmul(delta.T, x_tilde, out=grad1[:, :r])
-    grad1[:, r:] = 0.0
-    grad1 /= x.shape[0]
-    return loss, grad1, grad2
-
-
-def _sampled_grads(model: Autoencoder, x, noise: NoiseModel, rng, ws=None, x_sq=None,
+def _sampled_grads(model: Autoencoder, x, noise: NoiseModel, rng, ws=None, with_loss=True,
                    keep_clean=False):
-    # Backprop loss and gradients on one fresh corruption E of x (its r <= D leading columns,
-    # as in backprop_grads, while E covers all D); the gradients land in "g1"/"g2" and the one
-    # draw in "noise". Laplace noise is drawn in full (N x D) and added to x in place.
-    # Gaussian noise is drawn only where the step sees it, as E W1^T and delta^T E: with
-    # W1^T = Q R (Q is D x k) and delta = U R_d (R_d is m x H, m = min(N, H)), E Q is N x k
-    # i.i.d. noise, and the rest of delta^T E, delta^T E (I - Q Q^T), is independent of it
-    # and distributed as R_d^T G (I - Q Q^T) with G m x D i.i.d. noise. So
-    # Z = X W1^T + (E Q) R and N grad1 = delta^T X + (delta^T E Q) Q^T + R_d^T G (I - Q Q^T),
-    # from N k + m D normals in one draw: the same distribution as the full draw, not the
-    # same stream. keep_clean=True keeps the clean X W1^T in "xw1" for a hidden-layer record.
+    # Backprop loss and gradients on one fresh corruption E of x, its r <= D leading columns
+    # (see _gram_form) while E covers all D; the gradients land in "g1"/"g2", the one draw in
+    # "noise", and with_loss=False returns None for the loss. A step is four N x r x H
+    # products (Z, X W2, A^T X, delta^T X_tilde) plus O((N + D) H^2). Laplace noise is
+    # drawn in full (N x D) and x added to it in place: X_tilde = X + E. Gaussian noise is
+    # drawn only where the step sees it, as E W1^T and delta^T E: with W1^T = Q R (Q is D x k)
+    # and delta = U R_d (R_d is m x H, m = min(N, H)), E Q is N x k i.i.d. noise, and the
+    # rest of delta^T E, delta^T E (I - Q Q^T), is independent of it and distributed as
+    # R_d^T G (I - Q Q^T) with G m x D i.i.d. noise. So Z = X W1^T + (E Q) R and
+    # N grad1 = delta^T X + (delta^T E Q) Q^T + R_d^T G (I - Q Q^T), from N k + m D normals
+    # in one draw: the same distribution as the full draw, not the same stream.
+    # keep_clean=True keeps the clean X W1^T in "xw1" for a hidden-layer record; a Laplace
+    # step's Z is of the corrupted batch, so it must not ask.
     ws = Workspace() if ws is None else ws
     w1 = model.w1
-    grad1, grad2 = out = ws("g1", w1.shape), ws("g2", model.w2.shape)
-    if noise.kind == "laplace":
-        e = _draw_noise(rng, noise, x.shape, ws)
-        return backprop_grads(model, x, np.add(e, x, out=e), x_sq, out)
     (n, r), (h, d) = x.shape, w1.shape
-    xw1 = np.matmul(x, w1[:, :r].T, out=ws("xw1", (n, h)) if keep_clean else None)
-    if noise.kind == "none":
-        return backprop_grads(model, x, x, x_sq, out, xw1)
-    q, rq = np.linalg.qr(w1.T)
-    k, m = q.shape[1], min(n, h)
-    draw = _draw_noise(rng, noise, (n * k + m * d,), ws)
-    eq, g = draw[:n * k].reshape(n, k), draw[n * k:].reshape(m, d)
-    z = np.add(xw1, eq @ rq, out=None if keep_clean else xw1)
-    loss, delta = _gram_form(model, x, z, x_sq, grad2)
-    rdg = np.linalg.qr(delta, mode="r").T @ g         # R_d^T G, H x D
-    s = delta.T @ eq
-    s -= rdg @ q                                      # delta^T E Q - R_d^T G Q
-    np.matmul(delta.T, x, out=grad1[:, :r])
+    grad1, grad2 = ws("g1", w1.shape), ws("g2", model.w2.shape)
+    x_tilde = x
+    if noise.kind == "laplace":
+        x_tilde = _draw_noise(rng, noise, x.shape, ws)
+        x_tilde += x
+    z = np.matmul(x_tilde, w1[:, :r].T, out=ws("xw1", (n, h)) if keep_clean else None)
+    if noise.kind == "gaussian":
+        q, rq = np.linalg.qr(w1.T)
+        k, m = q.shape[1], min(n, h)
+        draw = _draw_noise(rng, noise, (n * k + m * d,), ws)
+        eq, g = draw[:n * k].reshape(n, k), draw[n * k:].reshape(m, d)
+        z = np.add(z, eq @ rq, out=None if keep_clean else z)
+    loss, delta = _gram_form(model, x, z, grad2, with_loss)
+    np.matmul(delta.T, x_tilde, out=grad1[:, :r])
     grad1[:, r:] = 0.0
-    grad1 += rdg
-    grad1 += s @ q.T
+    if noise.kind == "gaussian":
+        rdg = np.linalg.qr(delta, mode="r").T @ g         # R_d^T G, H x D
+        s = delta.T @ eq
+        s -= rdg @ q                                      # delta^T E Q - R_d^T G Q
+        grad1 += rdg
+        grad1 += s @ q.T
     grad1 /= n
     return loss, grad1, grad2
 
@@ -485,10 +468,10 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readou
     (marginalized_loss_and_grads); the spectrum must then diagonalise the
     dataset's covariance, checked once against cov (the caller's X^T X, tied
     to the data along a random direction) or one formed here (ValueError
-    otherwise); it holds V^T W2 column-major and forms the objective only at
-    recorded epochs. Otherwise every step backpropagates through one fresh
-    corruption drawn from the seeded stream, in the Gram form of
-    backprop_grads with ||X||^2 formed once per run. A leg with a readout of
+    otherwise); it holds V^T W2 column-major. Otherwise every step
+    backpropagates through one fresh corruption drawn from the seeded
+    stream, in Gram form (_sampled_grads). Either objective, ||X||^2
+    included, is formed only at recorded epochs. A leg with a readout of
     the hidden layer takes XV as xv (tied to the data like cov) or forms it
     once per run and, if noise-free or gaussian (rotation-invariant),
     iterates on (W1 V, V^T W2) against XV_r, the r columns of XV that hold
@@ -525,7 +508,6 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readou
         init = init_small_random(d, config.hidden_dim, config.init_scale, config.seed)
     init = replace(init, activation=activation)
     rotated = marginalized or (pre_activation and config.noise.kind != "laplace")
-    x_sq = None if marginalized else float(np.vdot(x, x))
     if marginalized:
         _check_spectrum(x, spectrum, cov)
         eps_eff = epsilon_from_noise(config.noise, n)
@@ -561,8 +543,7 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readou
         if marginalized:
             loss, g1, g2 = marginalized_loss_and_grads(model, lams, n, eps_eff, ws, recorded)
         else:
-            loss, g1, g2 = _sampled_grads(model, x, config.noise, rng, ws, x_sq,
-                                          pre_activation)
+            loss, g1, g2 = _sampled_grads(model, x, config.noise, rng, ws, recorded, rotated)
         if gamma > 0.0:
             g1 += w1 * gamma
             g2 += w2 * gamma

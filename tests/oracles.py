@@ -234,7 +234,7 @@ def marginalized_descent_pixel_space(x, w1, w2, eps_eff, alpha, epochs, record_e
 
 
 def backprop_descent_pixel_space(x, init, alpha, epochs, record_every, gamma=0.0):
-    """Noise-free backprop descent in pixel space, stepping on simulate.backprop_grads.
+    """Noise-free backprop descent in pixel space, stepping on backprop_residual.
 
     Starts from the weights of the Autoencoder init and steps
     W <- W - alpha * (grad + gamma W) on the clean D-wide batch x each epoch.
@@ -251,12 +251,12 @@ def backprop_descent_pixel_space(x, init, alpha, epochs, record_every, gamma=0.0
         weights.append((w1.copy(), w2.copy()))
         losses.append(loss + 0.5 * gamma * (np.sum(w1 * w1) + np.sum(w2 * w2)))
 
-    loss, g1, g2 = simulate.backprop_grads(model, x, x)
+    loss, g1, g2 = backprop_residual(model, x, x)
     record(0, loss)
     for epoch in range(1, epochs + 1):
         w1 -= alpha * (g1 + gamma * w1)
         w2 -= alpha * (g2 + gamma * w2)
-        loss, g1, g2 = simulate.backprop_grads(model, x, x)
+        loss, g1, g2 = backprop_residual(model, x, x)
         if epoch % record_every == 0 or epoch == epochs:
             record(epoch, loss)
     return np.array(times), weights, np.array(losses), model

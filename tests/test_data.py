@@ -331,6 +331,42 @@ def test_matrix_cache_reads_only_the_rows_it_keeps(tmp_path):
     assert peaks[None] >= full > 20 * peaks[100]
 
 
+@pytest.mark.parametrize("load, head, record", [
+    (load_idx, struct.pack(">IIII", 0x00000803, 4000, 28, 28), 784),
+    (load_cifar10, b"", 3073)], ids=["idx", "cifar10"])
+def test_image_files_read_only_the_records_they_keep(load, head, record, tmp_path):
+    # bytes 0..9 are valid CIFAR-10 labels as well as pixels
+    body = np.random.default_rng(6).integers(0, 10, size=(4000, record), dtype=np.uint8)
+    path = tmp_path / "images"
+    path.write_bytes(head + body.tobytes())
+    pixels = body[:10, record - 784 if load is load_idx else 1:]
+    assert np.array_equal(load(path, 10).pixels, pixels / 255.0)
+    peaks = {}
+    for limit in (10, None):
+        tracemalloc.start()
+        try:
+            load(path, limit)
+            peaks[limit] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    size = path.stat().st_size
+    assert peaks[None] >= size > 10 * peaks[10]
+    if load is load_idx:    # a file cut short after the kept images still loads them
+        path.write_bytes(head + body[:10].tobytes())
+        assert np.array_equal(load(path, 10).pixels, pixels / 255.0)
+
+
+def test_load_cifar10_refuses_a_file_cut_short_after_its_size_was_read(tmp_path, monkeypatch):
+    path = tmp_path / "batch.bin"
+    path.write_bytes(bytes(3073))
+    real_fstat = os.fstat
+    monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result(
+        real_fstat(fd)[:6] + (2 * 3073,) + real_fstat(fd)[7:]))
+    with pytest.raises(ParseError, match="truncated record data") as info:
+        load_cifar10(path)
+    assert info.value.offset == 3073
+
+
 def test_raw_image_batch_validation():
     with pytest.raises(ValueError, match="0, 1"):
         RawImageBatch(pixels=np.array([[1.5]]), labels=None, source="mnist")

@@ -22,7 +22,6 @@ from daedyn.simulate import (
     ACTIVATIONS,
     Autoencoder,
     TrainingConfig,
-    backprop_grads,
     init_small_random,
     run_linear_ae,
 )
@@ -145,13 +144,26 @@ def test_estimator_never_sees_corrupted_inputs(toy_dataset):
     assert np.allclose(ratios, 0.25, atol=1e-10)
 
 
-def test_backprop_identity_matches_linear_formula(toy_dataset):
+def _clean_step(model, x):
+    # the backprop step on the clean batch: a noise-free step draws nothing
+    return simulate._sampled_grads(model, x, NoiseModel.none(), np.random.default_rng(0))
+
+
+def _step_on(model, x, e, monkeypatch):
+    # the backprop step on the corrupted batch x + e: a Laplace step whose draw returns a
+    # copy of e, to which the step adds x in place
+    monkeypatch.setattr(simulate, "_draw_noise", lambda *args: e.copy())
+    return simulate._sampled_grads(model, x, NoiseModel.laplace(1.0), np.random.default_rng(0))
+
+
+def test_backprop_identity_matches_linear_formula(toy_dataset, monkeypatch):
     ds, _ = toy_dataset
     rng = np.random.default_rng(2)
     lin = init_small_random(5, 3, 0.3, seed=2)
     x = ds.samples
-    x_tilde = x + rng.normal(0.0, 0.1, size=x.shape)
-    loss, g1, g2 = backprop_grads(Autoencoder(lin.w1, lin.w2, "identity"), x, x_tilde)
+    e = rng.normal(0.0, 0.1, size=x.shape)
+    x_tilde = x + e
+    loss, g1, g2 = _step_on(Autoencoder(lin.w1, lin.w2, "identity"), x, e, monkeypatch)
     n = x.shape[0]
     res = x_tilde @ lin.w1.T @ lin.w2.T - x
     assert loss == pytest.approx(0.5 / n * np.sum(res * res), rel=1e-12)
@@ -160,18 +172,19 @@ def test_backprop_identity_matches_linear_formula(toy_dataset):
 
 
 @pytest.mark.parametrize("activation", ["tanh", "identity"])
-def test_backprop_matches_finite_differences(activation, toy_dataset):
+def test_backprop_matches_finite_differences(activation, toy_dataset, monkeypatch):
     ds, _ = toy_dataset
     rng = np.random.default_rng(6)
     w1 = rng.standard_normal((3, 5)) * 0.5
     w2 = rng.standard_normal((5, 3)) * 0.5
     x = ds.samples[:40]
-    x_tilde = x + rng.normal(0.0, 0.2, size=x.shape)
+    e = rng.normal(0.0, 0.2, size=x.shape)
+    x_tilde = x + e
 
     def loss_of(w1v, w2v):
         return backprop_residual(Autoencoder(w1v, w2v, activation), x, x_tilde)[0]
 
-    _, g1, g2 = backprop_grads(Autoencoder(w1, w2, activation), x, x_tilde)
+    _, g1, g2 = _step_on(Autoencoder(w1, w2, activation), x, e, monkeypatch)
     n1 = central_difference_grad(lambda v: loss_of(v, w2), w1.copy())
     n2 = central_difference_grad(lambda v: loss_of(w1, v), w2.copy())
     scale = max(np.max(np.abs(n1)), np.max(np.abs(n2)))
@@ -189,7 +202,7 @@ def test_backprop_relu_matches_finite_differences_away_from_kink():
     def loss_of(w1v, w2v):
         return backprop_residual(Autoencoder(w1v, w2v, "relu"), x, x)[0]
 
-    _, g1, g2 = backprop_grads(Autoencoder(w1, w2, "relu"), x, x)
+    _, g1, g2 = _clean_step(Autoencoder(w1, w2, "relu"), x)
     n1 = central_difference_grad(lambda v: loss_of(v, w2), w1.copy())
     n2 = central_difference_grad(lambda v: loss_of(w1, v), w2.copy())
     scale = max(np.max(np.abs(n1)), np.max(np.abs(n2)))
@@ -207,20 +220,18 @@ def _agree(got, want, rel=1e-12):
 
 @pytest.mark.parametrize("corrupted", [False, True], ids=["clean", "corrupted"])
 @pytest.mark.parametrize("activation", ["identity", "relu", "tanh"])
-def test_gram_form_backprop_matches_the_residual_oracle(activation, corrupted, toy_dataset):
+def test_gram_form_backprop_matches_the_residual_oracle(activation, corrupted, toy_dataset,
+                                                       monkeypatch):
     ds, _ = toy_dataset
     rng = np.random.default_rng(21)
     model = Autoencoder(rng.standard_normal((3, 5)) * 0.5, rng.standard_normal((5, 3)) * 0.5,
                         activation)
     x = ds.samples
-    x_tilde = x + rng.normal(0.0, 0.3, size=x.shape) if corrupted else x
-    want = backprop_residual(model, x, x_tilde)
-    _agree(backprop_grads(model, x, x_tilde), want)
-    # the caller's ||X||^2 and gradient buffers give the same step
-    out = (np.empty((3, 5)), np.empty((5, 3)))
-    got = backprop_grads(model, x, x_tilde, float(np.sum(x * x)), out)
-    assert got[1] is out[0] and got[2] is out[1]
-    _agree(got, want)
+    if corrupted:
+        e = rng.normal(0.0, 0.3, size=x.shape)
+        _agree(_step_on(model, x, e, monkeypatch), backprop_residual(model, x, x + e))
+    else:
+        _agree(_clean_step(model, x), backprop_residual(model, x, x))
 
 
 def _spy_draws(monkeypatch):
@@ -278,7 +289,7 @@ def test_lowrank_step_is_backprop_on_its_rebuilt_corruption(activation, n, d, h,
     e = lowrank_corrupted_batch(model, x, draws[0])
     if dead and activation == "relu":
         assert not np.any(x @ w1[1] + (e @ w1[1]) > 0.0)
-    _agree(got, backprop_grads(model, x, x + e))
+    _agree(got, backprop_residual(model, x, x + e))
 
 
 def test_lowrank_step_has_the_full_draws_mean_and_variance(toy_dataset):
@@ -300,7 +311,7 @@ def test_lowrank_step_has_the_full_draws_mean_and_variance(toy_dataset):
 
     lowrank = np.array([flat(simulate._sampled_grads(model, x, noise, np.random.default_rng(s)))
                         for s in range(seeds)])
-    full = np.array([flat(backprop_grads(model, x, x + np.random.default_rng(s).normal(
+    full = np.array([flat(backprop_residual(model, x, x + np.random.default_rng(s).normal(
         0.0, sigma, size=x.shape))) for s in range(seeds, 2 * seeds)])
     _, g1, g2 = marginalized_pixel_space(x, model.w1, model.w2, n * noise.variance)
     exact = np.concatenate([g1.ravel(), g2.ravel()])
@@ -350,7 +361,7 @@ def test_eigenbasis_step_has_the_pixel_space_full_draws_mean_and_variance(activa
         e = np.random.default_rng(seed).normal(0.0, sigma, size=x.shape)
         if dead:
             assert not np.any((x + e) @ w1[1] > 0.0)
-        _, g1, g2 = backprop_grads(model, x, x + e)
+        _, g1, g2 = backprop_residual(model, x, x + e)
         return np.concatenate([g1.ravel(), g2.ravel()])
 
     eigen = np.array([eigenbasis_step(s) for s in range(seeds)])

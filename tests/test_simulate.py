@@ -332,13 +332,14 @@ def test_sampled_loss_laplace_matches_its_effective_strength(small_dataset):
 
 def test_noise_free_sampled_step_backpropagates_once(small_dataset, monkeypatch):
     ds, spec = small_dataset
-    calls = []
-    backprop = simulate.backprop_grads
-    monkeypatch.setattr(simulate, "backprop_grads", lambda *a: calls.append(a) or backprop(*a))
+    calls, draws = [], []
+    gram, draw = simulate._gram_form, simulate._draw_noise
+    monkeypatch.setattr(simulate, "_gram_form", lambda *a: calls.append(a) or gram(*a))
+    monkeypatch.setattr(simulate, "_draw_noise", lambda *a: draws.append(a) or draw(*a))
     model = init_small_random(8, 4, 0.5, seed=1)
     loss, _, _ = simulate._sampled_grads(model, ds.samples, NoiseModel.none(),
                                          np.random.default_rng(0))
-    assert len(calls) == 1
+    assert len(calls) == 1 and not draws
     exact, _, _ = marginalized_at_pixel_weights(model, ds.samples, spec, 0.0)
     assert loss == pytest.approx(exact, rel=1e-12)
 
@@ -452,7 +453,7 @@ def test_sampled_step_corrupts_bitwise_like_adding_a_fresh_draw(noise, small_dat
     x = ds.samples
     n, d = x.shape
     corrupted, shapes, drawn = [], [], []
-    backprop, draw = simulate.backprop_grads, simulate._draw_noise
+    draw = simulate._draw_noise
 
     def spy_draw(*args):
         values = draw(*args)
@@ -460,27 +461,27 @@ def test_sampled_step_corrupts_bitwise_like_adding_a_fresh_draw(noise, small_dat
         drawn.append(values.copy())
         return values
 
-    monkeypatch.setattr(simulate, "backprop_grads",
-                        lambda *a: corrupted.append(a[2].copy()) or backprop(*a))
     monkeypatch.setattr(simulate, "_draw_noise", spy_draw)
     model = init_small_random(8, 4, 0.5, seed=1)
     rng = np.random.default_rng(4)
     ws = simulate.Workspace()
     for _ in range(2):
         simulate._sampled_grads(model, x, noise, rng, ws)
+        if noise.kind == "laplace":     # the draw, with x added to it in place
+            corrupted.append(ws["noise"].copy())
     # the draw (the corrupted batch on a Laplace step) and the gradients are the
     # step's only buffers
     assert set(ws) == {"noise", "g1", "g2"}
     ref = np.random.default_rng(4)
     if noise.kind == "gaussian":
         k, m = min(d, 4), min(n, 4)
-        assert shapes == [(n * k + m * d,)] * 2 and not corrupted
+        assert shapes == [(n * k + m * d,)] * 2
         assert ws["noise"].size == n * k + m * d < x.size
         for values in drawn:
             want = ref.normal(0.0, math.sqrt(noise.variance), size=values.shape)
             assert np.array_equal(values.view(np.int64), want.view(np.int64))
     else:
-        assert shapes == [x.shape] * 2 and len(corrupted) == 2
+        assert shapes == [x.shape] * 2
         for batch in corrupted:
             e = ref.laplace(0.0, noise.scale, size=x.shape)
             want = x + e
@@ -507,6 +508,54 @@ def test_a_kept_clean_pre_activation_changes_no_bit_of_the_step(noise, small_dat
     assert steps[0][0] == steps[1][0]
     assert all(np.array_equal(a, b) for a, b in zip(steps[0][1:], steps[1][1:]))
     assert np.array_equal(ws["xw1"], ds.samples @ model.w1.T)
+
+
+@pytest.mark.parametrize("r", [5, 8], ids=["r-below-d", "r-equals-d"])
+@pytest.mark.parametrize("activation", ["identity", "relu"])
+@pytest.mark.parametrize("noise", [NoiseModel.none(), NoiseModel.gaussian(0.7),
+                                   NoiseModel.laplace(0.4)], ids=["none", "gaussian", "laplace"])
+def test_a_step_without_its_loss_changes_no_bit_of_the_gradients(noise, activation, r,
+                                                                  small_dataset):
+    # with_loss=False, the step of every epoch that is not recorded, returns no loss and
+    # the gradients of with_loss=True bit for bit, on the r <= D leading columns of a batch
+    ds, _ = small_dataset
+    x = np.ascontiguousarray(ds.samples[:, :r])
+    model = replace(init_small_random(8, 4, 0.5, seed=1), activation=activation)
+    steps = []
+    for with_loss in (True, False):
+        loss, g1, g2 = simulate._sampled_grads(model, x, noise, np.random.default_rng(4),
+                                               with_loss=with_loss)
+        steps.append((loss, g1, g2))
+    assert isinstance(steps[0][0], float) and steps[1][0] is None
+    assert all(np.array_equal(a.view(np.int64), b.view(np.int64))
+               for a, b in zip(steps[0][1:], steps[1][1:]))
+
+
+@pytest.mark.parametrize("network, noise", [
+    ("linear", NoiseModel.gaussian(0.05)), ("linear", NoiseModel.laplace(0.1)),
+    ("relu", NoiseModel.gaussian(0.05))], ids=["linear-gaussian", "linear-laplace",
+                                               "relu-eigenbasis"])
+def test_a_sampled_run_records_the_same_bits_at_every_cadence(network, noise, small_dataset):
+    # forming the loss only at recorded epochs changes no step: a run recorded every
+    # epoch and one recorded every 10 agree bit for bit at the epochs both record
+    ds, spec = small_dataset
+    runs = []
+    for every in (1, 10):
+        cfg = TrainingConfig(learning_rate=0.05 * ds.n, epochs=30, noise=noise, init_scale=0.05,
+                             seed=4, hidden_dim=4, record_every=every, loss_mode="sampled")
+        runs.append(run_linear_ae(ds, spec, cfg) if network == "linear"
+                    else train_nonlinear(ds, spec, cfg, network))
+    every_epoch, every_tenth = runs
+
+    def same(a, b):
+        return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+    assert np.array_equal(every_epoch.times[::10], every_tenth.times)
+    assert same(every_epoch.modes[::10], every_tenth.modes)
+    assert same(every_epoch.norms.values[::10], every_tenth.norms.values)
+    assert same(every_epoch.losses[::10], every_tenth.losses)
+    assert same(every_epoch.model.w1, every_tenth.model.w1)
+    assert same(every_epoch.model.w2, every_tenth.model.w2)
 
 
 def test_a_nan_in_delta_passes_the_qr_and_stops_the_run_at_that_epoch(small_dataset,
