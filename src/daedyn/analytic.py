@@ -25,7 +25,7 @@ from .errors import DegenerateTrajectoryError, UnsupportedModeError
 
 C0_MIN = 1e-9          # below this the hyperbolic coordinates divide by ~0
 OVERFLOW_ARG = 700.0   # exp saturation horizon; beyond it w(t) is the fixed point
-CSV_BLOCK_ROWS = 1024  # float-table rows formatted per write: bounds the text held at once
+CSV_BLOCK_ROWS = 1024  # CSV rows per write and epochs per closed-form pass: bounds what is held
 
 TRAJECTORY_KINDS = ("analytic_dae", "analytic_wdae", "simulated", "estimated")
 
@@ -140,6 +140,27 @@ class Trajectory:
         object.__setattr__(self, "values", values)
 
 
+def _epochs(t):
+    """t as float64 epochs; ValueError if any is negative."""
+    t = np.asarray(t, dtype=np.float64)
+    # fmin skips a NaN as any(t < 0) does, without a boolean array the size of t
+    if np.fmin.reduce(t, axis=None, initial=0.0) < 0.0:
+        raise ValueError("epochs must be >= 0")
+    return t
+
+
+def _blocked(form, t):
+    """The elementwise form(t) over CSV_BLOCK_ROWS epochs at a time, into one array shaped
+    like t: the whole-array bits, with a few blocks of temporaries. A 0-d t gives a float."""
+    if t.ndim == 0:
+        return float(form(t))
+    out = np.empty(t.shape)
+    flat_t, flat_out = t.reshape(-1), out.reshape(-1)
+    for start in range(0, t.size, CSV_BLOCK_ROWS):
+        flat_out[start:start + CSV_BLOCK_ROWS] = form(flat_t[start:start + CSV_BLOCK_ROWS])
+    return out
+
+
 def dae_trajectory(mode: ScalarMode, t):
     """Exact mapped value w(t) of a mode's own start; accepts scalar or array epochs.
 
@@ -157,7 +178,8 @@ def dae_trajectory(mode: ScalarMode, t):
     Internally everything is scaled by 1/E so no exponent ever overflows;
     zeta^2 - beta^2 is replaced by the identity value 4. Past the exp
     saturation horizon the fixed point lambda / (lambda + eps) is returned
-    directly (the trajectory is within ~1e-300 of it).
+    directly (the trajectory is within ~1e-300 of it). Array epochs are
+    evaluated CSV_BLOCK_ROWS at a time into one output array.
     """
     if mode.lam <= 0.0:
         raise UnsupportedModeError(
@@ -168,9 +190,7 @@ def dae_trajectory(mode: ScalarMode, t):
     if mode.gamma_eff > 0.0:
         raise DegenerateTrajectoryError(f"the flow does not conserve w2^2 - w1^2 under decay "
                                         f"from unequal initial weights (c0={mode.c0:g})")
-    t_arr = np.asarray(t, dtype=np.float64)
-    if np.any(t_arr < 0.0):
-        raise ValueError("epochs must be >= 0")
+    t_arr = _epochs(t)
     lam, eps, tau, c0 = mode.lam, mode.epsilon, mode.tau, mode.c0
     beta = c0 * (1.0 + eps / lam)
     zeta = math.sqrt(beta * beta + 4.0)
@@ -179,14 +199,16 @@ def dae_trajectory(mode: ScalarMode, t):
     rate = zeta * lam
     if not math.isfinite(rate):
         raise OverflowError(f"the closed form's rate zeta * lambda overflows at lambda={lam:g}")
-    arg = rate * t_arr / tau
-    u = np.exp(-arg)
-    num = (u - 1.0) * (4.0 - 2.0 * beta * delta) - 2.0 * (u + 1.0) * zeta * delta
-    den = (u - 1.0) * (2.0 * beta + 4.0 * delta) - 2.0 * (u + 1.0) * zeta
-    theta_t = 2.0 * np.arctanh(num / den)
-    w = 0.5 * c0 * np.sinh(theta_t)
-    w = np.where(arg > OVERFLOW_ARG, lam / (lam + eps), w)
-    return w if w.ndim else float(w)
+
+    def form(t):
+        arg = rate * t / tau
+        u = np.exp(-arg)
+        num = (u - 1.0) * (4.0 - 2.0 * beta * delta) - 2.0 * (u + 1.0) * zeta * delta
+        den = (u - 1.0) * (2.0 * beta + 4.0 * delta) - 2.0 * (u + 1.0) * zeta
+        theta_t = 2.0 * np.arctanh(num / den)
+        w = 0.5 * c0 * np.sinh(theta_t)
+        return np.where(arg > OVERFLOW_ARG, lam / (lam + eps), w)
+    return _blocked(form, t_arr)
 
 
 def wdae_trajectory(lam, gamma_eff, tau, w0, t, epsilon=0.0):
@@ -198,7 +220,8 @@ def wdae_trajectory(lam, gamma_eff, tau, w0, t, epsilon=0.0):
     E = exp(2 xi lambda t / tau) it is w(t) = kappa E / (E - 1 + kappa / w0);
     kappa is the fixed point and equals xi without noise. For xi < 0 the same
     expression decays to zero; xi = 0 degenerates to the algebraic decay
-    w0 / (1 + 2 (lambda + eps) w0 t / tau).
+    w0 / (1 + 2 (lambda + eps) w0 t / tau). Array epochs are evaluated
+    CSV_BLOCK_ROWS at a time into one output array.
     """
     if lam <= 0.0:
         raise UnsupportedModeError("closed form requires lambda > 0")
@@ -209,24 +232,23 @@ def wdae_trajectory(lam, gamma_eff, tau, w0, t, epsilon=0.0):
     if w0 <= 0.0:
         raise DegenerateTrajectoryError(f"the equal-weights form divides by w1*w2, so it needs a "
                                         f"positive initial product, got {w0:g}")
-    t_arr = np.asarray(t, dtype=np.float64)
-    if np.any(t_arr < 0.0):
-        raise ValueError("epochs must be >= 0")
+    t_arr = _epochs(t)
     xi = 1.0 - gamma_eff / lam
     kappa = xi * (lam / (lam + epsilon))
     # each branch's rate in the order that keeps its bytes; an inf rate times t = 0 is NaN
     rate = 2.0 * xi * lam if xi != 0.0 else 2.0 * (lam + epsilon) * w0
     if not math.isfinite(rate):
         raise OverflowError(f"the closed form's rate overflows at lambda={lam:g}, eps={epsilon:g}")
-    if xi > 0.0:
-        u = np.exp(-rate * t_arr / tau)   # 1/E, stays in (0, 1]
-        w = kappa / (1.0 - u + u * (kappa / w0))
-    elif xi < 0.0:
-        e = np.exp(rate * t_arr / tau)    # decays from 1 toward 0
-        w = kappa * e / (e - 1.0 + kappa / w0)
-    else:
-        w = w0 / (1.0 + rate * t_arr / tau)
-    return w if w.ndim else float(w)
+
+    def form(t):
+        if xi > 0.0:
+            u = np.exp(-rate * t / tau)   # 1/E, stays in (0, 1]
+            return kappa / (1.0 - u + u * (kappa / w0))
+        if xi < 0.0:
+            e = np.exp(rate * t / tau)    # decays from 1 toward 0
+            return kappa * e / (e - 1.0 + kappa / w0)
+        return w0 / (1.0 + rate * t / tau)
+    return _blocked(form, t_arr)
 
 
 def dae_fixed_point(lam, epsilon):

@@ -69,8 +69,9 @@ class Spectrum:
             raise ValueError(f"eigenvectors must be square, got shape {v.shape}")
         if lams.shape != (v.shape[0],):
             raise ValueError("eigenvalue count must match basis dimension")
-        gram = v.T @ v
-        ortho_err = float(np.max(np.abs(gram - np.eye(v.shape[0]))))
+        gram = v.T @ v      # |V^T V - I| in place: no identity or difference array
+        gram[np.diag_indices_from(gram)] -= 1.0
+        ortho_err = float(np.max(np.abs(gram, out=gram)))
         if ortho_err > ORTHOGONALITY_TOL:
             raise ValueError(f"eigenbasis not orthogonal: max |V^T V - I| = {ortho_err:.3e}")
         if np.any(np.diff(lams) > 0):
@@ -83,11 +84,21 @@ class Spectrum:
         return self.eigenvalues.shape[0]
 
 
-def covariance(dataset):
-    """Sum of outer products of the samples, symmetrized as (S + S^T) / 2.
+def _doubles(s):
+    # whether S + S^T stays finite: no |entry| above half the largest double (NaN fails too)
+    half = np.finfo(np.float64).max / 2.0
+    return bool(s.max(initial=0.0) <= half and s.min(initial=0.0) >= -half)
 
-    Unnormalised and uncentred (centring belongs to `data.preprocess`).
-    Accepts a Dataset or a plain N x D array.
+
+def covariance(dataset):
+    """Sum of outer products of the samples, S = X^T X, exactly symmetric.
+
+    numpy's X^T X is symmetric bit for bit, and (S + S^T) / 2 of an exactly
+    symmetric S is S, so S is returned as formed; only an S that is not
+    exactly symmetric is symmetrised as (S + S^T) / 2. An S that cannot be
+    doubled in float64 raises OverflowError. Unnormalised and uncentred
+    (centring belongs to `data.preprocess`). Accepts a Dataset or a plain
+    N x D array.
     """
     x = dataset.samples if isinstance(dataset, Dataset) else np.asarray(dataset, dtype=np.float64)
     if x.ndim != 2:
@@ -96,8 +107,12 @@ def covariance(dataset):
     if not finite_rows.all():
         bad = int(np.flatnonzero(~finite_rows)[0])
         raise ValueError(f"non-finite entry in sample {bad}")
-    s = x.T @ x
-    return 0.5 * (s + s.T)
+    with np.errstate(over="ignore", invalid="ignore"):     # refused just below, by name
+        s = x.T @ x
+    if not _doubles(s):
+        raise OverflowError(f"X^T X overflows float64 once symmetrised: its entries reach "
+                            f"{max(-s.min(), s.max()):.3e}")
+    return s if np.array_equal(s, s.T) else 0.5 * (s + s.T)
 
 
 def eigendecompose(s) -> Spectrum:
@@ -107,21 +122,25 @@ def eigendecompose(s) -> Spectrum:
     each eigenvector's largest-magnitude component made positive, round-off
     negative eigenvalues clamped to zero (and logged). Eigenvectors inside a
     degenerate eigenvalue block are basis-dependent; compare subspace
-    projectors, not individual vectors.
+    projectors, not individual vectors. eigh gets S itself when S is exactly
+    symmetric (and can be doubled), else (S + S^T) / 2, so no copy of S sits
+    beside eigh's own arrays; the asymmetry check holds one temporary.
     """
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {s.shape}")
-    asym = float(np.max(np.abs(s - s.T))) if s.size else 0.0
+    gap = s - s.T
+    asym = float(np.max(np.abs(gap, out=gap))) if s.size else 0.0
+    del gap
     if asym > SYMMETRY_TOL:
         raise NotSymmetricError(f"input not symmetric: max |S - S^T| = {asym:.3e}")
-    lams, v = np.linalg.eigh(0.5 * (s + s.T))
+    # (S + S^T) / 2 is S itself when S is exactly symmetric and doubles finitely
+    lams, v = np.linalg.eigh(s if asym == 0.0 and _doubles(s) else 0.5 * (s + s.T))
     order = np.argsort(-lams, kind="stable")
     lams = lams[order]
     v = v[:, order]
     peak = np.argmax(np.abs(v), axis=0)
-    signs = np.where(v[peak, np.arange(v.shape[1])] < 0.0, -1.0, 1.0)
-    v = v * signs
+    v *= np.where(v[peak, np.arange(v.shape[1])] < 0.0, -1.0, 1.0)
     roundoff = (lams > -CLAMP_TOL) & (lams < 0.0)
     if roundoff.any():
         log.warning("clamped %d round-off negative eigenvalues to 0", int(roundoff.sum()))

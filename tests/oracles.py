@@ -4,6 +4,10 @@ These deliberately avoid the package's closed-form code paths: trajectories
 are checked against adaptive Runge-Kutta integration of the underlying flow
 (one per-mode flow with noise and decay) and, at zero noise, the
 equal-weights form against its decay-only three-branch formula bit for bit;
+every closed form, evaluated in blocks of epochs, against the same formulas
+over the whole epoch array, and the eigendecomposition of an exactly
+symmetric S, which eigh gets as it is, against eigh of (S + S^T) / 2, bit
+for bit;
 gradients against central finite differences, the LAPACK-backed
 eigendecomposition against cyclic Jacobi rotations, and the eigenbasis mode
 estimator against the dense pixel-space cross-covariance. The pixel-space
@@ -34,8 +38,9 @@ from pathlib import Path
 import numpy as np
 
 from daedyn import simulate
-from daedyn.analytic import ScalarMode, Trajectory, scalar_loss_and_grad
-from daedyn.spectrum import Dataset, rotate_weights
+from daedyn.analytic import (C0_MIN, OVERFLOW_ARG, ScalarMode, Trajectory,
+                             scalar_loss_and_grad)
+from daedyn.spectrum import CLAMP_TOL, Dataset, rotate_weights
 
 
 def rk4_step(f, t, y, h):
@@ -118,6 +123,50 @@ def wdae_trajectory_decay_only(lam, gamma_eff, tau, w0, t):
     else:
         w = w0 / (1.0 + 2.0 * lam * w0 * t_arr / tau)
     return w
+
+
+def closed_form_whole_array(mode, t):
+    """A mode's closed form over the whole epoch array at once: the hyperbolic form, or at
+    c0 <= C0_MIN the noise-aware equal-weights logistic in its three xi branches, each with
+    every temporary the size of t. The reference that the blocked evaluation must reproduce
+    bit for bit; a 0-d t gives a float."""
+    t_arr = np.asarray(t, dtype=np.float64)
+    lam, eps, tau, c0 = mode.lam, mode.epsilon, mode.tau, mode.c0
+    if c0 <= C0_MIN:
+        xi = 1.0 - mode.gamma_eff / lam
+        kappa = xi * (lam / (lam + eps))
+        w0 = mode.w0
+        if xi > 0.0:
+            u = np.exp(-(2.0 * xi * lam) * t_arr / tau)
+            w = kappa / (1.0 - u + u * (kappa / w0))
+        elif xi < 0.0:
+            e = np.exp((2.0 * xi * lam) * t_arr / tau)
+            w = kappa * e / (e - 1.0 + kappa / w0)
+        else:
+            w = w0 / (1.0 + (2.0 * (lam + eps) * w0) * t_arr / tau)
+        return w if w.ndim else float(w)
+    beta = c0 * (1.0 + eps / lam)
+    zeta = math.sqrt(beta * beta + 4.0)
+    delta = math.tanh(mode.theta0 / 2.0)
+    arg = (zeta * lam) * t_arr / tau
+    u = np.exp(-arg)
+    num = (u - 1.0) * (4.0 - 2.0 * beta * delta) - 2.0 * (u + 1.0) * zeta * delta
+    den = (u - 1.0) * (2.0 * beta + 4.0 * delta) - 2.0 * (u + 1.0) * zeta
+    w = 0.5 * c0 * np.sinh(2.0 * np.arctanh(num / den))
+    w = np.where(arg > OVERFLOW_ARG, lam / (lam + eps), w)
+    return w if w.ndim else float(w)
+
+
+def eigh_symmetrised(s):
+    """(eigenvalues, eigenvectors) of (S + S^T) / 2 in eigendecompose's conventions
+    (non-increasing, each vector's largest-magnitude entry positive, round-off negatives
+    clamped to 0), every step on a new array: the reference for its bits."""
+    lams, v = np.linalg.eigh(0.5 * (s + s.T))
+    order = np.argsort(-lams, kind="stable")
+    lams, v = lams[order], v[:, order]
+    peak = np.argmax(np.abs(v), axis=0)
+    v = v * np.where(v[peak, np.arange(v.shape[1])] < 0.0, -1.0, 1.0)
+    return np.where((lams > -CLAMP_TOL) & (lams < 0.0), 0.0, lams), v
 
 
 def central_difference_grad(f, x, h=1e-6):

@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import (
     central_difference_grad,
+    closed_form_whole_array,
     mode_flow,
     read_trajectory_csv,
     solve_at_times,
@@ -210,6 +212,15 @@ def test_dae_trajectory_rejects_negative_epochs():
         dae_trajectory(mode, -1.0)
 
 
+@pytest.mark.parametrize("t", [[0.0, np.nan, -1.0], [[1.0], [-0.5]]], ids=["beside-a-nan", "2-d"])
+def test_closed_forms_reject_a_negative_epoch_anywhere_in_an_array(t):
+    mode = ScalarMode(lam=1.0, epsilon=0.0, tau=10.0, w1_0=0.1, w2_0=0.3)
+    with pytest.raises(ValueError, match="epochs"):
+        dae_trajectory(mode, t)
+    with pytest.raises(ValueError, match="epochs"):
+        wdae_trajectory(1.0, 0.0, 10.0, 1e-3, t)
+
+
 def test_dae_trajectory_satisfies_its_flow_equation():
     # central-difference the analytic curve and compare with the vector field,
     # reconstructing w1^2 + w2^2 = sqrt(c0^2 + 4 w^2) from the parametrization
@@ -310,6 +321,55 @@ def test_wdae_trajectory_rejects_nonpositive_w0():
         wdae_trajectory(1.0, -0.1, 100.0, 1e-3, 1.0)
     with pytest.raises(UnsupportedModeError):
         wdae_trajectory(0.0, 0.1, 100.0, 1e-3, 1.0)
+
+
+# --- blocked evaluation -----------------------------------------------------
+
+# one mode per branch: (lam, eps, gamma_eff, w1_0, w2_0); the last epoch, 20 000, is past the
+# saturation horizon of the hyperbolic mode (zeta lam t / tau > OVERFLOW_ARG from t ~ 17 500)
+CLOSED_FORM_BRANCHES = {
+    "hyperbolic": (2.0, 0.5, 0.0, 0.01, 0.03),
+    "xi-positive": (2.0, 0.3, 0.5, 0.03, 0.03),
+    "xi-negative": (2.0, 0.3, 3.0, 0.03, 0.03),
+    "xi-zero": (2.0, 0.3, 2.0, 0.03, 0.03),
+}
+
+
+@pytest.mark.parametrize("branch", CLOSED_FORM_BRANCHES)
+def test_closed_forms_in_blocks_give_the_whole_array_bits(branch):
+    lam, eps, gamma_eff, w1_0, w2_0 = CLOSED_FORM_BRANCHES[branch]
+    mode = ScalarMode(lam=lam, epsilon=eps, tau=100.0, w1_0=w1_0, w2_0=w2_0, gamma_eff=gamma_eff)
+    assert (mode.c0 <= analytic.C0_MIN) == (branch != "hyperbolic")
+    # three whole blocks and a ragged one; a 2-d grid keeps its shape
+    times = np.linspace(0.0, 20_000.0, 3 * analytic.CSV_BLOCK_ROWS + 5)
+    for t in (times, times.reshape(-1, 1)):
+        got, want = dae_trajectory(mode, t), closed_form_whole_array(mode, t)
+        assert got.shape == t.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), branch
+    if branch == "hyperbolic":      # both sides of the saturation horizon are on the grid
+        arg = math.sqrt((mode.c0 * (1.0 + eps / lam)) ** 2 + 4.0) * lam * times / mode.tau
+        assert (arg > analytic.OVERFLOW_ARG).any() and (arg <= analytic.OVERFLOW_ARG).any()
+    else:
+        got = wdae_trajectory(lam, gamma_eff, mode.tau, mode.w0, times, eps)
+        assert np.array_equal(got.view(np.int64), dae_trajectory(mode, times).view(np.int64))
+    for t in (0.0, 1234.5, 20_000.0):   # a scalar epoch gives a float, as ever
+        got = dae_trajectory(mode, t)
+        assert type(got) is float and got == closed_form_whole_array(mode, t)
+
+
+@pytest.mark.parametrize("branch", CLOSED_FORM_BRANCHES)
+def test_closed_forms_hold_their_output_and_a_few_blocks(branch):
+    lam, eps, gamma_eff, w1_0, w2_0 = CLOSED_FORM_BRANCHES[branch]
+    mode = ScalarMode(lam=lam, epsilon=eps, tau=100.0, w1_0=w1_0, w2_0=w2_0, gamma_eff=gamma_eff)
+    times = np.linspace(0.0, 20_000.0, 200_001)
+    tracemalloc.start()
+    try:
+        values = dae_trajectory(mode, times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # whole-array temporaries held 2 to 7 more arrays the size of the output
+    assert peak <= values.nbytes + 16 * analytic.CSV_BLOCK_ROWS * 8, (branch, peak)
 
 
 # --- fixed points and equivalence -------------------------------------------

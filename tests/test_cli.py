@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -124,6 +125,21 @@ def test_real_data_on_an_empty_dataset_file_is_a_parse_error(name, payload, wher
     err = capsys.readouterr().err
     assert code == cli.EXIT_IO
     assert err.startswith("I/O or parse error: empty") and where in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["ingest", "real-data", "nonlinear"])
+def test_a_covariance_that_overflows_once_doubled_is_a_config_error(command, tmp_path, capsys):
+    # 4 (6e153)^2 = 1.44e308 is a finite X^T X whose double is not
+    path = tmp_path / "huge.cache"
+    data.save_matrix(path, np.full((4, 3), 6e153))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([command, "--dataset", str(path), "--modes", "1", "--epochs", "1",
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith("config error:") and "X^T X overflows" in err
     assert "Traceback" not in err
 
 

@@ -440,6 +440,19 @@ def test_laplace_step_holds_one_n_by_d_buffer_and_draws_without_another():
     assert peak < x.nbytes // 2
 
 
+def test_laplace_buffer_sits_half_a_page_from_the_data_wherever_the_data_sits():
+    # a store into the corrupted batch at X's page offset (address mod 4096) aliases a load
+    # from X; the buffer is placed 2048 bytes away, at least a cache line either way round
+    model = init_small_random(40, 3, 0.5, seed=1)
+    backing = np.random.default_rng(0).standard_normal(20 * 40 + 4096 // 8)
+    for skip in range(4096 // 8):       # every 8-byte page offset of X
+        x = backing[skip:skip + 20 * 40].reshape(20, 40)
+        ws = simulate.Workspace()
+        simulate._sampled_grads(model, x, NoiseModel.laplace(0.2), np.random.default_rng(4), ws)
+        gap = (ws["noise"].ctypes.data - x.ctypes.data) % 4096
+        assert gap == 2048 and ws["noise"].shape == x.shape, (skip, gap)
+
+
 @pytest.mark.parametrize("noise", [NoiseModel.gaussian(0.7), NoiseModel.laplace(0.4)],
                          ids=["gaussian", "laplace"])
 def test_sampled_step_corrupts_bitwise_like_adding_a_fresh_draw(noise, small_dataset, monkeypatch):

@@ -1,10 +1,13 @@
 """Covariance construction, eigendecomposition against a Jacobi oracle, and rotations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from oracles import jacobi_eigh, projected_diagonal, read_spectrum_csv
+from oracles import eigh_symmetrised, jacobi_eigh, projected_diagonal, read_spectrum_csv
 
+from daedyn import simulate
 from daedyn.errors import NotSymmetricError
 from daedyn.spectrum import (
     Dataset,
@@ -45,6 +48,52 @@ def test_covariance_rejects_nonfinite_with_sample_index():
         covariance(x)
     with pytest.raises(ValueError, match="sample 2"):
         Dataset(x)
+
+
+@pytest.mark.parametrize("x", [np.full((4, 3), 6e153), np.full((4, 3), 1e155),
+                               np.array([[6e153, -6e153, 6e153]] * 4)],
+                         ids=["doubling-overflows", "xtx-overflows", "mixed-signs"])
+def test_covariance_refuses_an_s_that_overflows_once_doubled(x):
+    # 4 (6e153)^2 = 1.44e308 is finite and its double is not; the mixed-sign S once came
+    # back as NaN eigenvalues from eigendecompose
+    with pytest.raises(OverflowError, match="X\\^T X overflows"):
+        covariance(x)
+
+
+def test_spectrum_path_holds_s_v_and_one_more_d_by_d_array():
+    # covariance, then eigendecompose, then the marginalised step's check, each traced
+    # (LAPACK's own workspace is not); S and V outlive them. Symmetrising copies, |S - S^T|,
+    # V^T V - I and S V - V diag(lam) as whole arrays held 5 D x D arrays at once
+    d = 256
+    x = np.random.default_rng(4).standard_normal((300, d))
+    tracemalloc.start()
+    try:
+        cov = covariance(x)
+        spec = eigendecompose(cov)
+        simulate._check_spectrum(x, spec, cov)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * d * d * 8, peak / (d * d * 8)
+
+
+@pytest.mark.parametrize("asymmetry", [0.0, 1e-12], ids=["exact", "within-tolerance"])
+def test_eigendecompose_gives_the_symmetrised_formulas_bits(asymmetry, monkeypatch):
+    # an exactly symmetric S goes to eigh as it is, since (S + S^T) / 2 is S bit for bit;
+    # one within SYMMETRY_TOL of symmetric is still symmetrised first
+    x = np.random.default_rng(9).standard_normal((40, 12))
+    s = covariance(x)
+    assert np.array_equal(s, x.T @ x) and np.array_equal(s, s.T)
+    s[0, 1] += asymmetry
+    seen, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(a) or eigh(a))
+    spec = eigendecompose(s)
+    (given,) = seen
+    assert (given is s) == (asymmetry == 0.0)
+    assert np.array_equal(given, 0.5 * (s + s.T))
+    lams, v = eigh_symmetrised(s)
+    assert np.array_equal(spec.eigenvalues.view(np.int64), lams.view(np.int64))
+    assert np.array_equal(spec.eigenvectors.view(np.int64), v.view(np.int64))
 
 
 def test_eigendecompose_identity():
