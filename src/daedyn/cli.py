@@ -396,6 +396,8 @@ def predictions_for_run(run: simulate.Run, spec: spectrum.Spectrum, eps_eff,
 
 def _training_inputs(cfg: ExperimentConfig):
     """Dataset, spectrum, mode ranks, noise, effective noise and X^T X of a training command."""
+    # the first default_rng call imports numpy.random, secrets and hashlib (about 5.5 MB
+    # resident); every training command makes it after eigh, so it does not raise eigh's peak
     dataset = _load_dataset(cfg)
     cov = spectrum.covariance(dataset)
     spec = spectrum.eigendecompose(cov)

@@ -3,6 +3,7 @@
 File formats handled here:
   - IDX images: 4-byte big-endian magic 0x00000803, three big-endian uint32
     dims (count, rows, cols), then raw unsigned bytes row-major; no labels.
+    Kept as uint8 counts, each standing for the value count / 255.
   - CIFAR-10 binary: consecutive 3073-byte records (1 label byte followed by
     3072 channel-major pixel bytes), layout preserved; labels checked and kept.
   - Matrix cache: 8-byte header of two little-endian uint32 (rows, cols),
@@ -18,40 +19,57 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError
-from .spectrum import Dataset, random_orthogonal
+from .spectrum import PIXEL_LEVELS, Dataset, random_orthogonal
 
 IDX_IMAGES_MAGIC = 0x00000803
 CIFAR_RECORD_BYTES = 3073
 MAX_PIXEL_COUNT = 2 ** 40  # header sanity bound before allocating
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RawImageBatch:
-    """Parsed images scaled to [0, 1]; CIFAR-10 keeps its checked labels, IDX has none."""
+    """Parsed images; CIFAR-10 keeps its checked labels, IDX has none.
 
-    pixels: np.ndarray
+    `stored` is the pixel array as given: an image file's uint8 counts P,
+    kept as read, each standing for the value P / 255, or float64 values in
+    [0, 1]. `pixels` reads either as float64 values in [0, 1].
+    """
+
+    stored: np.ndarray
     labels: np.ndarray | None
     source: str
-    image_shape: tuple[int, int] | None = None  # (rows, cols) for IDX round-trips
+    image_shape: tuple[int, int] | None  # (rows, cols) for IDX round-trips
 
-    def __post_init__(self):
-        pixels = np.asarray(self.pixels, dtype=np.float64)
+    def __init__(self, pixels, labels, source, image_shape=None):
+        pixels = np.asarray(pixels)
+        if pixels.dtype != np.uint8:
+            pixels = np.asarray(pixels, dtype=np.float64)
         if pixels.ndim != 2 or pixels.shape[0] < 1 or pixels.shape[1] < 1:
             raise ValueError(f"pixels must be a non-empty N x D matrix, got shape {pixels.shape}")
-        if pixels.min() < 0.0 or pixels.max() > 1.0:
+        if pixels.dtype != np.uint8 and (pixels.min() < 0.0 or pixels.max() > 1.0):
             raise ValueError("pixel values must lie in [0, 1]")
-        if self.labels is not None:
-            labels = np.asarray(self.labels, dtype=np.int64)
+        if labels is not None:
+            labels = np.asarray(labels, dtype=np.int64)
             if labels.shape != (pixels.shape[0],):
                 raise ValueError("labels must be one per image")
-            object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "pixels", pixels)
+        for name, value in (("stored", pixels), ("labels", labels), ("source", source),
+                            ("image_shape", image_shape)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def pixels(self) -> np.ndarray:
+        """The values as float64, formed from counts as P / 255 on every read."""
+        if self.stored.dtype != np.uint8:
+            return self.stored
+        return self.stored.astype(np.float64) / PIXEL_LEVELS
 
 
 def load_idx(images_path, count_limit=None) -> RawImageBatch:
-    """The first min(count_limit, header count) images of an IDX uint8 file, scaled by 1/255.
+    """The first min(count_limit, header count) images of an IDX uint8 file, as uint8 counts.
 
-    Only the header and the kept images are read; a file cut short after them is accepted.
+    Each count P stands for the pixel value P / 255; the batch keeps the counts as read,
+    a view of the file's bytes, and no float copy. Only the header and the kept images
+    are read; a file cut short after them is accepted.
     """
     try:
         with open(images_path, "rb") as fh:
@@ -88,15 +106,14 @@ def load_idx(images_path, count_limit=None) -> RawImageBatch:
             f"truncated pixel data: need {need} bytes for {n} images, file ends at byte {end}",
             offset=end)
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(n, rows * cols)
-    # unnamed, the float64 copy is divided in place: one N x D array at the peak, not two
-    return RawImageBatch(pixels=pixels.astype(np.float64) / 255.0, labels=None, source="mnist",
-                         image_shape=(rows, cols))
+    return RawImageBatch(pixels=pixels, labels=None, source="mnist", image_shape=(rows, cols))
 
 
 def load_cifar10(batch_path, count_limit=None) -> RawImageBatch:
-    """Parse a CIFAR-10 binary batch; pixels scaled by 1/255, labels captured.
+    """Parse a CIFAR-10 binary batch: uint8 pixel counts (value P / 255), labels captured.
 
-    The file's size is checked whole, but only the kept records are read.
+    The counts are a view of the records as read, with no float copy. The file's size is
+    checked whole, but only the kept records are read.
     """
     try:
         with open(batch_path, "rb") as fh:
@@ -124,8 +141,7 @@ def load_cifar10(batch_path, count_limit=None) -> RawImageBatch:
             f"label {labels[bad[0]]} out of range in record {bad[0]} "
             f"at byte {int(bad[0]) * CIFAR_RECORD_BYTES}",
             offset=int(bad[0]) * CIFAR_RECORD_BYTES)
-    pixels = records[:, 1:].astype(np.float64) / 255.0
-    return RawImageBatch(pixels=pixels, labels=labels, source="cifar10")
+    return RawImageBatch(pixels=records[:, 1:], labels=labels, source="cifar10")
 
 
 def synthetic_dataset(eigenvalues, n, seed) -> Dataset:
@@ -153,19 +169,13 @@ def preprocess(batch, center=False, scale=False) -> Dataset:
     """Optional per-feature mean removal and global max-abs rescale (default pass-through).
 
     batch is a parsed RawImageBatch or a plain N x D matrix such as a loaded
-    matrix cache; a plain matrix is tagged as synthetic.
+    matrix cache; a plain matrix is tagged as synthetic. The Dataset applies
+    both flags: to a float X at once, to an image file's uint8 counts where
+    it reads them (see spectrum.covariance).
     """
     if isinstance(batch, RawImageBatch):
-        x, source = batch.pixels, batch.source
-    else:
-        x, source = np.asarray(batch, dtype=np.float64), "synthetic"
-    if center:
-        x = x - x.mean(axis=0)
-    if scale:
-        peak = np.max(np.abs(x))
-        if peak > 0.0:
-            x = x / peak
-    return Dataset(samples=np.ascontiguousarray(x), source=source)
+        return Dataset(batch.stored, batch.source, center=center, scale=scale)
+    return Dataset(np.asarray(batch, dtype=np.float64), "synthetic", center=center, scale=scale)
 
 
 def save_matrix(path, matrix):

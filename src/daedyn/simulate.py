@@ -18,7 +18,8 @@ import numpy as np
 
 from .analytic import NoiseModel, ScalarMode, Trajectory, epsilon_from_noise, optimal_rates
 from .errors import DivergenceError
-from .spectrum import Dataset, Spectrum, random_orthogonal, rotate_weights
+from .spectrum import (Dataset, Spectrum, covariance, gram_product, random_orthogonal,
+                       rotate_weights)
 
 log = logging.getLogger(__name__)
 
@@ -441,13 +442,14 @@ def _tied(product, shape, data_product, bound, name, form):
     return product
 
 
-def _check_spectrum(x, spectrum: Spectrum, cov=None):
-    # the eigenbasis step trusts the spectrum, so it must diagonalise S = X^T X
+def _check_spectrum(data, spectrum: Spectrum, cov=None):
+    # the eigenbasis step trusts the spectrum, so it must diagonalise S = X^T X; data is a
+    # Dataset or an N x D array, whose X^T X u is streamed over row blocks (gram_product)
     v, lams = spectrum.eigenvectors, spectrum.eigenvalues
     bound = SPECTRUM_TOL * float(np.max(np.abs(lams)))
-    d = x.shape[1]
-    s = x.T @ x if cov is None else _tied(cov, (d, d), lambda u: x.T @ (x @ u), bound,
-                                          "covariance", "X^T X")
+    d = v.shape[0]
+    s = covariance(data) if cov is None else _tied(cov, (d, d), lambda u: gram_product(data, u),
+                                                   bound, "covariance", "X^T X")
     # over row blocks of S, which are contiguous: a few block x D temporaries, not four D x D;
     # np.max, unlike Python's max, keeps a NaN
     peaks = []
@@ -491,7 +493,9 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readou
     (marginalized_loss_and_grads); the spectrum must then diagonalise the
     dataset's covariance, checked once against cov (the caller's X^T X, tied
     to the data along a random direction) or one formed here (ValueError
-    otherwise); it holds V^T W2 column-major. Otherwise every step
+    otherwise), both read from the data in row blocks, so image counts are
+    never formed into X; it holds V^T W2 column-major. Otherwise X is read
+    (dataset.samples, formed on first read from counts) and every step
     backpropagates through one fresh corruption drawn from the seeded
     stream, in Gram form (_sampled_grads). Either objective, ||X||^2
     included, is formed only at recorded epochs. A leg with a readout of
@@ -523,7 +527,7 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readou
     if marginalized and (activation != "identity" or pre_activation):
         raise ValueError("only the linear objective, read from its weights, has a "
                          "marginalised form")
-    d, n, x = dataset.d, dataset.n, dataset.samples
+    d, n = dataset.d, dataset.n
     v = spectrum.eigenvectors
     if config.init == "orthogonal":
         init = init_orthogonal(d, config.hidden_dim, spectrum, config.init_scale, config.seed)
@@ -531,11 +535,13 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readou
         init = init_small_random(d, config.hidden_dim, config.init_scale, config.seed)
     init = replace(init, activation=activation)
     rotated = marginalized or (pre_activation and config.noise.kind != "laplace")
-    if marginalized:
-        _check_spectrum(x, spectrum, cov)
+    if marginalized:     # reads the data in row blocks: an image file's X is never formed
+        _check_spectrum(dataset, spectrum, cov)
         eps_eff = epsilon_from_noise(config.noise, n)
         lams = spectrum.eigenvalues
-    elif pre_activation:
+    else:
+        x = dataset.samples
+    if pre_activation:
         if xv is None:
             xv = x @ v
         else:   # |X w| <= sqrt(lam_1) for a unit w, which sets the scale of X V u

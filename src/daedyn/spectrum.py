@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,6 +21,8 @@ log = logging.getLogger(__name__)
 ORTHOGONALITY_TOL = 1e-10
 SYMMETRY_TOL = 1e-8
 CLAMP_TOL = 1e-10      # eigenvalues in (-CLAMP_TOL, 0) are round-off and clamp to 0
+PIXEL_LEVELS = 255     # an image file's uint8 count P stands for the value P / 255
+GRAM_BLOCK_ROWS = 256  # rows of counts per block: 256 * 255^2 < 2^24, so float32 sums them
 
 # The benchmark tracer (bench/spans.py) counts calls to a Jacobi solver under
 # this name. No product code path has one, so the name is bound to nothing and
@@ -27,32 +30,90 @@ CLAMP_TOL = 1e-10      # eigenvalues in (-CLAMP_TOL, 0) are round-off and clamp 
 _jacobi = None
 
 
-@dataclass(frozen=True)
+def _standardised(x, center, scale):
+    # in place on a float X: the per-feature mean removed, then division by the largest
+    # |entry| unless that is 0
+    if center:
+        x -= x.mean(axis=0)
+    if scale:
+        peak = max(x.max(), -x.min())
+        if peak > 0.0:
+            x /= peak
+    return x
+
+
+@dataclass(frozen=True, init=False)
 class Dataset:
-    """N samples of dimension D; rows are samples. Immutable after construction."""
+    """N samples of dimension D; rows are samples. Immutable after construction.
 
-    samples: np.ndarray
-    source: str = "synthetic"
+    `stored` is a float64 X, or an image file's uint8 counts P, which stand
+    for X = P / 255. `center` removes the per-feature mean and `scale` then
+    divides by the largest |entry|: a float X is copied and standardised
+    when built, counts where they are read. `covariance` and `gram_product`
+    read counts in row blocks; `samples` forms their X only when first read,
+    and keeps it.
+    """
 
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
+    stored: np.ndarray
+    source: str
+    center: bool
+    scale: bool
+
+    def __init__(self, samples, source="synthetic", center=False, scale=False):
+        samples = np.asarray(samples)
+        if samples.dtype != np.uint8:
+            samples = np.ascontiguousarray(samples, dtype=np.float64)
         if samples.ndim != 2 or samples.shape[0] < 1 or samples.shape[1] < 1:
             raise ValueError(f"samples must be a non-empty N x D matrix, got shape {samples.shape}")
-        finite_rows = np.isfinite(samples).all(axis=1)
-        if not finite_rows.all():
-            bad = int(np.flatnonzero(~finite_rows)[0])
-            raise ValueError(f"non-finite entry in sample {bad}")
-        if self.source not in ("synthetic", "mnist", "cifar10"):
-            raise ValueError(f"unknown source tag {self.source!r}")
-        object.__setattr__(self, "samples", samples)
+        if samples.dtype != np.uint8:
+            finite_rows = np.isfinite(samples).all(axis=1)
+            if not finite_rows.all():
+                bad = int(np.flatnonzero(~finite_rows)[0])
+                raise ValueError(f"non-finite entry in sample {bad}")
+            if center or scale:
+                samples = _standardised(samples.copy(), center, scale)
+        if source not in ("synthetic", "mnist", "cifar10"):
+            raise ValueError(f"unknown source tag {source!r}")
+        for name, value in (("stored", samples), ("source", source),
+                            ("center", bool(center)), ("scale", bool(scale))):
+            object.__setattr__(self, name, value)
+
+    @property
+    def holds_counts(self) -> bool:
+        return self.stored.dtype == np.uint8
+
+    @cached_property
+    def samples(self) -> np.ndarray:
+        """X as float64: the stored X, or P / 255 standardised like a float X."""
+        if not self.holds_counts:
+            return self.stored
+        x = self.stored.astype(np.float64)
+        x /= PIXEL_LEVELS
+        return _standardised(x, self.center, self.scale)
+
+    def blocks(self):
+        """The stored array in row blocks: a float X whole, or GRAM_BLOCK_ROWS rows of
+        counts at a time, cast into one buffer (use a block before the next) of float32,
+        whose integers are exact below 2^24, when a block's sums stay below that."""
+        if not self.holds_counts:
+            yield self.stored
+            return
+        rows = min(self.n, GRAM_BLOCK_ROWS)
+        exact32 = rows * PIXEL_LEVELS ** 2 < 2 ** 24
+        buf = np.empty((rows, self.d), dtype=np.float32 if exact32 else np.float64)
+        for start in range(0, self.n, GRAM_BLOCK_ROWS):
+            counts = self.stored[start:start + GRAM_BLOCK_ROWS]
+            block = buf[:counts.shape[0]]
+            np.copyto(block, counts)
+            yield block
 
     @property
     def n(self) -> int:
-        return self.samples.shape[0]
+        return self.stored.shape[0]
 
     @property
     def d(self) -> int:
-        return self.samples.shape[1]
+        return self.stored.shape[1]
 
 
 @dataclass(frozen=True)
@@ -90,29 +151,93 @@ def _doubles(s):
     return bool(s.max(initial=0.0) <= half and s.min(initial=0.0) >= -half)
 
 
+def _as_dataset(data):
+    return data if isinstance(data, Dataset) else Dataset(np.asarray(data, dtype=np.float64))
+
+
+def exact_centring(n):
+    """Whether N P^T P and s s^T of N images of 8-bit counts are integers below 2^53.
+
+    Their entries are at most N^2 255^2, so this holds up to N = 372 181; past it, the
+    centred covariance takes the float formula, and one line is logged.
+    """
+    exact = n * n * PIXEL_LEVELS ** 2 < 2 ** 53
+    if not exact:
+        log.info("%d images: N P^T P passes 2^53, so the centred covariance is formed "
+                 "in float arithmetic", n)
+    return exact
+
+
+def _gram(dataset: Dataset, u=None):
+    # X^T X (u None) or X^T X u, summed over the stored array's row blocks; a float X is one
+    # block. Counts give exact integers: a block's partial sums are exact in its dtype (see
+    # Dataset.blocks), and the float64 total stays below N 255^2 < 2^53, whatever the block
+    # size, BLAS build or thread count. They are then taken to X's scale: centred as
+    # (N P^T P - s s^T) / (N 255^2), with s the column sums, one rounding while
+    # exact_centring holds, and divided by the squared largest |X| if scaled
+    blocks = dataset.blocks()
+    first = next(blocks)
+    total = first.T @ first if u is None else first.T @ (first @ u)
+    total = total.astype(np.float64, copy=False)    # a float32 block's Gram is summed in float64
+    part = None
+    for block in blocks:    # one D x D buffer serves every later block
+        part = np.matmul(block.T, block, out=part) if u is None else block.T @ (block @ u)
+        total += part
+    if not dataset.holds_counts:
+        return total
+    n, p, divisor = dataset.n, dataset.stored, float(PIXEL_LEVELS ** 2)
+    if dataset.center:
+        s = p.sum(axis=0, dtype=np.float64)
+        if u is not None:
+            total -= s * (s @ u / n)
+        elif exact_centring(n):
+            total *= n
+            total -= np.multiply.outer(s, s)
+            divisor *= n
+        else:
+            total -= np.multiply.outer(s, s / n)
+    total /= divisor
+    if dataset.scale:
+        if dataset.center:  # |N P - s| / (255 N) peaks at a column's largest or smallest count
+            top, bottom = (c.astype(np.float64) * n for c in (p.max(axis=0), p.min(axis=0)))
+            peak = max(np.max(top - s), np.max(s - bottom))
+            peak /= PIXEL_LEVELS * n
+        else:
+            peak = float(p.max()) / PIXEL_LEVELS
+        if peak > 0.0:
+            total /= peak * peak
+    return total
+
+
 def covariance(dataset):
     """Sum of outer products of the samples, S = X^T X, exactly symmetric.
 
-    numpy's X^T X is symmetric bit for bit, and (S + S^T) / 2 of an exactly
-    symmetric S is S, so S is returned as formed; only an S that is not
-    exactly symmetric is symmetrised as (S + S^T) / 2. An S that cannot be
-    doubled in float64 raises OverflowError. Unnormalised and uncentred
-    (centring belongs to `data.preprocess`). Accepts a Dataset or a plain
-    N x D array.
+    Summed over row blocks of the dataset's stored array (Dataset.blocks). A
+    float X is one block, so S is numpy's X^T X, which is symmetric bit for
+    bit, and (S + S^T) / 2 of an exactly symmetric S is S, so S is returned
+    as formed; only an S that is not exactly symmetric is symmetrised as
+    (S + S^T) / 2. An S that cannot be doubled in float64 raises
+    OverflowError. An image file's uint8 counts P give the exact integer
+    P^T P, whose bits do not depend on the block size, the BLAS build or the
+    thread count, divided once by 255^2; under `center`,
+    (N P^T P - s s^T) / (N 255^2) with s the integer column sums (see
+    exact_centring), and under `scale`, divided by the squared largest |X|.
+    Unnormalised, and centred or scaled only as the dataset says (see
+    `data.preprocess`). Accepts a Dataset or a plain N x D array.
     """
-    x = dataset.samples if isinstance(dataset, Dataset) else np.asarray(dataset, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"expected an N x D matrix, got shape {x.shape}")
-    finite_rows = np.isfinite(x).all(axis=1)
-    if not finite_rows.all():
-        bad = int(np.flatnonzero(~finite_rows)[0])
-        raise ValueError(f"non-finite entry in sample {bad}")
+    dataset = _as_dataset(dataset)
     with np.errstate(over="ignore", invalid="ignore"):     # refused just below, by name
-        s = x.T @ x
+        s = _gram(dataset)
     if not _doubles(s):
         raise OverflowError(f"X^T X overflows float64 once symmetrised: its entries reach "
                             f"{max(-s.min(), s.max()):.3e}")
     return s if np.array_equal(s, s.T) else 0.5 * (s + s.T)
+
+
+def gram_product(dataset, u):
+    """X^T (X u) for a D-vector u, over the same row blocks as covariance: a float X whole,
+    counts a block at a time, so no float64 X is formed. Accepts a Dataset or an N x D array."""
+    return _gram(_as_dataset(dataset), np.asarray(u, dtype=np.float64))
 
 
 def eigendecompose(s) -> Spectrum:

@@ -6,6 +6,7 @@ controlled covariance spectrum and exercises the identical ingestion pipeline.
 """
 
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,18 @@ def imagelike_pixels(n_img, d, seed, n_strong=24, strong=2.0, weak=0.025):
     z = rng.standard_normal((n_img, n_dir))
     x = mean[None, :] + (z * np.sqrt(sig2)) @ q.T
     return np.rint(np.clip(x, 0.0, 1.0) * 255).astype(np.uint8)
+
+
+def write_imagelike_idx(path, count, seed, chunk=5000):
+    """An IDX file of `count` 28 x 28 image-like images, written `chunk` at a time.
+
+    Chunk k holds imagelike_pixels(chunk, 784, seed + k), each with its own planted
+    directions, so no more than one chunk of float pixels is held at once.
+    """
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(">IIII", 0x00000803, count, 28, 28))
+        for k, start in enumerate(range(0, count, chunk)):
+            fh.write(imagelike_pixels(min(chunk, count - start), 784, seed + k).tobytes())
 
 
 @pytest.fixture(scope="session")

@@ -3,11 +3,13 @@
 import csv
 import dataclasses
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from conftest import write_imagelike_idx
 from oracles import read_trajectory_csv, write_surface_csv_rows
 
 from daedyn import analytic, cli, data, spectrum
@@ -286,6 +288,23 @@ def test_real_data_rejects_a_spectrum_that_does_not_diagonalise_the_data(
                  "--epochs", "5", "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_CONFIG
     assert "does not diagonalise" in capsys.readouterr().err
+
+
+def test_marginalised_real_data_holds_less_than_half_a_float64_x(tmp_path):
+    # the run reads 20 000 images as uint8 counts in row blocks; X alone would be N D 8 bytes
+    n, d = 20_000, 784
+    images = tmp_path / "images"
+    write_imagelike_idx(images, n, seed=20)
+    tracemalloc.start()
+    try:
+        code = main(["real-data", "--dataset", str(images), "--format", "idx", "--n", str(n),
+                     "--hidden", "8", "--modes", "1,2", "--sigma2", "0.5", "--alpha", "0.01",
+                     "--epochs", "5", "--center", "--out", str(tmp_path / "out")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_OK
+    assert peak < n * d * 4, peak / (n * d)
 
 
 def test_nonlinear_noise_preset_yields_to_any_noise_spec(d16_cache):

@@ -356,6 +356,21 @@ def test_image_files_read_only_the_records_they_keep(load, head, record, tmp_pat
         assert np.array_equal(load(path, 10).pixels, pixels / 255.0)
 
 
+def test_image_loaders_keep_the_uint8_counts(mnist_like_paths, cifar_like_path):
+    # the counts are the file's bytes, not a float copy; pixels reads them as P / 255
+    raw = mnist_like_paths.read_bytes()
+    idx = load_idx(mnist_like_paths, 5)
+    assert idx.stored.dtype == np.uint8 and idx.stored.tobytes() == raw[16:16 + 5 * 784]
+    cif = load_cifar10(cifar_like_path, 5)
+    assert cif.stored.dtype == np.uint8
+    assert cif.stored.tobytes() == b"".join(
+        cifar_like_path.read_bytes()[k * 3073 + 1:(k + 1) * 3073] for k in range(5))
+    for batch in (idx, cif):
+        assert np.array_equal(batch.pixels, batch.stored.astype(np.float64) / 255)
+        ds = preprocess(batch, center=True, scale=True)
+        assert ds.stored is batch.stored and ds.center and ds.scale
+
+
 def test_load_cifar10_refuses_a_file_cut_short_after_its_size_was_read(tmp_path, monkeypatch):
     path = tmp_path / "batch.bin"
     path.write_bytes(bytes(3073))

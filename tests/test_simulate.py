@@ -20,7 +20,7 @@ from oracles import (
 
 from daedyn import analytic, simulate
 from daedyn.analytic import NoiseModel, ScalarMode, dae_fixed_point, dae_trajectory
-from daedyn.data import synthetic_dataset
+from daedyn.data import load_idx, preprocess, synthetic_dataset
 from daedyn.errors import DivergenceError
 from daedyn.nonlinear import train_nonlinear
 from daedyn.simulate import (
@@ -34,7 +34,7 @@ from daedyn.simulate import (
     descend,
     run_scalar_gd,
 )
-from daedyn.spectrum import Spectrum, covariance, eigendecompose, rotate_weights
+from daedyn.spectrum import Dataset, Spectrum, covariance, eigendecompose, rotate_weights
 
 SPECTRUM_8 = [2.5, 1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01]
 
@@ -875,3 +875,38 @@ def test_linear_ae_validation():
         Autoencoder(w1=np.ones((2, 3)), w2=np.ones((2, 3)))
     with pytest.raises(ValueError, match="finite"):
         Autoencoder(w1=np.full((2, 3), np.nan), w2=np.ones((3, 2)))
+
+
+@pytest.mark.parametrize("center", [False, True], ids=["plain", "centred"])
+def test_legs_on_image_counts_read_x_as_p_over_255(center, mnist_like_paths):
+    # sampled and nonlinear legs form X from the counts with preprocess's float arithmetic,
+    # P / 255 and then the mean removed, so they train exactly as on that float X
+    batch = load_idx(mnist_like_paths, 120)
+    x = batch.stored.astype(np.float64) / 255
+    if center:
+        x = x - x.mean(axis=0)
+    counts, floats = preprocess(batch, center=center), Dataset(x, "mnist")
+    spec = eigendecompose(covariance(counts))
+    assert "samples" not in vars(counts)
+    base = dict(learning_rate=0.02, epochs=6, init_scale=1e-2, seed=3, hidden_dim=6,
+                record_every=2)
+    legs = [lambda ds, noise: train_nonlinear(ds, spec, TrainingConfig(noise=noise, **base),
+                                              "relu"),
+            lambda ds, noise: run_linear_ae(ds, spec, TrainingConfig(
+                noise=noise, loss_mode="sampled", **base))]
+    for leg in legs:
+        for noise in (NoiseModel.gaussian(0.1), NoiseModel.laplace(0.2)):
+            assert np.array_equal(leg(counts, noise).modes, leg(floats, noise).modes,
+                                  equal_nan=True)
+    assert np.array_equal(counts.samples.view(np.int64), x.view(np.int64))
+
+
+def test_marginalised_run_on_image_counts_never_forms_x(mnist_like_paths):
+    ds = preprocess(load_idx(mnist_like_paths, 200), center=True, scale=True)
+    cov = covariance(ds)
+    spec = eigendecompose(cov)
+    cfg = TrainingConfig(learning_rate=0.05, epochs=4, hidden_dim=4, seed=2,
+                         noise=NoiseModel.gaussian(0.5))
+    for handed in (cov, None):  # a handed-over X^T X is tied to the counts, else one is formed
+        run_linear_ae(ds, spec, cfg, handed)
+    assert "samples" not in vars(ds)

@@ -1,5 +1,6 @@
 """Covariance construction, eigendecomposition against a Jacobi oracle, and rotations."""
 
+import logging
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 
 from oracles import eigh_symmetrised, jacobi_eigh, projected_diagonal, read_spectrum_csv
 
-from daedyn import simulate
+from daedyn import simulate, spectrum
+from daedyn.data import load_idx, preprocess
 from daedyn.errors import NotSymmetricError
 from daedyn.spectrum import (
     Dataset,
@@ -58,6 +60,57 @@ def test_covariance_refuses_an_s_that_overflows_once_doubled(x):
     # back as NaN eigenvalues from eigendecompose
     with pytest.raises(OverflowError, match="X\\^T X overflows"):
         covariance(x)
+
+
+@pytest.mark.parametrize("center", [False, True], ids=["plain", "centred"])
+def test_image_gram_is_exact_whatever_the_block_size(center, mnist_like_paths, monkeypatch):
+    # blocks of 1, 7 and 256 counts sum in float32, one block of all 300 in float64; each
+    # gives int64 P^T P / 255^2, or (N P^T P - s s^T) / (N 255^2) centred, bit for bit
+    batch = load_idx(mnist_like_paths, 300)
+    p = batch.stored.astype(np.int64)
+    n, gram, s = p.shape[0], p.T @ p, p.sum(axis=0)
+    want = (n * gram - np.outer(s, s)) / (n * 255 ** 2) if center else gram / 255 ** 2
+    for rows in (1, 7, 256, n):
+        monkeypatch.setattr(spectrum, "GRAM_BLOCK_ROWS", rows)
+        got = covariance(preprocess(batch, center=center))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), rows
+
+
+@pytest.mark.parametrize("center", [False, True], ids=["plain", "centred"])
+@pytest.mark.parametrize("scale", [False, True], ids=["unscaled", "scaled"])
+def test_image_gram_and_its_product_match_the_float_x(center, scale):
+    # a strided view of counts, as a CIFAR-10 batch keeps them behind its label bytes;
+    # covariance and gram_product agree with the float X that preprocess forms to 1e-15
+    records = np.random.default_rng(3).integers(0, 256, size=(600, 13), dtype=np.uint8)
+    ds = Dataset(records[:, 1:], "cifar10", center=center, scale=scale)
+    u = np.random.default_rng(4).standard_normal(12)
+    s = covariance(ds)
+    x = preprocess(np.asarray(records[:, 1:], dtype=np.float64) / 255, center, scale).samples
+    assert np.array_equal(s, s.T)
+    assert np.max(np.abs(s - x.T @ x)) <= 1e-15 * 12 * np.max(np.abs(s))
+    want = x.T @ (x @ u)
+    assert np.max(np.abs(spectrum.gram_product(ds, u) - want)) <= 1e-14 * np.max(np.abs(want))
+    assert "samples" not in vars(ds)
+
+
+def test_exact_centring_holds_below_2_to_the_53_and_logs_past_it(caplog):
+    # N^2 255^2 < 2^53 up to N = 372 181
+    with caplog.at_level(logging.INFO, logger="daedyn.spectrum"):
+        assert spectrum.exact_centring(372_181)
+        assert not caplog.records
+        assert not spectrum.exact_centring(372_182)
+    (record,) = caplog.records
+    assert "372182 images" in record.getMessage() and "float arithmetic" in record.getMessage()
+
+
+def test_centred_gram_past_the_exact_bound_takes_the_float_formula(mnist_like_paths,
+                                                                  monkeypatch):
+    ds = preprocess(load_idx(mnist_like_paths, 300), center=True)
+    exact = covariance(ds)
+    monkeypatch.setattr(spectrum, "exact_centring", lambda n: False)
+    got = covariance(ds)
+    assert not np.array_equal(got, exact)
+    assert np.max(np.abs(got - exact)) <= 1e-14 * np.max(np.abs(exact))
 
 
 def test_spectrum_path_holds_s_v_and_one_more_d_by_d_array():
