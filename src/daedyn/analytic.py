@@ -25,7 +25,8 @@ from .errors import DegenerateTrajectoryError, UnsupportedModeError
 
 C0_MIN = 1e-9          # below this the hyperbolic coordinates divide by ~0
 OVERFLOW_ARG = 700.0   # exp saturation horizon; beyond it w(t) is the fixed point
-CSV_BLOCK_ROWS = 1024  # CSV rows per write and epochs per closed-form pass: bounds what is held
+CSV_BLOCK_ROWS = 1024  # CSV rows per write: bounds what is held
+CLOSED_FORM_BLOCK = 4096  # epochs per closed-form pass: 32 KB temporaries, few numpy calls
 
 TRAJECTORY_KINDS = ("analytic_dae", "analytic_wdae", "simulated", "estimated")
 
@@ -150,14 +151,14 @@ def _epochs(t):
 
 
 def _blocked(form, t):
-    """The elementwise form(t) over CSV_BLOCK_ROWS epochs at a time, into one array shaped
+    """The elementwise form(t) over CLOSED_FORM_BLOCK epochs at a time, into one array shaped
     like t: the whole-array bits, with a few blocks of temporaries. A 0-d t gives a float."""
     if t.ndim == 0:
         return float(form(t))
     out = np.empty(t.shape)
     flat_t, flat_out = t.reshape(-1), out.reshape(-1)
-    for start in range(0, t.size, CSV_BLOCK_ROWS):
-        flat_out[start:start + CSV_BLOCK_ROWS] = form(flat_t[start:start + CSV_BLOCK_ROWS])
+    for start in range(0, t.size, CLOSED_FORM_BLOCK):
+        flat_out[start:start + CLOSED_FORM_BLOCK] = form(flat_t[start:start + CLOSED_FORM_BLOCK])
     return out
 
 
@@ -179,7 +180,7 @@ def dae_trajectory(mode: ScalarMode, t):
     zeta^2 - beta^2 is replaced by the identity value 4. Past the exp
     saturation horizon the fixed point lambda / (lambda + eps) is returned
     directly (the trajectory is within ~1e-300 of it). Array epochs are
-    evaluated CSV_BLOCK_ROWS at a time into one output array.
+    evaluated CLOSED_FORM_BLOCK at a time into one output array.
     """
     if mode.lam <= 0.0:
         raise UnsupportedModeError(
@@ -221,7 +222,7 @@ def wdae_trajectory(lam, gamma_eff, tau, w0, t, epsilon=0.0):
     kappa is the fixed point and equals xi without noise. For xi < 0 the same
     expression decays to zero; xi = 0 degenerates to the algebraic decay
     w0 / (1 + 2 (lambda + eps) w0 t / tau). Array epochs are evaluated
-    CSV_BLOCK_ROWS at a time into one output array.
+    CLOSED_FORM_BLOCK at a time into one output array.
     """
     if lam <= 0.0:
         raise UnsupportedModeError("closed form requires lambda > 0")

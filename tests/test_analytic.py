@@ -341,7 +341,7 @@ def test_closed_forms_in_blocks_give_the_whole_array_bits(branch):
     mode = ScalarMode(lam=lam, epsilon=eps, tau=100.0, w1_0=w1_0, w2_0=w2_0, gamma_eff=gamma_eff)
     assert (mode.c0 <= analytic.C0_MIN) == (branch != "hyperbolic")
     # three whole blocks and a ragged one; a 2-d grid keeps its shape
-    times = np.linspace(0.0, 20_000.0, 3 * analytic.CSV_BLOCK_ROWS + 5)
+    times = np.linspace(0.0, 20_000.0, 3 * analytic.CLOSED_FORM_BLOCK + 5)
     for t in (times, times.reshape(-1, 1)):
         got, want = dae_trajectory(mode, t), closed_form_whole_array(mode, t)
         assert got.shape == t.shape
@@ -369,7 +369,7 @@ def test_closed_forms_hold_their_output_and_a_few_blocks(branch):
     finally:
         tracemalloc.stop()
     # whole-array temporaries held 2 to 7 more arrays the size of the output
-    assert peak <= values.nbytes + 16 * analytic.CSV_BLOCK_ROWS * 8, (branch, peak)
+    assert peak <= values.nbytes + 16 * analytic.CLOSED_FORM_BLOCK * 8, (branch, peak)
 
 
 # --- fixed points and equivalence -------------------------------------------

@@ -331,6 +331,29 @@ def test_matrix_cache_reads_only_the_rows_it_keeps(tmp_path):
     assert peaks[None] >= full > 20 * peaks[100]
 
 
+def test_matrix_cache_is_written_and_read_without_a_copy_of_the_matrix(tmp_path):
+    # the writer hands the matrix's own memory to the file, and the reader keeps a read-only
+    # view of the bytes it read: each holds at most one payload, not two
+    m = np.random.default_rng(7).standard_normal((2000, 300))
+    path = tmp_path / "m.cache"
+    tracemalloc.start()
+    try:
+        save_matrix(path, m)
+        _, write_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        loaded = load_matrix(path)
+        _, read_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == struct.pack("<II", 2000, 300) + m.astype("<f8").tobytes()
+    assert write_peak < m.nbytes // 20, write_peak
+    assert read_peak < 1.5 * m.nbytes, read_peak
+    assert np.array_equal(loaded, m) and not loaded.flags.writeable
+    # a Fortran-ordered matrix is written row-major, the same bytes
+    save_matrix(path, np.asfortranarray(m))
+    assert np.array_equal(load_matrix(path), m)
+
+
 @pytest.mark.parametrize("load, head, record", [
     (load_idx, struct.pack(">IIII", 0x00000803, 4000, 28, 28), 784),
     (load_cifar10, b"", 3073)], ids=["idx", "cifar10"])

@@ -1,6 +1,7 @@
 """Nonlinear autoencoder training and the eigenmode-mapping estimator."""
 
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -149,11 +150,16 @@ def _clean_step(model, x):
     return simulate._sampled_grads(model, x, NoiseModel.none(), np.random.default_rng(0))
 
 
-def _step_on(model, x, e, monkeypatch):
-    # the backprop step on the corrupted batch x + e: a Laplace step whose draw returns a
-    # copy of e, to which the step adds x in place
-    monkeypatch.setattr(simulate, "_draw_noise", lambda *args: e.copy())
-    return simulate._sampled_grads(model, x, NoiseModel.laplace(1.0), np.random.default_rng(0))
+def _step_on(model, x, e, monkeypatch, with_loss=True):
+    # the backprop step on the corrupted batch x + e: a Laplace step whose draw of each row
+    # block returns a copy of the next rows of e, to which the step adds x in place
+    rows = iter(e)
+    monkeypatch.setattr(simulate, "_draw_noise",
+                        lambda rng, noise, shape, *args: np.array(list(islice(rows, shape[0]))))
+    got = simulate._sampled_grads(model, x, NoiseModel.laplace(1.0), np.random.default_rng(0),
+                                  with_loss=with_loss)
+    assert next(rows, None) is None         # the step took all of e
+    return got
 
 
 def test_backprop_identity_matches_linear_formula(toy_dataset, monkeypatch):
@@ -232,6 +238,32 @@ def test_gram_form_backprop_matches_the_residual_oracle(activation, corrupted, t
         _agree(_step_on(model, x, e, monkeypatch), backprop_residual(model, x, x + e))
     else:
         _agree(_clean_step(model, x), backprop_residual(model, x, x))
+
+
+@pytest.mark.parametrize("n, r", [(512, 7), (600, 7), (100, 7), (600, 4)], ids=[
+    "block-multiple", "ragged-last-block", "below-one-block", "r-below-d"])
+@pytest.mark.parametrize("activation", ["identity", "relu", "tanh"])
+def test_blocked_laplace_step_matches_the_residual_oracle(activation, n, r, monkeypatch):
+    # A Laplace step walks the batch in STEP_BLOCK_ROWS-row blocks and sums A^T A, X^T A and
+    # delta^T X_tilde over them; on the same corruption it is backprop through the N x D
+    # residual, with and without its loss. Its r <= D leading columns hold the data; the
+    # oracle sees the other columns as zeros, in the data and in the corruption.
+    rng = np.random.default_rng(23)
+    x = np.zeros((n, 7))
+    x[:, :r] = rng.uniform(0.0, 1.0, size=(n, r))
+    e = np.zeros((n, 7))
+    e[:, :r] = rng.laplace(0.0, 0.3, size=(n, r))
+    model = Autoencoder(rng.standard_normal((3, 7)) * 0.5, rng.standard_normal((7, 3)) * 0.5,
+                        activation)
+    want = backprop_residual(model, x, x + e)
+    got = _step_on(model, np.ascontiguousarray(x[:, :r]), e[:, :r], monkeypatch)
+    _agree(got, want)
+    assert not got[1][:, r:].any()
+    loss, g1, g2 = _step_on(model, np.ascontiguousarray(x[:, :r]), e[:, :r], monkeypatch,
+                            with_loss=False)
+    assert loss is None
+    assert np.array_equal(g1.view(np.int64), got[1].view(np.int64))
+    assert np.array_equal(g2.view(np.int64), got[2].view(np.int64))
 
 
 def _spy_draws(monkeypatch):

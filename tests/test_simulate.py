@@ -398,6 +398,32 @@ class _ZeroUniform:
         return self._rng.laplace(loc, scale, size=size)
 
 
+class _Uniforms:
+    """A generator whose uniforms are the given values, in order."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+        self.bit_generator = np.random.default_rng(0).bit_generator
+
+    def random(self, out):
+        out.reshape(-1)[...] = [next(self._values) for _ in range(out.size)]
+        return out
+
+
+def test_laplace_draw_takes_each_branch_and_its_sign_from_the_uniform_as_numpy_does():
+    # numpy's random_laplace on U: 0 + b log(U + U) below 1/2, 0 - b log(2 - U - U) from
+    # 1/2 up, so U = 1/2 gives +0.0; the draw agrees to 2 ulp (numpy's vector log against
+    # libm's) with every sign, beside 1/2 and at either end of [0, 1)
+    b, ulp = 0.3, 2.0 ** -53
+    uniforms = [0.5, 0.5 - ulp, 0.5 + 2 * ulp, 0.5 - ulp / 2, ulp, 1.0 - ulp, 0.25, 0.75]
+    got = simulate._draw_noise(_Uniforms(uniforms), NoiseModel.laplace(b), (len(uniforms),))
+    want = np.array([0.0 + b * math.log(u + u) if u < 0.5 else 0.0 - b * math.log(2.0 - u - u)
+                     for u in uniforms])
+    assert got[0] == 0.0 and not np.signbit(got[0])
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.abs(got.view(np.int64) - want.view(np.int64)).max() <= 2
+
+
 @pytest.mark.parametrize("call", [1, 2], ids=["first-block", "second-block"])
 def test_a_zero_uniform_replays_the_draw_through_rng_laplace(call):
     # numpy redraws a zero uniform; the draw must then be rng.laplace bit for bit
@@ -423,55 +449,123 @@ def test_laplace_draw_has_the_laplace_moments():
     assert abs(np.mean(x * x) - 2.0 * b * b) <= 5 * math.sqrt(20.0) * b * b * se
 
 
-def test_laplace_step_holds_one_n_by_d_buffer_and_draws_without_another():
-    x = np.random.default_rng(0).standard_normal((500, 100))     # three draw blocks
+@pytest.mark.parametrize("call", [None, 1, 4], ids=["no-zero", "zero-in-first-block",
+                                                  "zero-in-a-later-block"])
+def test_a_laplace_draw_in_row_blocks_has_the_bits_of_one_whole_draw(call):
+    # the sampled step draws STEP_BLOCK_ROWS rows at a time, half a page from each block of X;
+    # the blocks, concatenated, are one whole N x D draw bit for bit, and leave the generator
+    # where it leaves it, whether or not a zero uniform replays a block through rng.laplace
+    rows = simulate.STEP_BLOCK_ROWS
+    n, d = 2 * rows + 88, simulate.LAPLACE_BLOCK // rows + 28     # two passes per row block
+    noise = NoiseModel.laplace(0.3)
+
+    def generator():
+        rng = np.random.default_rng(9)
+        return rng if call is None else _ZeroUniform(rng, call, at=17)
+
+    whole_rng, blocks_rng = generator(), generator()
+    whole = simulate._draw_noise(whole_rng, noise, (n, d))
+    x = np.zeros((n, d))
+    ws = simulate.Workspace()
+    blocks = []
+    for start in range(0, n, rows):
+        xb = x[start:start + rows]
+        blocks.append(simulate._draw_noise(blocks_rng, noise, xb.shape, ws, xb).copy())
+        assert blocks[-1].shape == xb.shape
+    assert np.array_equal(np.concatenate(blocks).view(np.int64), whole.view(np.int64))
+    assert blocks_rng.bit_generator.state == whole_rng.bit_generator.state
+    if call is not None:     # the zero's row block is rng.laplace's, drawn from its first uniform
+        ref = np.random.default_rng(9)
+        skipped = (call - 1) // 2 * rows
+        assert skipped + rows < n
+        ref.random(skipped * d)
+        replayed = ref.laplace(0.0, 0.3, size=(rows, d))
+        assert np.array_equal(whole[skipped:skipped + rows], replayed)
+
+
+def test_laplace_step_holds_no_n_by_d_buffer_and_draws_without_another():
+    # the step draws and corrupts one STEP_BLOCK_ROWS-row block at a time, so neither the
+    # workspace nor the step's transient memory holds anything the size of X
+    x = np.random.default_rng(0).standard_normal((2000, 100))    # eight row blocks
+    rows, d = simulate.STEP_BLOCK_ROWS, x.shape[1]
     model = init_small_random(100, 4, 0.5, seed=1)
     ws = simulate.Workspace()
     noise = NoiseModel.laplace(0.2)
     simulate._sampled_grads(model, x, noise, np.random.default_rng(4), ws)
-    assert sum(buf.size >= x.size for buf in ws.values()) == 1
-    # a later draw into that buffer allocates no more than a block-sized temporary
+    assert set(ws) == {"noise", "g1", "g2"}
+    assert max(buf.size for buf in ws.values()) < x.size // 4
+    assert ws["noise"].base.size == rows * d + 512      # one block and its half-page margin
+    assert all(buf.base is None or buf.base.size == rows * d + 512 for buf in ws.values())
     tracemalloc.start()
     try:
-        simulate._draw_noise(np.random.default_rng(5), noise, x.shape, ws)
-        _, peak = tracemalloc.get_traced_memory()
+        simulate._sampled_grads(model, x, noise, np.random.default_rng(5), ws)
+        _, step_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        # a draw into the block buffer allocates no more than a LAPLACE_BLOCK temporary
+        simulate._draw_noise(np.random.default_rng(5), noise, (rows, d), ws, x)
+        _, draw_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < x.nbytes // 2
+    assert step_peak < x.nbytes // 4, step_peak
+    assert draw_peak < 2 * simulate.LAPLACE_BLOCK * 8, draw_peak
 
 
 def test_laplace_buffer_sits_half_a_page_from_the_data_wherever_the_data_sits():
-    # a store into the corrupted batch at X's page offset (address mod 4096) aliases a load
-    # from X; the buffer is placed 2048 bytes away, at least a cache line either way round
-    model = init_small_random(40, 3, 0.5, seed=1)
-    backing = np.random.default_rng(0).standard_normal(20 * 40 + 4096 // 8)
+    # a store into the corrupted block at X's page offset (address mod 4096) aliases a load
+    # from X; the buffer is placed 2048 bytes from each row block it corrupts, at least a cache
+    # line either way round. At an odd D a block of X is an odd multiple of 2048 bytes long,
+    # so consecutive blocks start half a page apart and the buffer moves with them
+    n, d = 2 * simulate.STEP_BLOCK_ROWS + 37, 41
+    model = init_small_random(d, 3, 0.5, seed=1)
+    backing = np.random.default_rng(0).standard_normal(n * d + 4096 // 8)
+    draw, gaps = simulate._draw_noise, []
+
+    def spy(rng, noise, shape, ws, block):
+        out = draw(rng, noise, shape, ws, block)
+        gaps.append(((out.ctypes.data - block.ctypes.data) % 4096, out.shape == block.shape,
+                     (block.ctypes.data - x.ctypes.data) // (8 * d)))
+        return out
+
     for skip in range(4096 // 8):       # every 8-byte page offset of X
-        x = backing[skip:skip + 20 * 40].reshape(20, 40)
-        ws = simulate.Workspace()
-        simulate._sampled_grads(model, x, NoiseModel.laplace(0.2), np.random.default_rng(4), ws)
-        gap = (ws["noise"].ctypes.data - x.ctypes.data) % 4096
-        assert gap == 2048 and ws["noise"].shape == x.shape, (skip, gap)
+        x = backing[skip:skip + n * d].reshape(n, d)
+        gaps.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "_draw_noise", spy)
+            simulate._sampled_grads(model, x, NoiseModel.laplace(0.2), np.random.default_rng(4),
+                                    simulate.Workspace())
+        assert gaps == [(2048, True, 0), (2048, True, 256), (2048, True, 512)], (skip, gaps)
+    # the blocks of X do sit at two page offsets
+    assert (simulate.STEP_BLOCK_ROWS * d * 8) % 4096 == 2048
 
 
 @pytest.mark.parametrize("noise", [NoiseModel.gaussian(0.7), NoiseModel.laplace(0.4)],
                          ids=["gaussian", "laplace"])
 def test_sampled_step_corrupts_bitwise_like_adding_a_fresh_draw(noise, small_dataset, monkeypatch):
     # The Laplace draw is within 2 ulp of rng.laplace, so its corrupted batch is
-    # x + rng.laplace up to those 2 ulp plus the rounding of the two adds. A Gaussian
+    # x + rng.laplace up to those 2 ulp plus the rounding of the two adds; a step draws
+    # and corrupts it one row block at a time, in one block-sized buffer. A Gaussian
     # step draws only E Q and G (N k + m D values, k = min(D, H), m = min(N, H)),
     # bit for bit rng.normal, and backpropagates without a corrupted batch. Both
     # leave the generator in the state of their draws; each of two steps on one
-    # generator draws once.
+    # generator draws once, a Laplace one once per row block.
     ds, _ = small_dataset
     x = ds.samples
     n, d = x.shape
-    corrupted, shapes, drawn = [], [], []
+    corrupted, shapes, drawn, last = [], [], [], []
     draw = simulate._draw_noise
 
+    def keep_last():
+        # the buffer of the last Laplace draw, which now holds its row block with x added
+        if last:
+            corrupted[-1].append(last.pop().copy())
+
     def spy_draw(*args):
+        keep_last()
         values = draw(*args)
-        shapes.append(args[2])
-        drawn.append(values.copy())
+        shapes[-1].append(args[2])
+        drawn[-1].append(values.copy())
+        if noise.kind == "laplace":
+            last.append(values)
         return values
 
     monkeypatch.setattr(simulate, "_draw_noise", spy_draw)
@@ -479,23 +573,28 @@ def test_sampled_step_corrupts_bitwise_like_adding_a_fresh_draw(noise, small_dat
     rng = np.random.default_rng(4)
     ws = simulate.Workspace()
     for _ in range(2):
+        for per_step in (corrupted, shapes, drawn):
+            per_step.append([])
         simulate._sampled_grads(model, x, noise, rng, ws)
-        if noise.kind == "laplace":     # the draw, with x added to it in place
-            corrupted.append(ws["noise"].copy())
-    # the draw (the corrupted batch on a Laplace step) and the gradients are the
-    # step's only buffers
+        keep_last()
+    # the draw (a block of the corrupted batch on a Laplace step) and the gradients are
+    # the step's only buffers
     assert set(ws) == {"noise", "g1", "g2"}
     ref = np.random.default_rng(4)
     if noise.kind == "gaussian":
         k, m = min(d, 4), min(n, 4)
-        assert shapes == [(n * k + m * d,)] * 2
+        assert shapes == [[(n * k + m * d,)]] * 2
         assert ws["noise"].size == n * k + m * d < x.size
-        for values in drawn:
+        for (values,) in drawn:
             want = ref.normal(0.0, math.sqrt(noise.variance), size=values.shape)
             assert np.array_equal(values.view(np.int64), want.view(np.int64))
     else:
-        assert shapes == [x.shape] * 2
-        for batch in corrupted:
+        rows = simulate.STEP_BLOCK_ROWS
+        assert n > rows     # two row blocks, the last one short
+        assert shapes == [[(min(rows, n - start), d) for start in range(0, n, rows)]] * 2
+        assert ws["noise"].shape == (n % rows, d)
+        for blocks in corrupted:
+            batch = np.concatenate(blocks)
             e = ref.laplace(0.0, noise.scale, size=x.shape)
             want = x + e
             tol = (2.0 * np.spacing(np.abs(e))
