@@ -59,7 +59,10 @@ def train_nonlinear(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig
 
     Corruption is always sampled, whatever config.loss_mode says. A noise-free
     or Gaussian leg trains in the covariance eigenbasis on the data's range
-    XV_r (see descend); a Laplace leg trains in pixel space. Each record
+    XV_r, r columns (see descend); a Laplace leg trains in pixel space. A
+    noise-free leg with N < 2 r steps in sample space on K = XV_r XV_r^T,
+    N x N, 8 N^2 bytes (2 MB at N = 500), formed once per leg; at N >= 2 r,
+    as on 20 000 images of D = 784, it steps on the weights. Each record
     estimates the ratios from XV (XV_r on an eigenbasis leg), the caller's xv
     or one formed once per run, the clean pre-activation X W1^T, which an
     eigenbasis leg's step has already formed, and V^T W2; modes below the

@@ -32,6 +32,7 @@ LOSS_MODES = ("marginalized", "sampled")
 LAPLACE_BLOCK = 32_768  # values per Laplace-draw pass: a block and its temporary fit in cache
 STEP_BLOCK_ROWS = 256   # rows per block of a Laplace step: its draw and products stay in cache
 SPECTRUM_CHECK_ROWS = 128   # rows of S V - V diag(lam) formed at once by _check_spectrum
+QR_RANK_TOL = 1e-8  # an R whose diagonal spans more than 1/QR_RANK_TOL is not inverted (_w1_qr)
 
 
 def _identity(z):
@@ -245,7 +246,10 @@ class Workspace(dict):
     draw at all; no leg holds an N x D corrupted batch. A Gaussian or
     noise-free step of a leg with a readout of the hidden layer also keeps
     its clean pre-activation X W1^T (N x H) under "xw1", which the record
-    reads. A buffer handed back by a step is overwritten by the next one.
+    reads. A noise-free leg stepped in sample space (N < 2 r, see descend)
+    iterates that pre-activation in "xw1" itself and holds its N x N K and
+    a few N x H arrays beside the workspace, never the gradients. A buffer
+    handed back by a step is overwritten by the next one.
     """
 
     def __call__(self, name, shape, apart_from=None):
@@ -362,7 +366,7 @@ def _draw_noise(rng, noise: NoiseModel, shape, ws=None, apart_from=None):
     return out
 
 
-def _gram_form(model: Autoencoder, x, z, b):
+def _gram_form(model: Autoencoder, x, z, b, with_delta=True):
     # One row block of the Gram-form backprop step on (1/2N) sum ||x_i - W2 phi(W1 x_tilde_i)||^2,
     # which never forms the N x D residual R = A W2^T - X, where Z = X_tilde W1^T is the
     # pre-activation of the corrupted batch and A = phi(Z):
@@ -373,21 +377,43 @@ def _gram_form(model: Autoencoder, x, z, b):
     # A^T A, X^T A and delta^T X_tilde are sums over rows, so a step adds them up block by
     # block (_sampled_grads). x may hold only the r <= D leading columns of inputs whose other
     # columns are zero, as the data's range in the covariance eigenbasis does. b is W2^T W2;
-    # returns the block's (A^T A, (X^T A)^T) and delta
+    # returns the block's (A^T A, (X^T A)^T) and delta, None for with_delta=False
     phi, dphi = ACTIVATIONS[model.activation]
     a = phi(z)
+    part = (a.T @ a, a.T @ x)           # (X^T A)^T: BLAS runs this orientation faster
+    if not with_delta:
+        return part, None
     delta = a @ b
     delta -= x @ model.w2[:x.shape[1]]   # the rows of W2 that meet the data
     if dphi is not None:
         delta *= dphi(z)
-    return (a.T @ a, a.T @ x), delta     # (X^T A)^T: BLAS runs this orientation faster
+    return part, delta
+
+
+def _w1_qr(w1):
+    # (Q, R, R^-1) of the thin QR W1^T = Q R, for the Gaussian step's low-rank draw. Where
+    # H < D and R is well conditioned (its smallest diagonal above QR_RANK_TOL of its
+    # largest), Q is not formed (None): the step applies it as W1^T R^-1, which costs two
+    # H x H x D products where forming Q from LAPACK's reflectors costs more than the
+    # factorisation. At H >= D Q is square and R is not, and a rank-deficient W1 (two equal
+    # rows) has no R^-1: there Q is formed and R^-1 is None. A NaN in W1 takes that branch.
+    h, d = w1.shape
+    if h < d:
+        rq = np.linalg.qr(w1.T, mode="r")
+        diag = np.abs(np.diagonal(rq))
+        if diag.min() > QR_RANK_TOL * diag.max():
+            return None, rq, np.linalg.inv(rq)
+    q, rq = np.linalg.qr(w1.T)
+    return q, rq, None
 
 
 def _sampled_grads(model: Autoencoder, x, noise: NoiseModel, rng, ws=None, with_loss=True,
-                   keep_clean=False):
+                   keep_clean=False, with_grads=True):
     # Backprop loss and gradients on one fresh corruption E of x, its r <= D leading columns
     # (see _gram_form) while E covers all D; the gradients land in "g1"/"g2", the draw in
-    # "noise", and with_loss=False returns None for the loss. A step is four N x r x H
+    # "noise", and with_loss=False returns None for the loss. with_grads=False returns the
+    # loss alone, (loss, None, None), from the same leading draws: it skips delta, its
+    # products and W2 (A^T A). A step is four N x r x H
     # products (Z, X W2, A^T X, delta^T X_tilde) plus O((N + D) H^2), over row blocks.
     # Laplace noise is drawn STEP_BLOCK_ROWS rows at a time, and each block of X_tilde = X + E
     # is formed in the draw's buffer and used while it is in cache: no N x D array is made.
@@ -397,7 +423,8 @@ def _sampled_grads(model: Autoencoder, x, noise: NoiseModel, rng, ws=None, with_
     # rest of delta^T E, delta^T E (I - Q Q^T), is independent of it and distributed as
     # R_d^T G (I - Q Q^T) with G m x D i.i.d. noise. So Z = X W1^T + (E Q) R and
     # N grad1 = delta^T X + (delta^T E Q) Q^T + R_d^T G (I - Q Q^T), from N k + m D normals
-    # in one draw: the same distribution as the full draw, not the same stream. Its QR of
+    # in one draw: the same distribution as the full draw, not the same stream. Q enters
+    # only as Q^T-products, taken as W1^T R^-1 where R is invertible (_w1_qr). Its QR of
     # delta needs all N rows, which one block has.
     # keep_clean=True keeps the clean X W1^T in "xw1" for a hidden-layer record; a Laplace
     # step's Z is of the corrupted batch, so it must not ask.
@@ -407,10 +434,10 @@ def _sampled_grads(model: Autoencoder, x, noise: NoiseModel, rng, ws=None, with_
     grad1, grad2 = ws("g1", w1.shape), ws("g2", w2.shape)
     laplace, gaussian = noise.kind == "laplace", noise.kind == "gaussian"
     if gaussian:
-        q, rq = np.linalg.qr(w1.T)
-        k, m = q.shape[1], min(n, h)
-        draw = _draw_noise(rng, noise, (n * k + m * d,), ws)
-        eq, g = draw[:n * k].reshape(n, k), draw[n * k:].reshape(m, d)
+        q, rq, rinv = _w1_qr(w1)
+        k, m = rq.shape[0], min(n, h)
+        draw = _draw_noise(rng, noise, (n * k + m * d,) if with_grads else (n * k,), ws)
+        eq, g = draw[:n * k].reshape(n, k), draw[n * k:].reshape(-1, d)
     b = w2.T @ w2                     # H x H
     rows = STEP_BLOCK_ROWS if laplace else n
     for start in range(0, n, rows):
@@ -422,31 +449,160 @@ def _sampled_grads(model: Autoencoder, x, noise: NoiseModel, rng, ws=None, with_
         z = np.matmul(x_tilde, w1[:, :r].T, out=ws("xw1", (n, h)) if keep_clean else None)
         if gaussian:
             z = np.add(z, eq @ rq, out=None if keep_clean else z)
-        part, delta = _gram_form(model, xb, z, b)
+        part, delta = _gram_form(model, xb, z, b, with_grads)
         if start == 0:      # the first block's products start the sums: one block keeps their bits
             c, atx = part
-            np.matmul(delta.T, x_tilde, out=grad1[:, :r])
+            if with_grads:
+                np.matmul(delta.T, x_tilde, out=grad1[:, :r])
         else:
             c += part[0]
             atx += part[1]
-            grad1[:, :r] += delta.T @ x_tilde
+            if with_grads:
+                grad1[:, :r] += delta.T @ x_tilde
+    loss = None
+    if with_loss or not with_grads:
+        loss = 0.5 / n * (float(np.sum(b * c)) - 2.0 * float(np.sum(w2[:r].T * atx))
+                          + float(np.vdot(x, x)))
+    if not with_grads:
+        return loss, None, None
     np.matmul(w2, c, out=grad2)
     grad2[:r] -= atx.T
     grad2 /= n
-    loss = None
-    if with_loss:
-        loss = 0.5 / n * (float(np.sum(b * c)) - 2.0 * float(np.sum(w2[:r].T * atx))
-                          + float(np.vdot(x, x)))
     del part, c, atx    # not held through the Gaussian terms, where a step's memory peaks
     grad1[:, r:] = 0.0
     if gaussian:
         rdg = np.linalg.qr(delta, mode="r").T @ g         # R_d^T G, H x D
         s = delta.T @ eq
-        s -= rdg @ q                                      # delta^T E Q - R_d^T G Q
-        grad1 += rdg
-        grad1 += s @ q.T
+        if q is None:                                     # Q = W1^T R^-1
+            s -= (rdg @ w1.T) @ rinv                      # delta^T E Q - R_d^T G Q
+            grad1 += rdg
+            grad1 += (s @ rinv.T) @ w1
+        else:
+            s -= rdg @ q
+            grad1 += rdg
+            grad1 += s @ q.T
     grad1 /= n
     return loss, grad1, grad2
+
+
+def _beyond_limit(w1, w2):
+    # every comparison with NaN is false, and max/min propagate it, so a NaN or an infinity
+    # in either matrix counts as beyond the divergence limit
+    return not all(w.max() <= DIVERGENCE_LIMIT and w.min() >= -DIVERGENCE_LIMIT for w in (w1, w2))
+
+
+class _WeightSpace:
+    # descend's step on the iterated weights themselves: grads(with_loss, with_grads) gives
+    # the objective's (loss, grad1, grad2), the decay is added to them, the update is
+    # W -= alpha g, and the divergence check reads every entry
+    def __init__(self, model: Autoencoder, grads, alpha, gamma):
+        self.w1, self.w2, self.grads, self.alpha, self.gamma = (model.w1, model.w2, grads,
+                                                                alpha, gamma)
+
+    def gradient(self, with_loss, with_grads):
+        loss, self.g1, self.g2 = self.grads(with_loss, with_grads)
+        if with_grads and self.gamma > 0.0:
+            self.g1 += self.w1 * self.gamma
+            self.g2 += self.w2 * self.gamma
+        return loss
+
+    def update(self):
+        self.g1 *= self.alpha
+        self.g2 *= self.alpha
+        self.w1 -= self.g1
+        self.w2 -= self.g2
+
+    def diverged(self):
+        return _beyond_limit(self.w1, self.w2)
+
+    def form(self):
+        pass
+
+
+class _SampleSpace:
+    # descend's noise-free eigenbasis step in sample space, on X = XV_r (N x r, r <= D) with
+    # K = X X^T (N x N, 8 N^2 bytes) formed once per leg. The iterates are the N x H
+    #   Z = X W1^T <- beta Z - (alpha/N) K delta,   Y = X W2 <- beta Y - (alpha/N) (Y C - K A),
+    # with beta = 1 - alpha gamma, A = phi(Z), C = A^T A and delta = (A b - Y) * phi'(Z), so a
+    # step's one data-sized product is K [delta | A], 2 N^2 H against the weight-space step's
+    # 4 N r H. The weights are held as W1 = beta^t W1_0 + P^T X and W2 = W2_0 M + X^T F, X's
+    # columns past r being zero, with
+    #   P <- beta P - (alpha/N) delta,  F <- beta F - (alpha/N) (F C - A),  M <- beta M - (alpha/N) M C,
+    # each O(N H^2 + H^3). b = W2^T W2 = M^T B_0 M + M^T Y_0^T F + F^T Y and the loss
+    # (sum(b C) - 2 sum(Y A) + ||X||^2) / 2N read no X. form() writes the weights into the
+    # model's arrays, for a record and the divergence check. Z is the workspace's "xw1", the
+    # clean pre-activation a hidden-layer record reads.
+    def __init__(self, model: Autoencoder, x, ws, alpha, gamma):
+        (n, r), h = x.shape, model.w1.shape[0]
+        self.model, self.x, self.r = model, x, r
+        self.phi, self.dphi = ACTIVATIONS[model.activation]
+        self.beta, self.eta = 1.0 - alpha * gamma, alpha / n
+        self.k = x @ x.T
+        self.w1_0, self.w2_0 = model.w1.copy(), model.w2.copy()
+        self.w1_sq, self.x_sq = float(np.vdot(self.w1_0, self.w1_0)), float(np.vdot(x, x))
+        self.z0 = x @ self.w1_0[:, :r].T
+        self.y0 = x @ self.w2_0[:r]
+        self.z = ws("xw1", (n, h))
+        self.z[...] = self.z0
+        self.y = self.y0.copy()
+        self.b0 = self.w2_0.T @ self.w2_0
+        self.b = self.b0
+        self.p, self.f, self.m, self.c = np.zeros((n, h)), np.zeros((n, h)), np.eye(h), 1.0
+        self.da = np.empty((n, 2 * h))      # [delta | A], the operand of the step's K product
+        self.kda = np.empty((n, 2 * h))
+
+    def gradient(self, with_loss, with_grads):
+        h = self.b.shape[0]
+        delta, a = self.da[:, :h], self.da[:, h:]
+        a[...] = self.phi(self.z)
+        self.cc = a.T @ a
+        loss = None
+        if with_loss:
+            loss = 0.5 / self.z.shape[0] * (float(np.sum(self.b * self.cc))
+                                            - 2.0 * float(np.sum(self.y * a)) + self.x_sq)
+        if with_grads:
+            np.matmul(a, self.b, out=delta)
+            delta -= self.y
+            if self.dphi is not None:
+                delta *= self.dphi(self.z)
+        return loss
+
+    def update(self):
+        beta, eta, cc, h = self.beta, self.eta, self.cc, self.b.shape[0]
+        kda = np.matmul(self.k, self.da, out=self.kda)
+        delta, a, kd, ka = self.da[:, :h], self.da[:, h:], kda[:, :h], kda[:, h:]
+        # each state S <- beta S - (alpha/N) T, every T taken from the old states
+        terms = (self.y @ cc - ka, kd, delta, self.f @ cc - a, self.m @ cc)
+        for state, term in zip((self.y, self.z, self.p, self.f, self.m), terms):
+            state *= beta
+            state -= eta * term
+        self.c *= beta
+        m = self.m
+        self.b = m.T @ self.b0 @ m + m.T @ (self.y0.T @ self.f) + self.f.T @ self.y
+
+    def norms(self):
+        # (||W1||^2, ||W2||^2) at O(N H), forming neither: ||W2||^2 = tr b, and ||W1||^2 =
+        # c^2 ||W1_0||^2 + 2 c <Z_0, P> + <P, K P> with c = beta^t and K P = Z - c Z_0
+        c = self.c
+        w1_sq = (c * c * self.w1_sq + c * float(np.vdot(self.z0, self.p))
+                 + float(np.vdot(self.p, self.z)))
+        return w1_sq, float(np.trace(self.b))
+
+    def diverged(self):
+        # max |W| <= ||W||_F, so only a norm at half the limit or more (or NaN) forms the
+        # weights for the elementwise check: the leg stops at the epoch that check would
+        bound = (0.5 * DIVERGENCE_LIMIT) ** 2
+        if all(sq < bound for sq in self.norms()):
+            return False
+        self.form()
+        return _beyond_limit(self.model.w1, self.model.w2)
+
+    def form(self):
+        w1, w2, r = self.model.w1, self.model.w2, self.r
+        np.multiply(self.w1_0, self.c, out=w1)
+        w1[:, :r] += self.p.T @ self.x
+        np.matmul(self.w2_0, self.m, out=w2)
+        w2[:r] += self.x.T @ self.f
 
 
 # The benchmark tracer (bench/spans.py) wraps a per-record rotation under this name;
@@ -523,15 +679,26 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readou
     (dataset.samples, formed on first read from counts) and every step
     backpropagates through one fresh corruption drawn from the seeded
     stream, in Gram form (_sampled_grads). Either objective, ||X||^2
-    included, is formed only at recorded epochs. A leg with a readout of
-    the hidden layer takes XV as xv (tied to the data like cov) or forms it
-    once per run and, if noise-free or gaussian (rotation-invariant),
-    iterates on (W1 V, V^T W2) against XV_r, the r columns of XV that hold
-    data (_data_range): its large products are N x r x H. A laplace leg, and
-    a linear one, which would pay an N x D x D product and hold XV beside X
-    for it, train in pixel space against X. Eigenbasis weights are rotated
-    back at the end. The divergence check reads the iterated weights and
-    fails on a NaN or an infinity in either matrix.
+    included, is formed only at recorded epochs, and the step after the
+    last update forms only the loss. A leg with a readout of the hidden
+    layer takes XV as xv (tied to the data like cov) or forms it once per
+    run and, if noise-free or gaussian (rotation-invariant), iterates on
+    (W1 V, V^T W2) against XV_r, the r columns of XV that hold data
+    (_data_range): its large products are N x r x H, four a step. A
+    noise-free one steps in sample space instead (_SampleSpace) where that
+    takes fewer flops over the leg: there a step's one large product,
+    K [delta | A], is 2 N^2 H against those 4 N r H, and K = XV_r XV_r^T,
+    N x N, is formed once per leg at N^2 r flops and held through it. So a
+    leg of many epochs steps in sample space at N < 2 r, as at N = r <= D,
+    and holds 2 MB for K at N = 500; at N = 20 000 >= 2 r, where K would be
+    3.2 GB, it steps on the weights, as does a leg of 0 epochs. Its weights
+    are formed from that state only at records, the last epoch's among
+    them, and where the divergence check needs them. A laplace leg, and a linear one, which
+    would pay an N x D x D product and hold XV beside X for it, train in
+    pixel space against X. Eigenbasis weights are rotated back at the end.
+    The divergence check reads the iterated weights, entry by entry, and
+    fails on a NaN or an infinity in either matrix; a sample-space leg
+    reads them only once a norm bound reaches half the limit.
 
     The run owns one Workspace that every step writes into (see Workspace
     and _sampled_grads); a laplace leg corrupts X in row blocks and holds no
@@ -594,18 +761,23 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readou
     modes, norms, losses = [], [], []
     worst_off = 0.0 if track_offdiag else np.nan
 
-    def loss_and_grads(recorded):
-        if marginalized:
-            loss, g1, g2 = marginalized_loss_and_grads(model, lams, n, eps_eff, ws, recorded)
-        else:
-            loss, g1, g2 = _sampled_grads(model, x, config.noise, rng, ws, recorded, rotated)
-        if gamma > 0.0:
-            g1 += w1 * gamma
-            g2 += w2 * gamma
-        return loss, g1, g2
+    if marginalized:
+        def grads(with_loss, with_grads):
+            return marginalized_loss_and_grads(model, lams, n, eps_eff, ws, with_loss)
+    else:
+        def grads(with_loss, with_grads):
+            return _sampled_grads(model, x, config.noise, rng, ws, with_loss, rotated, with_grads)
+    leg = _WeightSpace(model, grads, alpha, gamma)
+    if rotated and not marginalized and config.noise.kind == "none":
+        # the flops of the leg's data-sized products: N^2 r for K once and 2 N^2 H a step in
+        # sample space, against 4 N r H a step on the weights; over many epochs, N < 2 r
+        r, h, epochs = x.shape[1], config.hidden_dim, config.epochs
+        if n * n * r + 2 * n * n * h * epochs < 4 * n * r * h * epochs:
+            leg = _SampleSpace(model, x, ws, alpha, gamma)
 
     def record(loss):
         nonlocal worst_off
+        leg.form()
         w2c = np.ascontiguousarray(w2)      # the sums below read W2 row-major, whatever its layout
         if gamma > 0.0:     # the decay penalty joins the loss only where it is recorded
             loss = loss + 0.5 * gamma * (np.sum(w1 * w1) + np.sum(w2c * w2c))
@@ -626,23 +798,17 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readou
             np.fill_diagonal(m, 0.0)
             worst_off = max(worst_off, float(np.max(np.abs(m))))
 
-    loss, g1, g2 = loss_and_grads(True)
-    record(loss)
+    # the last epoch's step forms only the loss that its record reads
+    record(leg.gradient(True, config.epochs > 0))
     for epoch in range(1, config.epochs + 1):
-        g1 *= alpha
-        g2 *= alpha
-        w1 -= g1
-        w2 -= g2
-        # every comparison with NaN is false, and max/min propagate it, so a NaN
-        # or an infinity in either matrix fails this check
-        if not all(w.max() <= DIVERGENCE_LIMIT and w.min() >= -DIVERGENCE_LIMIT
-                   for w in (w1, w2)):
+        leg.update()
+        if leg.diverged():
             raise DivergenceError(f"run diverged at epoch {epoch}", step=epoch)
         recorded = epoch % config.record_every == 0 or epoch == config.epochs
-        loss, g1, g2 = loss_and_grads(recorded)
+        loss = leg.gradient(recorded, epoch < config.epochs)
         if recorded:
             record(loss)
-    if rotated:
+    if rotated:     # the last record formed a sample-space leg's final weights
         w1, w2 = w1 @ v.T, v @ w2
     times = record_times(config.epochs, config.record_every)
     return Run(times=times, modes=np.stack(modes, axis=0),

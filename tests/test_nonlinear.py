@@ -301,25 +301,32 @@ def test_sampled_step_over_three_draws_matches_the_residual_oracle(activation, t
 
 
 @pytest.mark.parametrize("activation", ["identity", "relu", "tanh"])
-@pytest.mark.parametrize("n, d, h, dead", [
-    (40, 12, 4, False), (40, 6, 8, False), (40, 6, 6, False), (3, 12, 5, False),
-    (40, 12, 4, True)], ids=["h-below-d", "h-above-d", "h-equals-d", "n-below-h", "dead-unit"])
-def test_lowrank_step_is_backprop_on_its_rebuilt_corruption(activation, n, d, h, dead,
+@pytest.mark.parametrize("n, d, h, unit", [
+    (40, 12, 4, None), (40, 6, 8, None), (40, 6, 6, None), (3, 12, 5, None),
+    (40, 12, 4, "dead"), (40, 12, 4, "twin")],
+    ids=["h-below-d", "h-above-d", "h-equals-d", "n-below-h", "dead-unit", "twin-rows"])
+def test_lowrank_step_is_backprop_on_its_rebuilt_corruption(activation, n, d, h, unit,
                                                             monkeypatch):
     # H >= D makes Q square, so the projected term is zero; N < H gives R_d N rows;
-    # a hidden unit that never fires (relu) puts a zero column in delta
+    # a hidden unit that never fires (relu) puts a zero column in delta; two equal rows of
+    # W1 (H < D) leave R singular, so the step forms Q, which it otherwise applies as
+    # W1^T R^-1
     rng = np.random.default_rng(31)
     x = rng.uniform(0.1, 1.0, size=(n, d))
     w1 = rng.standard_normal((h, d)) * 0.5
-    if dead:
+    if unit == "dead":
         w1[1] = -5.0
+    if unit == "twin":
+        w1[2] = w1[0]
+    q, _, rinv = simulate._w1_qr(w1)
+    assert (q is None) == (h < d and unit != "twin") == (rinv is not None)
     model = Autoencoder(w1, rng.standard_normal((d, h)) * 0.5, activation)
     draws = _spy_draws(monkeypatch)
     got = simulate._sampled_grads(model, x, NoiseModel.gaussian(0.09), np.random.default_rng(3))
     k, m = min(d, h), min(n, h)
     assert len(draws) == 1 and draws[0].shape == (n * k + m * d,)
     e = lowrank_corrupted_batch(model, x, draws[0])
-    if dead and activation == "relu":
+    if unit == "dead" and activation == "relu":
         assert not np.any(x @ w1[1] + (e @ w1[1]) > 0.0)
     _agree(got, backprop_residual(model, x, x + e))
 

@@ -670,6 +670,59 @@ def test_a_sampled_run_records_the_same_bits_at_every_cadence(network, noise, sm
     assert same(every_epoch.model.w2, every_tenth.model.w2)
 
 
+@pytest.mark.parametrize("r", [5, 8], ids=["r-below-d", "r-equals-d"])
+@pytest.mark.parametrize("activation", ["identity", "relu"])
+@pytest.mark.parametrize("noise", [NoiseModel.none(), NoiseModel.gaussian(0.7),
+                                   NoiseModel.laplace(0.4)], ids=["none", "gaussian", "laplace"])
+def test_a_step_without_its_gradients_has_the_bits_of_its_loss(noise, activation, r,
+                                                               small_dataset, monkeypatch):
+    # with_grads=False, the step after a run's last update, returns the loss of a whole
+    # step bit for bit and no gradients; a Gaussian one draws only the leading N k values
+    ds, _ = small_dataset
+    x = np.ascontiguousarray(ds.samples[:, :r])
+    model = replace(init_small_random(8, 4, 0.5, seed=1), activation=activation)
+    draws, draw = [], simulate._draw_noise
+    monkeypatch.setattr(simulate, "_draw_noise",
+                        lambda *args: draws.append(draw(*args).copy()) or draws[-1])
+    whole = simulate._sampled_grads(model, x, noise, np.random.default_rng(4))
+    cut = simulate._sampled_grads(model, x, noise, np.random.default_rng(4), with_grads=False)
+    assert cut[1:] == (None, None)
+    assert np.float64(cut[0]).view(np.int64) == np.float64(whole[0]).view(np.int64)
+    if noise.kind == "gaussian":
+        assert [d.size for d in draws] == [400 * 4 + 4 * 8, 400 * 4]
+        assert np.array_equal(draws[1], draws[0][:draws[1].size])
+
+
+@pytest.mark.parametrize("network, noise, data", [
+    ("linear", NoiseModel.gaussian(0.05), "small_dataset"),
+    ("linear", NoiseModel.laplace(0.1), "small_dataset"),
+    ("relu", NoiseModel.gaussian(0.05), "small_dataset"),
+    ("relu", NoiseModel.none(), "small_dataset"),
+    ("relu", NoiseModel.none(), "twelve_sample_dataset")],
+    ids=["linear-gaussian", "linear-laplace", "relu-gaussian", "relu-weight-space",
+         "relu-sample-space"])
+def test_a_run_cut_short_records_the_bits_of_a_longer_one(network, noise, data, request):
+    # the last epoch forms only its loss: a run of 30 epochs records at 0, 10, 20 and 30
+    # the bits that a run of 40 records there
+    ds, spec = request.getfixturevalue(data)
+    runs = []
+    for epochs in (30, 40):
+        cfg = TrainingConfig(learning_rate=0.05 * ds.n, epochs=epochs, noise=noise,
+                             weight_decay=1e-3, init_scale=0.05, seed=4, hidden_dim=4,
+                             record_every=10, loss_mode="sampled")
+        runs.append(run_linear_ae(ds, spec, cfg) if network == "linear"
+                    else train_nonlinear(ds, spec, cfg, network))
+    cut, whole = runs
+
+    def same(a, b):
+        return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+    assert np.array_equal(cut.times, whole.times[:4])
+    assert same(cut.modes, whole.modes[:4])
+    assert same(cut.norms.values, whole.norms.values[:4])
+    assert same(cut.losses, whole.losses[:4])
+
+
 def test_a_nan_in_delta_passes_the_qr_and_stops_the_run_at_that_epoch(small_dataset,
                                                                       monkeypatch):
     # a NaN in delta goes through its QR factorisation into grad1 with neither an
@@ -795,6 +848,21 @@ def rank_deficient_dataset():
     return ds, eigendecompose(covariance(ds))
 
 
+@pytest.fixture(scope="module")
+def twelve_sample_dataset():
+    # r = D = 8 < N = 12 < 2 r: a noise-free eigenbasis leg steps in sample space, where
+    # K = X X^T (N x N) has rank r < N
+    ds = synthetic_dataset(SPECTRUM_8, 12, seed=5)
+    return ds, eigendecompose(covariance(ds))
+
+
+@pytest.fixture(scope="module")
+def wide_dataset():
+    # N = r = 20 < D = 32: the shape of the nonlinear benchmark (N = r = 500 < D = 784)
+    ds = synthetic_dataset(np.geomspace(2.5, 0.01, 32), 20, seed=6)
+    return ds, eigendecompose(covariance(ds))
+
+
 @pytest.mark.parametrize("data, init, gamma", [
     pytest.param(data, init, gamma, id=f"{init}-{decay}{suffix}")
     for data, suffix in (("small_dataset", ""), ("rank_deficient_dataset", "-rank-deficient"))
@@ -821,17 +889,24 @@ def test_linear_ae_matches_pixel_space_descent_oracle(data, init, gamma, request
     assert close(run.model.w1, w1) and close(run.model.w2, w2)
 
 
-@pytest.mark.parametrize("data, r", [("small_dataset", 8), ("rank_deficient_dataset", 5)],
-                         ids=["full-rank", "rank-deficient"])
+@pytest.mark.parametrize("data, r", [
+    ("small_dataset", 8), ("rank_deficient_dataset", 5), ("twelve_sample_dataset", 8),
+    ("wide_dataset", 20)], ids=["full-rank", "rank-deficient", "n-below-2r", "n-equals-r"])
 @pytest.mark.parametrize("gamma", [0.0, 1e-3], ids=["no-decay", "decay"])
 @pytest.mark.parametrize("network", ["linear", "identity", "relu", "tanh"])
-def test_noise_free_backprop_matches_pixel_space_descent_oracle(network, gamma, data, r, request):
+def test_noise_free_backprop_matches_pixel_space_descent_oracle(network, gamma, data, r, request,
+                                                                monkeypatch):
     # a noise-free nonlinear leg trains in the eigenbasis on the r columns of XV that hold
-    # data, and a linear sampled one in pixel space; each must follow plain pixel-space
-    # descent on all D columns to round-off: modes, norms, losses and final weights within
-    # 1e-12 of each series' largest value
+    # data, stepping in sample space at N < 2 r and on the weights otherwise, and a linear
+    # sampled one in pixel space; each must follow plain pixel-space descent on all D
+    # columns to round-off: modes, norms, losses and final weights within 1e-12 of each
+    # series' largest value
     ds, spec = request.getfixturevalue(data)
     assert simulate._data_range(ds.samples @ spec.eigenvectors).shape[1] == r
+    steps = []
+    sampled_grads = simulate._sampled_grads
+    monkeypatch.setattr(simulate, "_sampled_grads",
+                        lambda *args: steps.append(None) or sampled_grads(*args))
     cfg = TrainingConfig(learning_rate=0.05 * ds.n, epochs=300, weight_decay=gamma,
                          init_scale=0.05, seed=4, hidden_dim=4, record_every=25,
                          loss_mode="sampled")
@@ -839,6 +914,8 @@ def test_noise_free_backprop_matches_pixel_space_descent_oracle(network, gamma, 
         run = run_linear_ae(ds, spec, cfg)
     else:
         run = train_nonlinear(ds, spec, cfg, network)
+    sample_space = network != "linear" and ds.n < 2 * r
+    assert len(steps) == (0 if sample_space else cfg.epochs + 1)
     times, weights, losses, model = backprop_descent_pixel_space(
         ds.samples, run.init_model, cfg.learning_rate, cfg.epochs, cfg.record_every, gamma)
     if network == "linear":
@@ -861,6 +938,96 @@ def test_noise_free_backprop_matches_pixel_space_descent_oracle(network, gamma, 
     assert close(run.norms.values, norms)
     assert close(run.losses, losses)
     assert close(run.model.w1, model.w1) and close(run.model.w2, model.w2)
+
+
+@pytest.mark.parametrize("data, activation, scale, rate, diverges", [
+    ("twelve_sample_dataset", "identity", 0.5, 3.0, True),
+    ("twelve_sample_dataset", "relu", 0.5, 3.0, True),
+    ("twelve_sample_dataset", "tanh", 0.5, 3.0, True),
+    ("small_dataset", "relu", 0.5, 3.0, True),
+    ("twelve_sample_dataset", "identity", 4e11, 4e-23 / 12, True),
+    ("twelve_sample_dataset", "relu", 4e11, 4e-23 / 12, False)],
+    ids=["sample-space-identity", "sample-space-relu", "sample-space-tanh", "weight-space-relu",
+         "sample-space-slow", "sample-space-above-the-bound"])
+def test_a_noise_free_leg_stops_where_its_eigenbasis_weights_cross_the_limit(
+        data, activation, scale, rate, diverges, request):
+    # The check reads the eigenbasis weights entry by entry; a sample-space leg forms them
+    # only once a Frobenius bound reaches half the limit. Entries of 4e11 put that bound
+    # past the limit itself from epoch 0: the slow leg crosses it at epoch 5 and the other
+    # stays below it entry by entry, so it runs to the end. Each stops at the first epoch
+    # at which plain pixel-space descent, rotated into the eigenbasis, crosses the limit.
+    ds, spec = request.getfixturevalue(data)
+    epochs = 40
+    cfg = TrainingConfig(learning_rate=rate * ds.n, epochs=epochs, init_scale=scale, seed=4,
+                         hidden_dim=4, record_every=epochs, loss_mode="sampled")
+    init = replace(init_small_random(ds.d, 4, scale, 4), activation=activation)
+    with np.errstate(all="ignore"):     # past the limit the oracle's weights overflow
+        _, weights, _, model = backprop_descent_pixel_space(ds.samples, init, rate * ds.n,
+                                                            epochs, 1)
+        crossed = [simulate._beyond_limit(*rotate_weights(w1, w2, spec)) for w1, w2 in weights]
+    assert any(crossed) == diverges
+    if diverges:
+        with pytest.raises(DivergenceError) as info:
+            train_nonlinear(ds, spec, cfg, activation)
+        assert info.value.step == crossed.index(True)
+    else:
+        run = train_nonlinear(ds, spec, cfg, activation)
+        for got, want in ((run.model.w1, model.w1), (run.model.w2, model.w2)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1e-3], ids=["no-decay", "decay"])
+def test_a_sample_space_leg_bounds_the_norms_of_the_weights_it_forms(gamma, wide_dataset):
+    # the divergence check's ||W1||^2 and ||W2||^2, read off the sample-space state, are the
+    # squared norms of the weights that form() writes
+    ds, spec = wide_dataset
+    x = simulate._data_range(ds.samples @ spec.eigenvectors)
+    init = init_small_random(ds.d, 4, 0.05, seed=4)
+    model = Autoencoder(*rotate_weights(init.w1, init.w2, spec), "relu")
+    leg = simulate._SampleSpace(model, x, simulate.Workspace(), 0.05 * ds.n, gamma)
+    for _ in range(40):
+        leg.gradient(False, True)
+        leg.update()
+    w1_sq, w2_sq = leg.norms()
+    leg.form()
+    assert abs(w1_sq - np.sum(model.w1 ** 2)) <= 1e-12 * w1_sq
+    assert abs(w2_sq - np.sum(model.w2 ** 2)) <= 1e-12 * w2_sq
+    assert np.sum(model.w1 ** 2) > 2.0 * np.sum(init.w1 ** 2)     # the weights have moved
+
+
+def test_a_sample_space_leg_gives_the_same_bits_for_the_same_seed(wide_dataset):
+    ds, spec = wide_dataset
+    cfg = TrainingConfig(learning_rate=0.05 * ds.n, epochs=50, weight_decay=1e-3,
+                         init_scale=0.05, seed=4, hidden_dim=4, record_every=10,
+                         loss_mode="sampled")
+    first, second = (train_nonlinear(ds, spec, cfg, "relu") for _ in range(2))
+
+    def same(a, b):
+        return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+    assert same(first.modes, second.modes) and same(first.losses, second.losses)
+    assert same(first.norms.values, second.norms.values)
+    assert same(first.model.w1, second.model.w1) and same(first.model.w2, second.model.w2)
+
+
+def test_a_leg_at_n_at_least_2r_holds_no_n_by_n_array(monkeypatch):
+    # N = 2000 samples on r = D = 32: K = X X^T would be 32 MB, the data 0.5 MB
+    ds = synthetic_dataset(np.geomspace(2.5, 0.01, 32), 2000, seed=7)
+    spec = eigendecompose(covariance(ds))
+    steps = []
+    sampled_grads = simulate._sampled_grads
+    monkeypatch.setattr(simulate, "_sampled_grads",
+                        lambda *args: steps.append(None) or sampled_grads(*args))
+    cfg = TrainingConfig(learning_rate=0.05 * ds.n, epochs=3, hidden_dim=4, loss_mode="sampled")
+    ds.samples          # formed before tracing, as a command forms it after eigh
+    tracemalloc.start()
+    try:
+        train_nonlinear(ds, spec, cfg, "relu")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(steps) == cfg.epochs + 1
+    assert peak < ds.n * ds.n * 8 // 8, peak
 
 
 def test_a_spectrum_that_orders_a_null_direction_before_data_is_refused(rank_deficient_dataset):
