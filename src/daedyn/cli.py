@@ -545,6 +545,10 @@ def main(argv=None) -> int:
         print(f"config error: the inputs overflow float arithmetic "
               f"({type(exc).__name__}: {exc})", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:  # an array the request sizes, such as --epochs' record times
+        print(f"config error: the request does not fit in memory (MemoryError: {exc})",
+              file=sys.stderr)
+        return EXIT_CONFIG
     for path in outputs:
         print(f"wrote {path}")
     return EXIT_OK

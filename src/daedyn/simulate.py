@@ -244,12 +244,13 @@ class Workspace(dict):
     of X and placed anew half a page from it on every call (see _page_apart),
     a Gaussian leg holds its N k + m D low-rank draw and a noise-free one no
     draw at all; no leg holds an N x D corrupted batch. A Gaussian or
-    noise-free step of a leg with a readout of the hidden layer also keeps
-    its clean pre-activation X W1^T (N x H) under "xw1", which the record
-    reads. A noise-free leg stepped in sample space (N < 2 r, see descend)
-    iterates that pre-activation in "xw1" itself and holds its N x N K and
-    a few N x H arrays beside the workspace, never the gradients. A buffer
-    handed back by a step is overwritten by the next one.
+    noise-free step also keeps its clean pre-activation X W1^T (N x H) under
+    "xw1", which a record of the hidden layer reads; a Laplace step's
+    pre-activation is of its corrupted rows and is not kept. A noise-free
+    leg stepped in sample space (N < 2 r, see descend) iterates that
+    pre-activation in "xw1" itself and holds its N x N K and a few N x H
+    arrays beside the workspace, never the gradients. A buffer handed back
+    by a step is overwritten by the next one.
     """
 
     def __call__(self, name, shape, apart_from=None):
@@ -366,7 +367,7 @@ def _draw_noise(rng, noise: NoiseModel, shape, ws=None, apart_from=None):
     return out
 
 
-def _gram_form(model: Autoencoder, x, z, b, with_delta=True):
+def _gram_form(model: Autoencoder, x, z, b):
     # One row block of the Gram-form backprop step on (1/2N) sum ||x_i - W2 phi(W1 x_tilde_i)||^2,
     # which never forms the N x D residual R = A W2^T - X, where Z = X_tilde W1^T is the
     # pre-activation of the corrupted batch and A = phi(Z):
@@ -377,12 +378,10 @@ def _gram_form(model: Autoencoder, x, z, b, with_delta=True):
     # A^T A, X^T A and delta^T X_tilde are sums over rows, so a step adds them up block by
     # block (_sampled_grads). x may hold only the r <= D leading columns of inputs whose other
     # columns are zero, as the data's range in the covariance eigenbasis does. b is W2^T W2;
-    # returns the block's (A^T A, (X^T A)^T) and delta, None for with_delta=False
+    # returns the block's (A^T A, (X^T A)^T) and delta
     phi, dphi = ACTIVATIONS[model.activation]
     a = phi(z)
     part = (a.T @ a, a.T @ x)           # (X^T A)^T: BLAS runs this orientation faster
-    if not with_delta:
-        return part, None
     delta = a @ b
     delta -= x @ model.w2[:x.shape[1]]   # the rows of W2 that meet the data
     if dphi is not None:
@@ -407,13 +406,10 @@ def _w1_qr(w1):
     return q, rq, None
 
 
-def _sampled_grads(model: Autoencoder, x, noise: NoiseModel, rng, ws=None, with_loss=True,
-                   keep_clean=False, with_grads=True):
+def _sampled_grads(model: Autoencoder, x, noise: NoiseModel, rng, ws=None, with_loss=True):
     # Backprop loss and gradients on one fresh corruption E of x, its r <= D leading columns
     # (see _gram_form) while E covers all D; the gradients land in "g1"/"g2", the draw in
-    # "noise", and with_loss=False returns None for the loss. with_grads=False returns the
-    # loss alone, (loss, None, None), from the same leading draws: it skips delta, its
-    # products and W2 (A^T A). A step is four N x r x H
+    # "noise", and with_loss=False returns None for the loss. A step is four N x r x H
     # products (Z, X W2, A^T X, delta^T X_tilde) plus O((N + D) H^2), over row blocks.
     # Laplace noise is drawn STEP_BLOCK_ROWS rows at a time, and each block of X_tilde = X + E
     # is formed in the draw's buffer and used while it is in cache: no N x D array is made.
@@ -425,9 +421,9 @@ def _sampled_grads(model: Autoencoder, x, noise: NoiseModel, rng, ws=None, with_
     # N grad1 = delta^T X + (delta^T E Q) Q^T + R_d^T G (I - Q Q^T), from N k + m D normals
     # in one draw: the same distribution as the full draw, not the same stream. Q enters
     # only as Q^T-products, taken as W1^T R^-1 where R is invertible (_w1_qr). Its QR of
-    # delta needs all N rows, which one block has.
-    # keep_clean=True keeps the clean X W1^T in "xw1" for a hidden-layer record; a Laplace
-    # step's Z is of the corrupted batch, so it must not ask.
+    # delta needs all N rows, which one block has. A noise-free or Gaussian step keeps the
+    # clean X W1^T in "xw1", which a hidden-layer record reads; a Laplace step's Z is of the
+    # corrupted rows, so it keeps nothing there.
     ws = Workspace() if ws is None else ws
     w1, w2 = model.w1, model.w2
     (n, r), (h, d) = x.shape, w1.shape
@@ -436,7 +432,7 @@ def _sampled_grads(model: Autoencoder, x, noise: NoiseModel, rng, ws=None, with_
     if gaussian:
         q, rq, rinv = _w1_qr(w1)
         k, m = rq.shape[0], min(n, h)
-        draw = _draw_noise(rng, noise, (n * k + m * d,) if with_grads else (n * k,), ws)
+        draw = _draw_noise(rng, noise, (n * k + m * d,), ws)
         eq, g = draw[:n * k].reshape(n, k), draw[n * k:].reshape(-1, d)
     b = w2.T @ w2                     # H x H
     rows = STEP_BLOCK_ROWS if laplace else n
@@ -446,25 +442,21 @@ def _sampled_grads(model: Autoencoder, x, noise: NoiseModel, rng, ws=None, with_
         if laplace:
             x_tilde = _draw_noise(rng, noise, xb.shape, ws, xb)
             x_tilde += xb
-        z = np.matmul(x_tilde, w1[:, :r].T, out=ws("xw1", (n, h)) if keep_clean else None)
+        z = np.matmul(x_tilde, w1[:, :r].T, out=None if laplace else ws("xw1", (n, h)))
         if gaussian:
-            z = np.add(z, eq @ rq, out=None if keep_clean else z)
-        part, delta = _gram_form(model, xb, z, b, with_grads)
+            z = z + eq @ rq
+        part, delta = _gram_form(model, xb, z, b)
         if start == 0:      # the first block's products start the sums: one block keeps their bits
             c, atx = part
-            if with_grads:
-                np.matmul(delta.T, x_tilde, out=grad1[:, :r])
+            np.matmul(delta.T, x_tilde, out=grad1[:, :r])
         else:
             c += part[0]
             atx += part[1]
-            if with_grads:
-                grad1[:, :r] += delta.T @ x_tilde
+            grad1[:, :r] += delta.T @ x_tilde
     loss = None
-    if with_loss or not with_grads:
+    if with_loss:
         loss = 0.5 / n * (float(np.sum(b * c)) - 2.0 * float(np.sum(w2[:r].T * atx))
                           + float(np.vdot(x, x)))
-    if not with_grads:
-        return loss, None, None
     np.matmul(w2, c, out=grad2)
     grad2[:r] -= atx.T
     grad2 /= n
@@ -492,16 +484,16 @@ def _beyond_limit(w1, w2):
 
 
 class _WeightSpace:
-    # descend's step on the iterated weights themselves: grads(with_loss, with_grads) gives
+    # descend's step on the iterated weights themselves: grads(with_loss) gives
     # the objective's (loss, grad1, grad2), the decay is added to them, the update is
     # W -= alpha g, and the divergence check reads every entry
     def __init__(self, model: Autoencoder, grads, alpha, gamma):
         self.w1, self.w2, self.grads, self.alpha, self.gamma = (model.w1, model.w2, grads,
                                                                 alpha, gamma)
 
-    def gradient(self, with_loss, with_grads):
-        loss, self.g1, self.g2 = self.grads(with_loss, with_grads)
-        if with_grads and self.gamma > 0.0:
+    def gradient(self, with_loss):
+        loss, self.g1, self.g2 = self.grads(with_loss)
+        if self.gamma > 0.0:
             self.g1 += self.w1 * self.gamma
             self.g2 += self.w2 * self.gamma
         return loss
@@ -551,7 +543,7 @@ class _SampleSpace:
         self.da = np.empty((n, 2 * h))      # [delta | A], the operand of the step's K product
         self.kda = np.empty((n, 2 * h))
 
-    def gradient(self, with_loss, with_grads):
+    def gradient(self, with_loss):
         h = self.b.shape[0]
         delta, a = self.da[:, :h], self.da[:, h:]
         a[...] = self.phi(self.z)
@@ -560,11 +552,10 @@ class _SampleSpace:
         if with_loss:
             loss = 0.5 / self.z.shape[0] * (float(np.sum(self.b * self.cc))
                                             - 2.0 * float(np.sum(self.y * a)) + self.x_sq)
-        if with_grads:
-            np.matmul(a, self.b, out=delta)
-            delta -= self.y
-            if self.dphi is not None:
-                delta *= self.dphi(self.z)
+        np.matmul(a, self.b, out=delta)
+        delta -= self.y
+        if self.dphi is not None:
+            delta *= self.dphi(self.z)
         return loss
 
     def update(self):
@@ -679,10 +670,10 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readou
     (dataset.samples, formed on first read from counts) and every step
     backpropagates through one fresh corruption drawn from the seeded
     stream, in Gram form (_sampled_grads). Either objective, ||X||^2
-    included, is formed only at recorded epochs, and the step after the
-    last update forms only the loss. A leg with a readout of the hidden
-    layer takes XV as xv (tied to the data like cov) or forms it once per
-    run and, if noise-free or gaussian (rotation-invariant), iterates on
+    included, is formed only at recorded epochs; every step forms its
+    gradients, the one after the last update too. A leg with a readout of
+    the hidden layer takes XV as xv (tied to the data like cov) or forms it
+    once per run and, if noise-free or gaussian (rotation-invariant), iterates on
     (W1 V, V^T W2) against XV_r, the r columns of XV that hold data
     (_data_range): its large products are N x r x H, four a step. A
     noise-free one steps in sample space instead (_SampleSpace) where that
@@ -762,11 +753,11 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readou
     worst_off = 0.0 if track_offdiag else np.nan
 
     if marginalized:
-        def grads(with_loss, with_grads):
+        def grads(with_loss):
             return marginalized_loss_and_grads(model, lams, n, eps_eff, ws, with_loss)
     else:
-        def grads(with_loss, with_grads):
-            return _sampled_grads(model, x, config.noise, rng, ws, with_loss, rotated, with_grads)
+        def grads(with_loss):
+            return _sampled_grads(model, x, config.noise, rng, ws, with_loss)
     leg = _WeightSpace(model, grads, alpha, gamma)
     if rotated and not marginalized and config.noise.kind == "none":
         # the flops of the leg's data-sized products: N^2 r for K once and 2 N^2 H a step in
@@ -798,14 +789,13 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readou
             np.fill_diagonal(m, 0.0)
             worst_off = max(worst_off, float(np.max(np.abs(m))))
 
-    # the last epoch's step forms only the loss that its record reads
-    record(leg.gradient(True, config.epochs > 0))
+    record(leg.gradient(True))
     for epoch in range(1, config.epochs + 1):
         leg.update()
         if leg.diverged():
             raise DivergenceError(f"run diverged at epoch {epoch}", step=epoch)
         recorded = epoch % config.record_every == 0 or epoch == config.epochs
-        loss = leg.gradient(recorded, epoch < config.epochs)
+        loss = leg.gradient(recorded)
         if recorded:
             record(loss)
     if rotated:     # the last record formed a sample-space leg's final weights

@@ -94,13 +94,11 @@ class Dataset:
     def blocks(self):
         """The stored array in row blocks: a float X whole, or GRAM_BLOCK_ROWS rows of
         counts at a time, cast into one buffer (use a block before the next) of float32,
-        whose integers are exact below 2^24, when a block's sums stay below that."""
+        whose integers are exact below 2^24, as a block's sums are (GRAM_BLOCK_ROWS)."""
         if not self.holds_counts:
             yield self.stored
             return
-        rows = min(self.n, GRAM_BLOCK_ROWS)
-        exact32 = rows * PIXEL_LEVELS ** 2 < 2 ** 24
-        buf = np.empty((rows, self.d), dtype=np.float32 if exact32 else np.float64)
+        buf = np.empty((min(self.n, GRAM_BLOCK_ROWS), self.d), dtype=np.float32)
         for start in range(0, self.n, GRAM_BLOCK_ROWS):
             counts = self.stored[start:start + GRAM_BLOCK_ROWS]
             block = buf[:counts.shape[0]]

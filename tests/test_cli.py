@@ -222,6 +222,17 @@ def test_cli_invalid_inputs_exit_2_without_traceback(argv, tmp_path, d16_cache, 
             assert flag in err
 
 
+@pytest.mark.parametrize("command", ["predict", "simulate"])
+def test_a_request_past_any_address_space_exits_2_without_traceback(command, tmp_path, capsys):
+    # 10^17 epochs record 10^16 times, 8 10^16 bytes: beyond any machine's address space,
+    # so the allocation fails at once
+    argv = [command, "--epochs", "100000000000000000", "--out", str(tmp_path)]
+    assert main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "MemoryError" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command, flags", [
     ("predict", ["--w1-0", "0.1", "--w2-0", "0.1"]),
     ("compare", ["--weight-ratio", "1"]),

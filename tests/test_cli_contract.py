@@ -19,7 +19,9 @@ st = hypothesis.strategies
 
 CONTRACT_CODES = {cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_DIVERGENCE, cli.EXIT_IO}
 
-# None marks a flag that takes no value; --epochs stays small so a run is quick
+# None marks a flag that takes no value; --epochs stays small so a run is quick (a training
+# command forms its record times only after the loop, so a huge one would train, not fail).
+# 10^14 sizes an array past any machine's address space, which fails at once with exit 2
 FLAG_VALUES = {
     "--lambda": ["1", "2.5,0.5", "0", "-1", "nan", "x", ",", "1.7e308"],
     "--epsilon": ["0", "1", "1,50", "-1", "inf", ","],
@@ -28,7 +30,7 @@ FLAG_VALUES = {
     "--gamma": ["0", "0.01", "-1", "inf"],
     "--n": ["0", "1", "32", "1000"],
     "--alpha": ["0.01", "1", "1e9", "0", "nan"],
-    "--hidden": ["0", "1", "4", "40"],
+    "--hidden": ["0", "1", "4", "40", "100000000000000"],
     "--init-scale": ["1e-3", "0", "-1", "1e200"],
     "--init": ["small_random", "orthogonal", "bogus"],
     "--seed": ["0", "7", "-1"],
@@ -45,10 +47,10 @@ FLAG_VALUES = {
     "--activation": ["relu", "tanh", "identity", "sigmoid"],
     "--grid-min": ["-1", "nan", "2"],
     "--grid-max": ["1", "inf", "-2", "1e200"],
-    "--grid-points": ["1", "2", "5"],
+    "--grid-points": ["1", "2", "5", "100000000000000"],
     "--paths": ["-1", "0", "2"],
     "--eps-max": ["10", "0", "-1", "inf", "nan"],
-    "--eps-points": ["0", "1", "5"],
+    "--eps-points": ["0", "1", "5", "100000000000000"],
     "--loss-mode": ["marginalized", "sampled", "other"],
 }
 # flags of retired settings: argparse refuses each as an unrecognized argument
