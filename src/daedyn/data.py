@@ -30,9 +30,9 @@ MAX_PIXEL_COUNT = 2 ** 40  # header sanity bound before allocating
 class RawImageBatch:
     """Parsed images; CIFAR-10 keeps its checked labels, IDX has none.
 
-    `stored` is the pixel array as given: an image file's uint8 counts P,
-    kept as read, each standing for the value P / 255, or float64 values in
-    [0, 1]. `pixels` reads either as float64 values in [0, 1].
+    `stored` is an image file's uint8 counts P, kept as read, each standing
+    for the value P / 255 (ValueError for any other dtype); `pixels` reads
+    them as float64 values in [0, 1].
     """
 
     stored: np.ndarray
@@ -43,11 +43,9 @@ class RawImageBatch:
     def __init__(self, pixels, labels, source, image_shape=None):
         pixels = np.asarray(pixels)
         if pixels.dtype != np.uint8:
-            pixels = np.asarray(pixels, dtype=np.float64)
+            raise ValueError(f"pixels must be uint8 counts, got dtype {pixels.dtype}")
         if pixels.ndim != 2 or pixels.shape[0] < 1 or pixels.shape[1] < 1:
             raise ValueError(f"pixels must be a non-empty N x D matrix, got shape {pixels.shape}")
-        if pixels.dtype != np.uint8 and (pixels.min() < 0.0 or pixels.max() > 1.0):
-            raise ValueError("pixel values must lie in [0, 1]")
         if labels is not None:
             labels = np.asarray(labels, dtype=np.int64)
             if labels.shape != (pixels.shape[0],):
@@ -59,8 +57,6 @@ class RawImageBatch:
     @property
     def pixels(self) -> np.ndarray:
         """The values as float64, formed from counts as P / 255 on every read."""
-        if self.stored.dtype != np.uint8:
-            return self.stored
         return self.stored.astype(np.float64) / PIXEL_LEVELS
 
 

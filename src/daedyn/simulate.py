@@ -242,8 +242,11 @@ class Workspace(dict):
     A buffer exists only once a step has needed it: a Laplace leg holds one
     STEP_BLOCK_ROWS x D block of noise, asked for apart_from each row block
     of X and placed anew half a page from it on every call (see _page_apart),
-    a Gaussian leg holds its N k + m D low-rank draw and a noise-free one no
-    draw at all; no leg holds an N x D corrupted batch. A Gaussian or
+    a Gaussian leg holds its N k + m D low-rank draw (the whole N x D draw
+    where W1 has no R^-1: H >= D or a rank-deficient W1) and a noise-free one
+    no draw at all; no leg holds an N x D corrupted batch. A Laplace draw's
+    values follow the seeded stream alone, whatever its block size or place;
+    the step's sums over the row blocks follow STEP_BLOCK_ROWS. A Gaussian or
     noise-free step also keeps its clean pre-activation X W1^T (N x H) under
     "xw1", which a record of the hidden layer reads; a Laplace step's
     pre-activation is of its corrupted rows and is not kept. A noise-free
@@ -323,7 +326,7 @@ def marginalized_loss_and_grads(model: Autoencoder, lams, n, epsilon_eff, ws=Non
 def _draw_noise(rng, noise: NoiseModel, shape, ws=None, apart_from=None):
     # The draw is written into the workspace's "noise" buffer, placed half a page from
     # apart_from if given (see Workspace), or into a new array without a workspace; it
-    # leaves rng in the state rng.normal or rng.laplace would.
+    # leaves rng in the state rng.normal or rng.random(shape) would.
     # standard_normal scaled in place is bit for bit rng.normal(0, sigma).
     if noise.kind == "none":
         return None
@@ -332,38 +335,27 @@ def _draw_noise(rng, noise: NoiseModel, shape, ws=None, apart_from=None):
         rng.standard_normal(out=out)
         out *= np.sqrt(noise.variance)
         return out
-    # Laplace: numpy's random_laplace, vectorised over LAPLACE_BLOCK values at a time.
-    # From the same uniform U it takes b log(U + U) below 1/2 and -b log(2 - U - U)
-    # from 1/2 up; v = min(U + U, 2 - U - U) is that log's argument on either branch,
-    # so b log(v) <= 0 is the value below 1/2 and its negation from 1/2 up, where the
-    # exact 1 - 2U has its sign bit set (not at U = 1/2: +0.0, as in numpy). Only
-    # numpy's vector log differs from libm's, by at most 2 ulp. numpy redraws a zero
-    # uniform, which shifts the stream, so a zero replays its block of STEP_BLOCK_ROWS
-    # rows (of the last axis) through rng.laplace: a draw made in those row blocks, as
-    # the sampled step makes it, has the bits of one whole draw.
-    rows, b = out.reshape(-1, out.shape[-1]), noise.scale
+    # Laplace: the inverse CDF copysign(-b log(1 - 2|U - 1/2|), U - 1/2) on rng.random's
+    # uniforms, LAPLACE_BLOCK values at a time. On numpy's 2^-53 grid U - 1/2 and
+    # 1 - 2|U - 1/2| (2U or 2 - 2U) are exact, so the values are b log(2U) and
+    # -b log(2 - 2U) to the vector log's 2 ulp, U and 1 - U give exact negatives, and
+    # U = 1/2 gives +0.0. The log's argument is clamped at 2^-53, below the smallest
+    # nonzero one (2^-52), so U = 0 gives -53 b log 2, not -inf. The values follow the
+    # stream alone: a draw made in row blocks has the bits of one whole draw.
+    flat, b = out.reshape(-1), noise.scale
     tmp = np.empty(min(out.size, LAPLACE_BLOCK))
-    for first in range(0, rows.shape[0], STEP_BLOCK_ROWS):
-        block = rows[first:first + STEP_BLOCK_ROWS]
-        flat, state = block.reshape(-1), rng.bit_generator.state
-        for start in range(0, flat.size, LAPLACE_BLOCK):
-            u = flat[start:start + LAPLACE_BLOCK]
-            v = tmp[:u.size]
-            rng.random(out=u)
-            if not u.min() > 0.0:   # checked before the log, which warns on log(0)
-                rng.bit_generator.state = state
-                block[...] = rng.laplace(0.0, b, size=block.shape)
-                break
-            np.subtract(2.0, u, out=v)
-            v -= u                          # 2 - U - U, rounded as numpy rounds it
-            u += u
-            np.minimum(u, v, out=v)
-            np.subtract(1.0, u, out=u)
-            np.log(v, out=v)
-            v *= b
-            bits = u.view(np.int64)         # b log(v), negated where 1 - 2U is below 0
-            np.bitwise_and(bits, np.int64(-1 << 63), out=bits)
-            np.bitwise_xor(bits, v.view(np.int64), out=bits)
+    for start in range(0, flat.size, LAPLACE_BLOCK):
+        u = flat[start:start + LAPLACE_BLOCK]
+        v = tmp[:u.size]
+        rng.random(out=u)
+        u -= 0.5
+        np.abs(u, out=v)
+        v *= -2.0
+        v += 1.0
+        np.maximum(v, 2.0 ** -53, out=v)
+        np.log(v, out=v)
+        v *= -b
+        np.copysign(v, u, out=u)
     return out
 
 
@@ -390,20 +382,18 @@ def _gram_form(model: Autoencoder, x, z, b):
 
 
 def _w1_qr(w1):
-    # (Q, R, R^-1) of the thin QR W1^T = Q R, for the Gaussian step's low-rank draw. Where
-    # H < D and R is well conditioned (its smallest diagonal above QR_RANK_TOL of its
-    # largest), Q is not formed (None): the step applies it as W1^T R^-1, which costs two
-    # H x H x D products where forming Q from LAPACK's reflectors costs more than the
-    # factorisation. At H >= D Q is square and R is not, and a rank-deficient W1 (two equal
-    # rows) has no R^-1: there Q is formed and R^-1 is None. A NaN in W1 takes that branch.
+    # (R, R^-1) of the thin QR W1^T = Q R, for the Gaussian step's low-rank draw, where H < D
+    # and R is well conditioned (its smallest diagonal above QR_RANK_TOL of its largest): Q is
+    # not formed, the step applies it as W1^T R^-1. At H >= D, or for a rank-deficient W1 (two
+    # equal rows) or one holding a NaN, R^-1 does not exist: there Q = I, R = W1^T, and the
+    # result is (W1^T, None)
     h, d = w1.shape
     if h < d:
         rq = np.linalg.qr(w1.T, mode="r")
         diag = np.abs(np.diagonal(rq))
         if diag.min() > QR_RANK_TOL * diag.max():
-            return None, rq, np.linalg.inv(rq)
-    q, rq = np.linalg.qr(w1.T)
-    return q, rq, None
+            return rq, np.linalg.inv(rq)
+    return w1.T, None
 
 
 def _sampled_grads(model: Autoencoder, x, noise: NoiseModel, rng, ws=None, with_loss=True):
@@ -413,25 +403,28 @@ def _sampled_grads(model: Autoencoder, x, noise: NoiseModel, rng, ws=None, with_
     # products (Z, X W2, A^T X, delta^T X_tilde) plus O((N + D) H^2), over row blocks.
     # Laplace noise is drawn STEP_BLOCK_ROWS rows at a time, and each block of X_tilde = X + E
     # is formed in the draw's buffer and used while it is in cache: no N x D array is made.
-    # A noise-free or Gaussian step reads X in place as one block. Gaussian noise is
-    # drawn only where the step sees it, as E W1^T and delta^T E: with W1^T = Q R (Q is D x k)
-    # and delta = U R_d (R_d is m x H, m = min(N, H)), E Q is N x k i.i.d. noise, and the
-    # rest of delta^T E, delta^T E (I - Q Q^T), is independent of it and distributed as
-    # R_d^T G (I - Q Q^T) with G m x D i.i.d. noise. So Z = X W1^T + (E Q) R and
+    # Its gradients are summed over those row blocks, so a Laplace step's last bits follow
+    # STEP_BLOCK_ROWS; its draw's do not. A noise-free or Gaussian step reads X in place as
+    # one block. Gaussian noise is drawn only where the step sees it, as E W1^T and
+    # delta^T E: with W1^T = Q R (Q is D x k) and delta = U R_d (R_d is m x H,
+    # m = min(N, H)), E Q is N x k i.i.d. noise, and the rest of delta^T E,
+    # delta^T E (I - Q Q^T), is independent of it and distributed as R_d^T G (I - Q Q^T)
+    # with G m x D i.i.d. noise. So Z = X W1^T + (E Q) R and
     # N grad1 = delta^T X + (delta^T E Q) Q^T + R_d^T G (I - Q Q^T), from N k + m D normals
-    # in one draw: the same distribution as the full draw, not the same stream. Q enters
-    # only as Q^T-products, taken as W1^T R^-1 where R is invertible (_w1_qr). Its QR of
-    # delta needs all N rows, which one block has. A noise-free or Gaussian step keeps the
-    # clean X W1^T in "xw1", which a hidden-layer record reads; a Laplace step's Z is of the
-    # corrupted rows, so it keeps nothing there.
+    # in one draw: the same distribution as the full draw, not the same stream; its bits
+    # follow LAPACK's QR of W1^T and of delta. Q is applied as W1^T R^-1 (_w1_qr). Where
+    # R^-1 does not exist Q = I, R = W1^T and m = 0: E Q is the whole N x D draw and there
+    # is no G term. The QR of delta needs all N rows, which one block has. A noise-free or
+    # Gaussian step keeps the clean X W1^T in "xw1", which a hidden-layer record reads; a
+    # Laplace step's Z is of the corrupted rows, so it keeps nothing there.
     ws = Workspace() if ws is None else ws
     w1, w2 = model.w1, model.w2
     (n, r), (h, d) = x.shape, w1.shape
     grad1, grad2 = ws("g1", w1.shape), ws("g2", w2.shape)
     laplace, gaussian = noise.kind == "laplace", noise.kind == "gaussian"
     if gaussian:
-        q, rq, rinv = _w1_qr(w1)
-        k, m = rq.shape[0], min(n, h)
+        rq, rinv = _w1_qr(w1)
+        k, m = rq.shape[0], 0 if rinv is None else min(n, h)
         draw = _draw_noise(rng, noise, (n * k + m * d,), ws)
         eq, g = draw[:n * k].reshape(n, k), draw[n * k:].reshape(-1, d)
     b = w2.T @ w2                     # H x H
@@ -463,16 +456,14 @@ def _sampled_grads(model: Autoencoder, x, noise: NoiseModel, rng, ws=None, with_
     del part, c, atx    # not held through the Gaussian terms, where a step's memory peaks
     grad1[:, r:] = 0.0
     if gaussian:
-        rdg = np.linalg.qr(delta, mode="r").T @ g         # R_d^T G, H x D
-        s = delta.T @ eq
-        if q is None:                                     # Q = W1^T R^-1
+        s = delta.T @ eq                                  # delta^T E Q
+        if rinv is None:                                  # Q = I
+            grad1 += s
+        else:                                             # Q = W1^T R^-1
+            rdg = np.linalg.qr(delta, mode="r").T @ g     # R_d^T G, H x D
             s -= (rdg @ w1.T) @ rinv                      # delta^T E Q - R_d^T G Q
             grad1 += rdg
             grad1 += (s @ rinv.T) @ w1
-        else:
-            s -= rdg @ q
-            grad1 += rdg
-            grad1 += s @ q.T
     grad1 /= n
     return loss, grad1, grad2
 
@@ -712,6 +703,10 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readou
         raise ValueError("only the linear objective, read from its weights, has a "
                          "marginalised form")
     d, n = dataset.d, dataset.n
+    # the record arrays come first: a request too large to record fails here (MemoryError),
+    # before any step
+    times = record_times(config.epochs, config.record_every)
+    modes, norms, losses = np.empty((times.size, d)), np.empty(times.size), np.empty(times.size)
     v = spectrum.eigenvectors
     if config.init == "orthogonal":
         init = init_orthogonal(d, config.hidden_dim, spectrum, config.init_scale, config.seed)
@@ -749,7 +744,6 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readou
     gamma = config.weight_decay
     ws = Workspace()
     track_offdiag = d <= 64
-    modes, norms, losses = [], [], []
     worst_off = 0.0 if track_offdiag else np.nan
 
     if marginalized:
@@ -766,7 +760,7 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readou
         if n * n * r + 2 * n * n * h * epochs < 4 * n * r * h * epochs:
             leg = _SampleSpace(model, x, ws, alpha, gamma)
 
-    def record(loss):
+    def record(row, loss):
         nonlocal worst_off
         leg.form()
         w2c = np.ascontiguousarray(w2)      # the sums below read W2 row-major, whatever its layout
@@ -779,17 +773,18 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readou
             w1r = w1 @ v if track_offdiag or not pre_activation else w1
             w2r = v.T @ w2
         if pre_activation:
-            modes.append(readout(xv, ws["xw1"] if rotated else x @ w1.T, w2r))
+            modes[row] = readout(xv, ws["xw1"] if rotated else x @ w1.T, w2r)
         else:
-            modes.append(readout(w1r, w2r))
-        norms.append(float(np.sum(w1r * w1r) + np.sum(w2r * w2r)))
-        losses.append(loss)
+            modes[row] = readout(w1r, w2r)
+        norms[row] = np.sum(w1r * w1r) + np.sum(w2r * w2r)
+        losses[row] = loss
         if track_offdiag:
             m = w2r @ w1r
             np.fill_diagonal(m, 0.0)
             worst_off = max(worst_off, float(np.max(np.abs(m))))
 
-    record(leg.gradient(True))
+    record(0, leg.gradient(True))
+    row = 0
     for epoch in range(1, config.epochs + 1):
         leg.update()
         if leg.diverged():
@@ -797,14 +792,13 @@ def descend(dataset: Dataset, spectrum: Spectrum, config: TrainingConfig, readou
         recorded = epoch % config.record_every == 0 or epoch == config.epochs
         loss = leg.gradient(recorded)
         if recorded:
-            record(loss)
+            row += 1
+            record(row, loss)
     if rotated:     # the last record formed a sample-space leg's final weights
         w1, w2 = w1 @ v.T, v @ w2
-    times = record_times(config.epochs, config.record_every)
-    return Run(times=times, modes=np.stack(modes, axis=0),
-               norms=Trajectory(times=times, values=np.array(norms), kind="simulated",
-                                mode_index=-1),
-               losses=np.array(losses), max_offdiag=worst_off,
+    return Run(times=times, modes=modes,
+               norms=Trajectory(times=times, values=norms, kind="simulated", mode_index=-1),
+               losses=losses, max_offdiag=worst_off,
                model=Autoencoder(w1, w2, activation), init_model=init)
 
 

@@ -62,8 +62,7 @@ def mnist_like_paths(tmp_path_factory):
         return Path(env)
     root = tmp_path_factory.mktemp("mnist_like")
     pixels = imagelike_pixels(1200, 784, seed=20)
-    batch = data.RawImageBatch(pixels=pixels / 255.0, labels=None,
-                               source="mnist", image_shape=(28, 28))
+    batch = data.RawImageBatch(pixels=pixels, labels=None, source="mnist", image_shape=(28, 28))
     images = root / "train-images-idx3-ubyte"
     write_idx(batch, images)
     return images
@@ -78,8 +77,7 @@ def cifar_like_path(tmp_path_factory):
     root = tmp_path_factory.mktemp("cifar_like")
     pixels = imagelike_pixels(700, 3072, seed=33)
     rng = np.random.default_rng(44)
-    batch = data.RawImageBatch(pixels=pixels / 255.0,
-                               labels=rng.integers(0, 10, size=700),
+    batch = data.RawImageBatch(pixels=pixels, labels=rng.integers(0, 10, size=700),
                                source="cifar10")
     path = root / "data_batch_1.bin"
     write_cifar10(batch, path)

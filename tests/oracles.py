@@ -395,14 +395,13 @@ def projected_diagonal(w1, w2, spectrum):
 
 def write_idx(batch, path):
     """IDX image bytes of a parsed batch: the byte-exact inverse of data.load_idx."""
-    pixels = np.rint(batch.pixels * 255.0).astype(np.uint8)
-    head = struct.pack(">IIII", 0x00000803, pixels.shape[0], *batch.image_shape)
-    Path(path).write_bytes(head + pixels.tobytes())
+    head = struct.pack(">IIII", 0x00000803, batch.stored.shape[0], *batch.image_shape)
+    Path(path).write_bytes(head + batch.stored.tobytes())
 
 
 def write_cifar10(batch, path):
     """CIFAR-10 record bytes of a parsed batch: the byte-exact inverse of data.load_cifar10."""
-    records = np.column_stack([batch.labels, np.rint(batch.pixels * 255.0)]).astype(np.uint8)
+    records = np.column_stack([batch.labels.astype(np.uint8), batch.stored])
     Path(path).write_bytes(records.tobytes())
 
 
@@ -480,7 +479,8 @@ def lowrank_corrupted_batch(model, batch, draw):
     """The N x D Gaussian corruption E that a low-rank sampled step saw, rebuilt from its draw.
 
     The step draws E Q (N x k) and sigma G (m x D) as one flat array, with
-    W1^T = Q R its thin QR and m = min(N, H). This rebuilds its pre-activation
+    W1^T = Q R its thin QR and m = min(N, H), where R^-1 exists (at H >= D or
+    for a rank-deficient W1 it draws E itself). This rebuilds its pre-activation
     X W1^T + (E Q) R and its delta through the explicit residual, factors
     delta = U R_d, and returns E = (E Q) Q^T + U sigma G (I - Q Q^T): the full
     corruption that gives the same E W1^T and delta^T E, so backprop on X + E

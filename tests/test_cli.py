@@ -222,11 +222,19 @@ def test_cli_invalid_inputs_exit_2_without_traceback(argv, tmp_path, d16_cache, 
             assert flag in err
 
 
-@pytest.mark.parametrize("command", ["predict", "simulate"])
-def test_a_request_past_any_address_space_exits_2_without_traceback(command, tmp_path, capsys):
+@pytest.mark.parametrize("command, flags", [
+    ("predict", []), ("simulate", []),
+    ("real-data", ["--dataset", "{cache}", "--modes", "1"]),
+    ("real-data", ["--dataset", "{cache}", "--modes", "1", "--loss-mode", "sampled"]),
+    ("nonlinear", ["--dataset", "{cache}", "--activation", "relu", "--hidden", "3"]),
+], ids=["predict", "simulate", "real-data", "real-data-sampled", "nonlinear"])
+def test_a_request_past_any_address_space_exits_2_without_traceback(command, flags, tmp_path,
+                                                                    d16_cache, capsys):
     # 10^17 epochs record 10^16 times, 8 10^16 bytes: beyond any machine's address space,
-    # so the allocation fails at once
-    argv = [command, "--epochs", "100000000000000000", "--out", str(tmp_path)]
+    # so the allocation fails at once; a training command forms its record times before
+    # its first step, so it fails before training too
+    argv = [command, *(f.format(cache=d16_cache) for f in flags),
+            "--epochs", "100000000000000000", "--out", str(tmp_path)]
     assert main(argv) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "MemoryError" in err

@@ -19,8 +19,9 @@ st = hypothesis.strategies
 
 CONTRACT_CODES = {cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_DIVERGENCE, cli.EXIT_IO}
 
-# None marks a flag that takes no value; --epochs stays small so a run is quick (a training
-# command forms its record times only after the loop, so a huge one would train, not fail).
+# None marks a flag that takes no value; --epochs stays small so a run is quick (every
+# command forms its record times before its first step, so a huge one fails at once, as
+# test_cli's test_a_request_past_any_address_space_exits_2_without_traceback checks).
 # 10^14 sizes an array past any machine's address space, which fails at once with exit 2
 FLAG_VALUES = {
     "--lambda": ["1", "2.5,0.5", "0", "-1", "nan", "x", ",", "1.7e308"],

@@ -221,16 +221,17 @@ def test_preprocess_passthrough_is_identity(cifar_like_path):
 
 def test_preprocess_center_zeroes_feature_means():
     rng = np.random.default_rng(4)
-    batch = RawImageBatch(pixels=rng.uniform(0, 1, size=(40, 7)), labels=None,
-                          source="mnist")
+    batch = RawImageBatch(pixels=rng.integers(0, 256, size=(40, 7), dtype=np.uint8),
+                          labels=None, source="mnist")
     ds = preprocess(batch, center=True)
     assert np.max(np.abs(ds.samples.mean(axis=0))) <= 1e-12
 
 
 def test_preprocess_center_matches_brute_force_covariance():
     rng = np.random.default_rng(12)
-    x = rng.uniform(0, 1, size=(30, 5))
-    batch = RawImageBatch(pixels=x, labels=None, source="mnist")
+    counts = rng.integers(0, 256, size=(30, 5), dtype=np.uint8)
+    x = counts / 255.0
+    batch = RawImageBatch(pixels=counts, labels=None, source="mnist")
     ds = preprocess(batch, center=True)
     mu = x.mean(axis=0)
     expected = np.zeros((5, 5))
@@ -241,7 +242,7 @@ def test_preprocess_center_matches_brute_force_covariance():
 
 
 def test_preprocess_scale_normalizes_peak():
-    batch = RawImageBatch(pixels=np.array([[0.5, 0.25], [0.1, 0.2]]), labels=None,
+    batch = RawImageBatch(pixels=np.array([[128, 64], [25, 51]], dtype=np.uint8), labels=None,
                           source="mnist")
     ds = preprocess(batch, scale=True)
     assert ds.samples.max() == 1.0
@@ -250,8 +251,9 @@ def test_preprocess_scale_normalizes_peak():
 def test_preprocess_plain_matrix_matches_image_batch_path():
     # a loaded matrix cache takes the same centering and rescaling as parsed images
     rng = np.random.default_rng(5)
-    x = rng.uniform(0, 1, size=(25, 6))
-    batch = RawImageBatch(pixels=x, labels=None, source="mnist")
+    counts = rng.integers(0, 256, size=(25, 6), dtype=np.uint8)
+    x = counts / 255.0
+    batch = RawImageBatch(pixels=counts, labels=None, source="mnist")
     for flags in ({}, {"center": True}, {"scale": True}, {"center": True, "scale": True}):
         ds = preprocess(x, **flags)
         assert ds.source == "synthetic"
@@ -406,7 +408,10 @@ def test_load_cifar10_refuses_a_file_cut_short_after_its_size_was_read(tmp_path,
 
 
 def test_raw_image_batch_validation():
-    with pytest.raises(ValueError, match="0, 1"):
-        RawImageBatch(pixels=np.array([[1.5]]), labels=None, source="mnist")
+    # only an image file's uint8 counts are accepted: float values, even in [0, 1], are not
+    for pixels in (np.array([[1.5]]), np.array([[0.5]]), np.array([[1]], dtype=np.int64)):
+        with pytest.raises(ValueError, match="uint8 counts"):
+            RawImageBatch(pixels=pixels, labels=None, source="mnist")
     with pytest.raises(ValueError, match="one per image"):
-        RawImageBatch(pixels=np.ones((2, 3)), labels=np.array([1]), source="mnist")
+        RawImageBatch(pixels=np.ones((2, 3), dtype=np.uint8), labels=np.array([1]),
+                      source="mnist")

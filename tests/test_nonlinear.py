@@ -307,10 +307,10 @@ def test_sampled_step_over_three_draws_matches_the_residual_oracle(activation, t
     ids=["h-below-d", "h-above-d", "h-equals-d", "n-below-h", "dead-unit", "twin-rows"])
 def test_lowrank_step_is_backprop_on_its_rebuilt_corruption(activation, n, d, h, unit,
                                                             monkeypatch):
-    # H >= D makes Q square, so the projected term is zero; N < H gives R_d N rows;
-    # a hidden unit that never fires (relu) puts a zero column in delta; two equal rows of
-    # W1 (H < D) leave R singular, so the step forms Q, which it otherwise applies as
-    # W1^T R^-1
+    # N < H gives R_d N rows; a hidden unit that never fires (relu) puts a zero column in
+    # delta. Where W1 has no R^-1, at H >= D or with two equal rows of W1 (H < D), Q = I:
+    # the step draws the whole N x D corruption, which is E itself; elsewhere it applies Q
+    # as W1^T R^-1
     rng = np.random.default_rng(31)
     x = rng.uniform(0.1, 1.0, size=(n, d))
     w1 = rng.standard_normal((h, d)) * 0.5
@@ -318,14 +318,21 @@ def test_lowrank_step_is_backprop_on_its_rebuilt_corruption(activation, n, d, h,
         w1[1] = -5.0
     if unit == "twin":
         w1[2] = w1[0]
-    q, _, rinv = simulate._w1_qr(w1)
-    assert (q is None) == (h < d and unit != "twin") == (rinv is not None)
+    rq, rinv = simulate._w1_qr(w1)
+    whole = h >= d or unit == "twin"
+    assert (rinv is None) == whole
+    if whole:
+        assert np.array_equal(rq, w1.T)
     model = Autoencoder(w1, rng.standard_normal((d, h)) * 0.5, activation)
     draws = _spy_draws(monkeypatch)
     got = simulate._sampled_grads(model, x, NoiseModel.gaussian(0.09), np.random.default_rng(3))
-    k, m = min(d, h), min(n, h)
-    assert len(draws) == 1 and draws[0].shape == (n * k + m * d,)
-    e = lowrank_corrupted_batch(model, x, draws[0])
+    assert len(draws) == 1
+    if whole:
+        assert draws[0].shape == (n * d,)
+        e = draws[0].reshape(n, d)
+    else:
+        assert draws[0].shape == (n * h + min(n, h) * d,)
+        e = lowrank_corrupted_batch(model, x, draws[0])
     if unit == "dead" and activation == "relu":
         assert not np.any(x @ w1[1] + (e @ w1[1]) > 0.0)
     _agree(got, backprop_residual(model, x, x + e))

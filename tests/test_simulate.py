@@ -361,41 +361,44 @@ def test_gaussian_draw_into_the_workspace_is_bitwise_rng_normal():
     assert np.array_equal(batch.view(np.int64), want.view(np.int64))
 
 
+def _inverse_cdf(u, b):
+    # the Laplace inverse CDF with libm's log: b log(2U) below 1/2 and -b log(2 - 2U) from
+    # 1/2 up (0.0 - 0.0 at U = 1/2 is +0.0), both arguments exact; U = 0 takes the log of
+    # the draw's clamp, 2^-53
+    u = float(u)
+    if u < 0.5:
+        return b * math.log(max(u + u, 2.0 ** -53))
+    return 0.0 - b * math.log(2.0 - 2.0 * u)
+
+
+def _assert_within_two_ulp(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    # with equal signs, the difference of the bit patterns counts ulps
+    assert np.abs(got.view(np.int64) - want.view(np.int64)).max() <= 2
+
+
 @pytest.mark.parametrize("shape, with_ws", [((40, 6), True), ((300, 100), True),
                                             ((3, 70, 100), False)],
                          ids=["below-one-block", "not-a-block-multiple", "3d-without-workspace"])
 @pytest.mark.parametrize("b", [1e-3, 0.4, 7.3, 1e5])
 def test_laplace_draw_is_rng_laplace_within_two_ulp(b, shape, with_ws):
+    # the draw is the exact inverse CDF of rng.random's uniforms to the vector log's 2 ulp,
+    # and leaves the generator where rng.random(shape) does; below U = 1/2 numpy's laplace
+    # takes the same exact b log(U + U), so there the two agree to 2 ulp as well (from 1/2 up
+    # numpy rounds 2 - U - U, which can move a value near U = 1 by far more)
     ref, rng = np.random.default_rng(11), np.random.default_rng(11)
     ws = simulate.Workspace() if with_ws else None
     got = simulate._draw_noise(rng, NoiseModel.laplace(b), shape, ws)
     if with_ws:
         assert got is ws["noise"]
-    want = ref.laplace(0.0, b, size=shape)
-    assert got.shape == want.shape
-    assert np.array_equal(np.signbit(got), np.signbit(want))
-    # with equal signs, the difference of the bit patterns counts ulps
-    assert np.abs(got.view(np.int64) - want.view(np.int64)).max() <= 2
-    # the same uniforms were taken: the generator is left in the same state
+    u = ref.random(shape)
+    assert u.min() > 0.0
+    _assert_within_two_ulp(got, np.reshape([_inverse_cdf(v, b) for v in u.flat], shape))
     assert rng.bit_generator.state == ref.bit_generator.state
-
-
-class _ZeroUniform:
-    """A generator whose `call`-th uniform block holds a 0.0 at flat index `at`."""
-
-    def __init__(self, rng, call, at):
-        self._rng, self._call, self._at = rng, call, at
-        self.bit_generator = rng.bit_generator
-
-    def random(self, out):
-        self._rng.random(out=out)
-        self._call -= 1
-        if self._call == 0:
-            out.reshape(-1)[self._at] = 0.0
-        return out
-
-    def laplace(self, loc, scale, size):
-        return self._rng.laplace(loc, scale, size=size)
+    below = u < 0.5
+    numpy_laplace = np.random.default_rng(11).laplace(0.0, b, size=shape)
+    _assert_within_two_ulp(got[below], numpy_laplace[below])
 
 
 class _Uniforms:
@@ -411,31 +414,29 @@ class _Uniforms:
 
 
 def test_laplace_draw_takes_each_branch_and_its_sign_from_the_uniform_as_numpy_does():
-    # numpy's random_laplace on U: 0 + b log(U + U) below 1/2, 0 - b log(2 - U - U) from
-    # 1/2 up, so U = 1/2 gives +0.0; the draw agrees to 2 ulp (numpy's vector log against
-    # libm's) with every sign, beside 1/2 and at either end of [0, 1)
+    # negative below U = 1/2 and positive from 1/2 up, with U = 1/2 giving +0.0, as numpy's
+    # laplace; each value is the exact inverse CDF to 2 ulp, beside 1/2 and at either end of
+    # [0, 1), and U = 0, which numpy would redraw, gives the finite -53 b log 2
     b, ulp = 0.3, 2.0 ** -53
-    uniforms = [0.5, 0.5 - ulp, 0.5 + 2 * ulp, 0.5 - ulp / 2, ulp, 1.0 - ulp, 0.25, 0.75]
+    uniforms = [0.5, 0.5 - ulp, 0.5 + 2 * ulp, 0.5 - ulp / 2, ulp, 1.0 - ulp, 0.25, 0.75, 0.0]
     got = simulate._draw_noise(_Uniforms(uniforms), NoiseModel.laplace(b), (len(uniforms),))
-    want = np.array([0.0 + b * math.log(u + u) if u < 0.5 else 0.0 - b * math.log(2.0 - u - u)
-                     for u in uniforms])
+    want = np.array([_inverse_cdf(u, b) for u in uniforms])
     assert got[0] == 0.0 and not np.signbit(got[0])
-    assert np.array_equal(np.signbit(got), np.signbit(want))
-    assert np.abs(got.view(np.int64) - want.view(np.int64)).max() <= 2
+    assert np.array_equal(np.signbit(got), np.array(uniforms) < 0.5)
+    _assert_within_two_ulp(got, want)
+    assert np.isfinite(got).all() and got[-1] < got[4] < 0.0
 
 
-@pytest.mark.parametrize("call", [1, 2], ids=["first-block", "second-block"])
-def test_a_zero_uniform_replays_the_draw_through_rng_laplace(call):
-    # numpy redraws a zero uniform; the draw must then be rng.laplace bit for bit
-    shape = (3, simulate.LAPLACE_BLOCK // 2)      # three blocks
-    ref = np.random.default_rng(5)
-    rng = _ZeroUniform(np.random.default_rng(5), call, at=17)
-    ws = simulate.Workspace()
-    got = simulate._draw_noise(rng, NoiseModel.laplace(0.3), shape, ws)
-    assert got is ws["noise"]
-    want = ref.laplace(0.0, 0.3, size=shape)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    assert rng.bit_generator.state == ref.bit_generator.state
+def test_laplace_draw_is_antisymmetric_under_u_to_one_minus_u():
+    # U - 1/2 and 1 - 2|U - 1/2| are exact, so U and 1 - U give exact negatives
+    b = 0.7
+    u = np.random.default_rng(6).random(5000)
+    u = np.concatenate([u, [0.5, 2.0 ** -53, 0.5 - 2.0 ** -53, 0.25]])
+    got = simulate._draw_noise(_Uniforms(u), NoiseModel.laplace(b), u.shape)
+    mirrored = simulate._draw_noise(_Uniforms(1.0 - u), NoiseModel.laplace(b), u.shape)
+    flip = u != 0.5     # U = 1/2 is its own mirror: +0.0 both ways
+    assert np.array_equal(mirrored[flip].view(np.int64), (-got[flip]).view(np.int64))
+    assert mirrored[~flip].view(np.int64).tolist() == [0]
 
 
 def test_laplace_draw_has_the_laplace_moments():
@@ -449,19 +450,36 @@ def test_laplace_draw_has_the_laplace_moments():
     assert abs(np.mean(x * x) - 2.0 * b * b) <= 5 * math.sqrt(20.0) * b * b * se
 
 
-@pytest.mark.parametrize("call", [None, 1, 4], ids=["no-zero", "zero-in-first-block",
-                                                  "zero-in-a-later-block"])
-def test_a_laplace_draw_in_row_blocks_has_the_bits_of_one_whole_draw(call):
+class _ZeroAt:
+    """A generator whose uniform at stream position `at`, counted over every draw, is 0.0."""
+
+    def __init__(self, rng, at):
+        self._rng, self._at, self._drawn = rng, at, 0
+        self.bit_generator = rng.bit_generator
+
+    def random(self, out):
+        self._rng.random(out=out)
+        if 0 <= self._at - self._drawn < out.size:
+            out.reshape(-1)[self._at - self._drawn] = 0.0
+        self._drawn += out.size
+        return out
+
+
+@pytest.mark.parametrize("zero_block", [None, 0, 1], ids=["no-zero", "zero-in-first-block",
+                                                         "zero-in-a-later-block"])
+def test_a_laplace_draw_in_row_blocks_has_the_bits_of_one_whole_draw(zero_block):
     # the sampled step draws STEP_BLOCK_ROWS rows at a time, half a page from each block of X;
     # the blocks, concatenated, are one whole N x D draw bit for bit, and leave the generator
-    # where it leaves it, whether or not a zero uniform replays a block through rng.laplace
+    # where it leaves it. A zero uniform, in a row block's first or second pass, gives the
+    # finite -53 b log 2 in either draw
     rows = simulate.STEP_BLOCK_ROWS
     n, d = 2 * rows + 88, simulate.LAPLACE_BLOCK // rows + 28     # two passes per row block
     noise = NoiseModel.laplace(0.3)
+    at = None if zero_block is None else zero_block * (rows * d + simulate.LAPLACE_BLOCK) + 17
 
     def generator():
         rng = np.random.default_rng(9)
-        return rng if call is None else _ZeroUniform(rng, call, at=17)
+        return rng if at is None else _ZeroAt(rng, at)
 
     whole_rng, blocks_rng = generator(), generator()
     whole = simulate._draw_noise(whole_rng, noise, (n, d))
@@ -474,13 +492,10 @@ def test_a_laplace_draw_in_row_blocks_has_the_bits_of_one_whole_draw(call):
         assert blocks[-1].shape == xb.shape
     assert np.array_equal(np.concatenate(blocks).view(np.int64), whole.view(np.int64))
     assert blocks_rng.bit_generator.state == whole_rng.bit_generator.state
-    if call is not None:     # the zero's row block is rng.laplace's, drawn from its first uniform
-        ref = np.random.default_rng(9)
-        skipped = (call - 1) // 2 * rows
-        assert skipped + rows < n
-        ref.random(skipped * d)
-        replayed = ref.laplace(0.0, 0.3, size=(rows, d))
-        assert np.array_equal(whole[skipped:skipped + rows], replayed)
+    assert np.isfinite(whole).all()
+    if at is not None:
+        _assert_within_two_ulp(whole.reshape(-1)[at:at + 1],
+                               np.array([0.3 * math.log(2.0 ** -53)]))
 
 
 def test_laplace_step_holds_no_n_by_d_buffer_and_draws_without_another():
@@ -541,9 +556,9 @@ def test_laplace_buffer_sits_half_a_page_from_the_data_wherever_the_data_sits():
 @pytest.mark.parametrize("noise", [NoiseModel.gaussian(0.7), NoiseModel.laplace(0.4)],
                          ids=["gaussian", "laplace"])
 def test_sampled_step_corrupts_bitwise_like_adding_a_fresh_draw(noise, small_dataset, monkeypatch):
-    # The Laplace draw is within 2 ulp of rng.laplace, so its corrupted batch is
-    # x + rng.laplace up to those 2 ulp plus the rounding of the two adds; a step draws
-    # and corrupts it one row block at a time, in one block-sized buffer. A Gaussian
+    # A Laplace step draws and corrupts the batch one row block at a time, in one
+    # block-sized buffer; the blocks have the bits of one whole draw, so the corrupted
+    # batch is x + that draw bit for bit. A Gaussian
     # step draws only E Q and G (N k + m D values, k = min(D, H), m = min(N, H)),
     # bit for bit rng.normal, and backpropagates without a corrupted batch. Both
     # leave the generator in the state of their draws; each of two steps on one
@@ -594,12 +609,8 @@ def test_sampled_step_corrupts_bitwise_like_adding_a_fresh_draw(noise, small_dat
         assert shapes == [[(min(rows, n - start), d) for start in range(0, n, rows)]] * 2
         assert ws["noise"].shape == (n % rows, d)
         for blocks in corrupted:
-            batch = np.concatenate(blocks)
-            e = ref.laplace(0.0, noise.scale, size=x.shape)
-            want = x + e
-            tol = (2.0 * np.spacing(np.abs(e))
-                   + np.spacing(np.maximum(np.abs(want), np.abs(batch))))
-            assert np.all(np.abs(batch - want) <= tol)
+            want = x + draw(ref, noise, x.shape)
+            assert np.array_equal(np.concatenate(blocks).view(np.int64), want.view(np.int64))
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
